@@ -20,6 +20,7 @@ from .dephasing import (
     NoiseVariant,
     apply_collective_dephasing,
     apply_variant_dephasing,
+    dephasing_kernel,
     ou_variance_quadrature,
     phase_variance_c,
     spin_echo_weights_variance,
@@ -33,6 +34,7 @@ from .qfi import (
     qfi_frequency,
     qfi_phase,
     repeated_frequency_precision,
+    spectral_qfi,
 )
 from .schemes import (
     ProbeFamily,

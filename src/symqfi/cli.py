@@ -184,7 +184,11 @@ def _scheme(cfg: RunConfig, times: tuple[float, ...]) -> SchemeSpec:
     except ValueError as exc:
         valid = ", ".join(k.value for k in SchemeKind)
         raise ConfigError(f"unknown scheme {cfg.scheme!r} (valid: {valid})") from exc
-    return SchemeSpec(kind, _noise(cfg), times)
+    noise = _noise(cfg)
+    try:
+        return SchemeSpec(kind, noise, times)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _fmt(value) -> str:
@@ -230,12 +234,16 @@ def _emit_table(cfg: RunConfig, columns: tuple[str, ...], rows: list[list]) -> i
     if cfg.out is None:
         sys.stdout.write(text)
         return 0
+    # write a sibling file and rename it over the target, so a failed write
+    # never leaves the target half-written or destroys a file already there
+    tmp = f"{cfg.out}.{os.getpid()}.tmp"
+    handle = open(tmp, "x", encoding="utf-8")
     try:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
+        with handle:
             handle.write(text)
+        os.replace(tmp, cfg.out)
     except BaseException:
-        if os.path.exists(cfg.out):
-            os.unlink(cfg.out)
+        os.unlink(tmp)
         raise
     return 0
 

@@ -115,7 +115,7 @@ class PureState:
                 f"amplitude vector has shape {amps.shape}, expected ({self.basis.dimension},)"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also refuses NaN and infinite amplitudes
             raise ValueError(f"state is not normalized: ||psi|| = {norm!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

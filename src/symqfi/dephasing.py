@@ -57,10 +57,14 @@ def _exp_decay_remainder(x: float) -> float:
     return math.expm1(-x) + x
 
 
+def _check_time(T: float) -> None:
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got {T!r}")
+
+
 def phase_variance_c(T: float, p: NoiseParams) -> float:
     """Variance C(T) of the collectively accumulated noise phase at time T."""
-    if T < 0:
-        raise ValueError(f"time must be nonnegative, got {T!r}")
+    _check_time(T)
     return (p.gamma_delta_b * p.tau_c) ** 2 * _exp_decay_remainder(T / p.tau_c)
 
 
@@ -71,10 +75,8 @@ def apply_collective_dephasing(rho: StateMatrix, T: float, p: NoiseParams) -> St
     the diagonal (and every fixed-excitation block's internal structure with
     equal total weight) is untouched, so trace and Hermiticity are exact.
     """
-    c = phase_variance_c(T, p)
-    m = rho.basis.z_weights()
-    dm = m[:, None] - m[None, :]
-    return StateMatrix(rho.basis, rho.matrix * np.exp(-0.5 * c * dm * dm))
+    kernel = dephasing_kernel(0.0, rho.basis.z_weights(), T, p)
+    return StateMatrix(rho.basis, rho.matrix * kernel)
 
 
 def steady_state(rho: StateMatrix) -> StateMatrix:
@@ -103,8 +105,7 @@ def spin_echo_weights_variance(a, b, T: float, p: NoiseParams):
 
     Accepts scalar or array weights (broadcast elementwise).
     """
-    if T < 0:
-        raise ValueError(f"time must be nonnegative, got {T!r}")
+    _check_time(T)
     x = T / (2.0 * p.tau_c)
     scale = (p.gamma_delta_b * p.tau_c) ** 2
     v = scale * _exp_decay_remainder(x)
@@ -124,8 +125,7 @@ def ou_variance_quadrature(a: float, b: float, T: float, p: NoiseParams,
     Richardson-extrapolated trapezoid rule on each constant-weight block.
     Slow; exists only to cross-check the closed form.
     """
-    if T < 0:
-        raise ValueError(f"time must be nonnegative, got {T!r}")
+    _check_time(T)
     if T == 0:
         return 0.0
 
@@ -153,6 +153,33 @@ def ou_variance_quadrature(a: float, b: float, T: float, p: NoiseParams,
     return (4.0 * fine - coarse) / 3.0
 
 
+def dephasing_kernel(m1, m2, T: float, p: NoiseParams,
+                     variant: NoiseVariant = NoiseVariant.IDEAL_COLLECTIVE) -> np.ndarray:
+    """Factors exp(-Var/2) by which dephasing up to T scales each coherence.
+
+    m1 and m2 hold the z-weight of every basis vector in partition 1 and in
+    partition 2 (pass m1 = 0 for an unsplit ensemble); entry [i, j] belongs
+    to the coherence between basis vectors i and j.  With dm1, dm2 their
+    weight differences, Var is C(T) (dm1 + dm2)^2 for IDEAL_COLLECTIVE,
+    :func:`spin_echo_weights_variance` (dm1, dm2) for SPIN_ECHO and
+    C(T) (dm1^2 + dm2^2) for INDEPENDENT_REPEAT.  The kernel is real,
+    symmetric, positive semidefinite and has a unit diagonal, so the
+    Hadamard product with a state is again a state of the same trace.
+    """
+    d1 = np.subtract.outer(m1, m1)
+    d2 = np.subtract.outer(m2, m2)
+    if variant is NoiseVariant.IDEAL_COLLECTIVE:
+        dm = d1 + d2
+        var = phase_variance_c(T, p) * (dm * dm)
+    elif variant is NoiseVariant.SPIN_ECHO:
+        var = spin_echo_weights_variance(d1, d2, T, p)
+    elif variant is NoiseVariant.INDEPENDENT_REPEAT:
+        var = phase_variance_c(T, p) * (d1 * d1 + d2 * d2)
+    else:
+        raise ValueError(f"unknown noise variant {variant!r}")
+    return np.exp(-0.5 * var)
+
+
 def apply_variant_dephasing(rho: StateMatrix, T: float, p: NoiseParams,
                             variant: NoiseVariant) -> StateMatrix:
     """Apply one of the channel realizations to a bipartite state.
@@ -167,15 +194,6 @@ def apply_variant_dephasing(rho: StateMatrix, T: float, p: NoiseParams,
         return apply_collective_dephasing(rho, T, p)
     if not isinstance(rho.basis, BipartiteSymmetricBasis):
         raise ValueError(f"{variant.value} dephasing requires a bipartite basis")
-    m1 = rho.basis.partition1_weights()
-    m2 = rho.basis.partition2_weights()
-    d1 = m1[:, None] - m1[None, :]
-    d2 = m2[:, None] - m2[None, :]
-    if variant is NoiseVariant.SPIN_ECHO:
-        var = spin_echo_weights_variance(d1, d2, T, p)
-    elif variant is NoiseVariant.INDEPENDENT_REPEAT:
-        c = phase_variance_c(T, p)
-        var = c * (d1 * d1 + d2 * d2)
-    else:
-        raise ValueError(f"unknown noise variant {variant!r}")
-    return StateMatrix(rho.basis, rho.matrix * np.exp(-0.5 * var))
+    kernel = dephasing_kernel(rho.basis.partition1_weights(), rho.basis.partition2_weights(),
+                              T, p, variant)
+    return StateMatrix(rho.basis, rho.matrix * kernel)

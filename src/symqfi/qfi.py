@@ -5,9 +5,11 @@ for the phase is
 
     F = 4 * sum_{a<b} (lambda_a - lambda_b)^2 / (lambda_a + lambda_b) |<a|G|b>|^2,
 
-which reduces to 4*Var(G) on pure states.  Frequency estimation over an
-interrogation time T carries F_freq = T^2 * F, and 1/F lower-bounds the
-variance of any unbiased estimator.
+which reduces to 4*Var(G) on pure states.  :func:`spectral_qfi` evaluates
+it from the state's matrix in any orthonormal frame that holds the state's
+support; :func:`qfi_phase` is the case where the frame is the whole basis.
+Frequency estimation over an interrogation time T carries F_freq = T^2 * F,
+and 1/F lower-bounds the variance of any unbiased estimator.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective_basis import Generator, StateMatrix
+from .collective_basis import EIGENVALUE_FLOOR, Generator, StateMatrix
 
 RECONSTRUCTION_TOL = 1e-10
 
@@ -47,32 +49,68 @@ def eigh(rho: StateMatrix) -> EigenDecomposition:
     return EigenDecomposition(eigvals, eigvecs)
 
 
+def spectral_qfi(m: np.ndarray, g_bar: np.ndarray, v: np.ndarray | None = None,
+                 eps_sum: float = 1e-12) -> float:
+    """Phase QFI of a state from its matrix m in an orthonormal frame e_k.
+
+    The frame must hold the state's support, and the generator G must be
+    diagonal on it, <e_j|G|e_k> = g_bar[k] delta_jk.  What G moves out of
+    the frame must be mutually orthogonal over k, with squared norms
+    v[k] = ||(1 - sum_j |e_j><e_j|) G e_k||^2; v = None means G maps the
+    frame into itself.  With m = U diag(lambda) U^dag,
+
+        F = 2 sum_ab (lambda_a - lambda_b)^2 / (lambda_a + lambda_b) |(U^dag g_bar U)_ab|^2
+            + 4 sum_a lambda_a sum_k |U_ka|^2 v[k],
+
+    where the second sum collects the pairs between the support and the
+    rest of the space (the rank-deficient form of Liu, Yuan, Lu and Wang,
+    J. Phys. A 53, 023001, 2020).  Eigenvalue pairs whose sum falls below
+    eps_sum * max(lambda) are excluded, a vector outside the frame counting
+    as eigenvalue 0: their analytic contribution is zero but the ratio is
+    0/0 in floating point.  An eigenvalue below EIGENVALUE_FLOOR means m is not
+    a state and raises ValueError; tiny negative ones are clamped to zero.
+    """
+    lam, u = np.linalg.eigh(m)
+    if lam[0] < EIGENVALUE_FLOOR:
+        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lam[0]!r}")
+    lam = np.clip(lam, 0.0, None)
+    floor = eps_sum * lam.max()
+    overlaps = (u.conj().T * g_bar) @ u
+    sums = lam[:, None] + lam[None, :]
+    diffs = lam[:, None] - lam[None, :]
+    weights = np.zeros_like(sums)
+    np.divide(diffs * diffs, sums, out=weights, where=sums > floor)
+    # full double sum counts each a<b pair twice, hence the factor 2 not 4
+    f = 2.0 * np.sum(weights * np.abs(overlaps) ** 2)
+    if v is not None:
+        f += 4.0 * np.sum(np.where(lam > floor, lam, 0.0) * (v @ np.abs(u) ** 2))
+    return float(f)
+
+
 def qfi_phase(rho: StateMatrix, g: Generator, eps_sum: float = 1e-12) -> float:
     """QFI for phase estimation with the z-diagonal generator g.
 
-    Eigenvalue pairs whose sum falls below eps_sum * max(lambda) are
-    excluded: their analytic contribution is zero but the ratio is 0/0 in
-    floating point.  Tiny negative eigenvalues are clamped to zero first.
+    :func:`spectral_qfi` with the basis itself as the frame; see there for
+    eps_sum and the clamping of tiny negative eigenvalues.
     """
     if g.basis != rho.basis:
         raise ValueError("generator and state live on different bases")
-    dec = eigh(rho)
-    lam = np.clip(dec.eigenvalues, 0.0, None)
-    overlaps = (dec.eigenvectors.conj().T * g.diagonal) @ dec.eigenvectors
-    sums = lam[:, None] + lam[None, :]
-    diffs = lam[:, None] - lam[None, :]
-    keep = sums > eps_sum * lam.max()
-    weights = np.zeros_like(sums)
-    np.divide(diffs * diffs, sums, out=weights, where=keep)
-    # full double sum counts each a<b pair twice, hence the factor 2 not 4
-    return float(2.0 * np.sum(weights * np.abs(overlaps) ** 2))
+    return spectral_qfi(rho.matrix, g.diagonal, eps_sum=eps_sum)
+
+
+def frequency_from_phase(f_phase: float, T: float) -> float:
+    """Frequency QFI T^2 * f_phase of a run of length T.
+
+    Exactly 0 when f_phase is 0, also where T^2 overflows to infinity.
+    """
+    return T * T * f_phase if f_phase else 0.0
 
 
 def qfi_frequency(rho_T: StateMatrix, g: Generator, T: float) -> float:
     """QFI for frequency estimation after interrogating for time T."""
-    if T < 0:
-        raise ValueError(f"time must be nonnegative, got {T!r}")
-    return T * T * qfi_phase(rho_T, g)
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got {T!r}")
+    return frequency_from_phase(qfi_phase(rho_T, g), T)
 
 
 def cramer_rao_bound(F: float) -> float:

@@ -31,8 +31,8 @@ from .collective_basis import (
     rotate_y,
     tensor_bipartite,
 )
-from .dephasing import NoiseParams, NoiseVariant, apply_collective_dephasing, apply_variant_dephasing
-from .qfi import qfi_phase
+from .dephasing import NoiseParams, NoiseVariant, dephasing_kernel
+from .qfi import frequency_from_phase, spectral_qfi
 
 
 class ProbeFamily(Enum):
@@ -67,6 +67,8 @@ class ProbeSpec:
         f, n, n1 = self.family, self.n, self.n1
         if n < 1:
             raise ValueError(f"need at least one qubit, got n={n}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"rotation angle must be finite, got alpha={self.alpha!r}")
         if f in _BIPARTITE_ONLY or (f is ProbeFamily.PRODUCT_PLUS and n1 is not None):
             if f is ProbeFamily.DFS_OPTIMAL and n1 is None:
                 if n % 2:
@@ -105,10 +107,17 @@ class SchemeKind(Enum):
 
 
 _VARIANT_FOR_KIND = {
-    SchemeKind.DI_IDEAL: NoiseVariant.IDEAL_COLLECTIVE,
     SchemeKind.DI_SPIN_ECHO: NoiseVariant.SPIN_ECHO,
     SchemeKind.DI_REPEAT: NoiseVariant.INDEPENDENT_REPEAT,
 }
+
+
+def _finite_times(times) -> tuple[float, ...]:
+    times = tuple(float(t) for t in times)
+    bad = [t for t in times if not math.isfinite(t)]
+    if bad:
+        raise ValueError(f"times must be finite, got {bad[0]!r}")
+    return times
 
 
 @dataclass(frozen=True)
@@ -120,7 +129,7 @@ class SchemeSpec:
     times: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        object.__setattr__(self, "times", _finite_times(self.times))
 
 
 @dataclass(frozen=True)
@@ -169,19 +178,83 @@ def build_probe(spec: ProbeSpec) -> PureState:
     raise ValueError(f"unknown probe family {f!r}")
 
 
+# A second Schmidt coefficient at most this large is rounding in a product
+# state: numpy.kron of two unit vectors leaves it near 1e-16.
+PRODUCT_TOL = 1e-13
+
+
+def _block_frame(amps: np.ndarray, k: np.ndarray, g: np.ndarray, T: float,
+                 noise: NoiseParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Collectively dephased probe in the frame of its excitation blocks.
+
+    amps are nonnegative amplitudes, k the total excitation number and g
+    the generator's diagonal on each basis vector.  Collective dephasing
+    scales P_j rho P_k by exp(-C(T)(j - k)^2 / 2), so the state stays in
+    the span of the normalized blocks P_k psi / ||P_k psi||, with the
+    matrix sqrt(w_j w_k) exp(-C(T)(j - k)^2 / 2), w_k = ||P_k psi||^2.
+    g maps block k into itself, with mean g_bar[k] and variance v[k] in it.
+    """
+    p = amps * amps
+    w = np.bincount(k, p)
+    occupied = w > 0
+    g_bar = np.divide(np.bincount(k, p * g), w, out=np.zeros_like(w), where=occupied)
+    # the centered form is a sum of squares; E[g^2] - g_bar^2 can cancel below 0
+    v = np.divide(np.bincount(k, p * (g - g_bar[k]) ** 2), w, out=np.zeros_like(w),
+                  where=occupied)
+    ks = np.flatnonzero(occupied)
+    root = np.sqrt(w[ks])
+    return np.outer(root, root) * dephasing_kernel(0.0, ks, T, noise), g_bar[ks], v[ks]
+
+
+def _variant_frame(amps: np.ndarray, basis: BipartiteSymmetricBasis, g: np.ndarray,
+                   T: float, noise: NoiseParams, variant: NoiseVariant):
+    """Probe under spin-echo or repeat dephasing, in the smallest exact frame.
+
+    Both kernels factorize into one factor per partition, and partition 2's
+    is exp(-C(T) dm2^2 / 2): for spin echo the dm1 dm2 term of
+    spin_echo_weights_variance cancels and 2 C(T/2) + the cross covariance
+    term add up to C(T).  A product probe therefore carries the QFI of its
+    partition-2 factor under collective dephasing at C(T).  Any other probe
+    is taken in the frame of its support.
+    """
+    _, s, vt = np.linalg.svd(amps.reshape(basis.n1 + 1, basis.n2 + 1))
+    if s[1] <= PRODUCT_TOL:
+        r = np.arange(basis.n2 + 1)
+        return _block_frame(np.abs(vt[0]), r, r - basis.n2 / 2, T, noise)
+    support = np.flatnonzero(amps)
+    kernel = dephasing_kernel(basis.partition1_weights()[support],
+                              basis.partition2_weights()[support], T, noise, variant)
+    a = amps[support]
+    return np.outer(a, a) * kernel, g[support], None
+
+
 def scheme_qfi(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[float, float]:
-    """Phase and frequency QFI of a probe after evolving for time T."""
-    rho0 = probe.density_matrix()
-    if scheme.kind is SchemeKind.STANDARD:
-        rho_T = apply_collective_dephasing(rho0, T, scheme.noise)
-        g = generator(probe.basis, GeneratorLabel.SZ_TOTAL)
+    """Phase and frequency QFI of a probe after evolving for time T.
+
+    The dephased probe is diagonalized in the smallest orthonormal frame
+    that holds it, without building the dense density matrix: the
+    normalized total-excitation blocks for STANDARD and DI_IDEAL (the
+    occupied Dicke states on an unsplit ensemble), partition 2's Dicke
+    states for DI_SPIN_ECHO and DI_REPEAT on a product probe, and the
+    probe's support otherwise.  Amplitudes enter by modulus only: a diagonal
+    phase commutes with the noise and with the generator, so it cannot
+    change the QFI.
+    """
+    basis, kind = probe.basis, scheme.kind
+    if kind is SchemeKind.STANDARD:
+        label = GeneratorLabel.SZ_TOTAL
+    elif isinstance(basis, BipartiteSymmetricBasis):
+        label = GeneratorLabel.SZ_PARTITION2
     else:
-        if not isinstance(probe.basis, BipartiteSymmetricBasis):
-            raise ValueError(f"{scheme.kind.value} requires a bipartite probe")
-        rho_T = apply_variant_dephasing(rho0, T, scheme.noise, _VARIANT_FOR_KIND[scheme.kind])
-        g = generator(probe.basis, GeneratorLabel.SZ_PARTITION2)
-    f_phase = qfi_phase(rho_T, g)
-    return f_phase, T * T * f_phase
+        raise ValueError(f"{kind.value} requires a bipartite probe")
+    g = generator(basis, label).diagonal
+    amps = np.abs(probe.amplitudes)
+    if kind in _VARIANT_FOR_KIND:
+        frame = _variant_frame(amps, basis, g, T, scheme.noise, _VARIANT_FOR_KIND[kind])
+    else:
+        frame = _block_frame(amps, basis.excitations(), g, T, scheme.noise)
+    f_phase = spectral_qfi(*frame)
+    return f_phase, frequency_from_phase(f_phase, T)
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, float]:
@@ -251,7 +324,7 @@ def _evaluate_cell(scheme: SchemeSpec, probe: ProbeSpec, T: float,
             alpha, f_phase = optimize_rotation(probe.family, probe.n, scheme, T,
                                                grid=alpha_grid, n1=probe.n1,
                                                k1=probe.k1, k2=probe.k2)
-            f_freq = T * T * f_phase
+            f_freq = frequency_from_phase(f_phase, T)
         else:
             alpha = probe.alpha
             f_phase, f_freq = scheme_qfi(build_probe(probe), scheme, T)
@@ -268,10 +341,11 @@ def scan(scheme: SchemeSpec, probes: list[ProbeSpec], times=None,
     """Evaluate every (probe, time) pair, probe-major then time-minor.
 
     Domain errors in single cells become flagged NaN rows instead of
-    aborting the whole scan.  threads > 1 (or 0 for the CPU count) runs
-    cells concurrently; row order is deterministic either way.
+    aborting the whole scan; a non-finite time raises ValueError.
+    threads > 1 (or 0 for the CPU count) runs cells concurrently; row order
+    is deterministic either way.
     """
-    times = tuple(scheme.times if times is None else times)
+    times = scheme.times if times is None else _finite_times(times)
     if not probes or not times:
         raise ValueError("scan needs at least one probe and one time")
     cells = [(probe, float(T)) for probe in probes for T in times]

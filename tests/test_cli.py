@@ -136,6 +136,37 @@ class TestErrors:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_times_are_config_errors(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run_cli(["scan-time", "--scheme", "standard", "--family", "ghz", "--n", "4",
+                        "--t-list", "0.1,nan,inf", "--out", str(out)])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_angle_is_config_error(self, capsys):
+        assert run_cli(["scan-time", "--family", "ghz", "--n", "4", "--alpha", "nan"]) == 1
+        assert "finite" in capsys.readouterr().err
+
+    def test_failed_write_keeps_existing_output(self, tmp_path, monkeypatch):
+        out = tmp_path / "scan.csv"
+        out.write_text("earlier results\n")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("symqfi.cli.os.replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            run_cli(["scan-time", "--family", "ghz", "--n", "4", "--t-list", "1e-3",
+                     "--out", str(out)])
+        assert out.read_text() == "earlier results\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
+        monkeypatch.undo()
+        assert run_cli(["scan-time", "--family", "ghz", "--n", "4", "--t-list", "1e-3",
+                        "--out", str(out)]) == 0
+        assert out.read_text().startswith("# units:")
+        assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
+
     def test_unknown_family(self, capsys):
         assert run_cli(["scan-time", "--family", "bell", "--n", "4"]) == 1
         assert "unknown family" in capsys.readouterr().err

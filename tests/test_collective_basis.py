@@ -99,6 +99,11 @@ class TestStateConstructors:
         with pytest.raises(ValueError):
             PureState(SymmetricBasis(1), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        with pytest.raises(ValueError):
+            PureState(SymmetricBasis(1), np.array([bad, 0.0]))
+
 
 class TestWignerD:
     def test_single_qubit_quarter_turn(self):

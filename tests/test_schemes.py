@@ -6,13 +6,24 @@ import pytest
 from symqfi.collective_basis import (
     BipartiteSymmetricBasis,
     GeneratorLabel,
+    PureState,
+    StateMatrix,
+    SymmetricBasis,
     dicke_state,
     generator,
     ghz_state,
     rotate_y,
 )
-from symqfi.dephasing import NoiseParams, steady_state
-from symqfi.qfi import qfi_phase
+from symqfi.dephasing import (
+    NoiseParams,
+    NoiseVariant,
+    apply_collective_dephasing,
+    apply_variant_dephasing,
+    phase_variance_c,
+    spin_echo_weights_variance,
+    steady_state,
+)
+from symqfi.qfi import qfi_frequency, qfi_phase
 from symqfi.schemes import (
     ProbeFamily,
     ProbeSpec,
@@ -23,13 +34,53 @@ from symqfi.schemes import (
     scan,
     scheme_qfi,
 )
-from symqfi.steady_forms import ghz_qfi_analytic
+from symqfi.steady_forms import SplitChoice, bsd_steady_qfi, ghz_qfi_analytic
 
 NOISE = NoiseParams(2 * math.pi * 50, 1.0)
 STANDARD = SchemeSpec(SchemeKind.STANDARD, NOISE)
 DI_IDEAL = SchemeSpec(SchemeKind.DI_IDEAL, NOISE)
 DI_ECHO = SchemeSpec(SchemeKind.DI_SPIN_ECHO, NOISE)
 DI_REPEAT = SchemeSpec(SchemeKind.DI_REPEAT, NOISE)
+_VARIANT = {SchemeKind.DI_IDEAL: NoiseVariant.IDEAL_COLLECTIVE,
+            SchemeKind.DI_SPIN_ECHO: NoiseVariant.SPIN_ECHO,
+            SchemeKind.DI_REPEAT: NoiseVariant.INDEPENDENT_REPEAT}
+
+
+def dense_qfi(probe: PureState, scheme: SchemeSpec, T: float) -> float:
+    """The dense oracle: full density matrix, public channel, qfi_phase."""
+    rho = probe.density_matrix()
+    if scheme.kind is SchemeKind.STANDARD:
+        return qfi_phase(apply_collective_dephasing(rho, T, scheme.noise),
+                         generator(rho.basis, GeneratorLabel.SZ_TOTAL))
+    out = apply_variant_dephasing(rho, T, scheme.noise, _VARIANT[scheme.kind])
+    return qfi_phase(out, generator(rho.basis, GeneratorLabel.SZ_PARTITION2))
+
+
+def assert_matches_dense(probe: PureState, scheme: SchemeSpec, T: float):
+    fast = scheme_qfi(probe, scheme, T)[0]
+    ref = dense_qfi(probe, scheme, T)
+    n = probe.basis.n
+    assert abs(fast - ref) <= 1e-9 * abs(ref) + 1e-12 * n * n, (scheme.kind, probe.basis, T)
+
+
+def oracle_cells(rng):
+    """Every scheme and family at every split for n <= 9 and n = 12, 16, 24,
+    unrotated and at a random angle (BSD excitation numbers drawn per split)."""
+    for n in (*range(1, 10), 12, 16, 24):
+        for alpha in (0.0, float(rng.uniform(0.0, math.pi))):
+            yield STANDARD, ProbeSpec(ProbeFamily.GHZ, n, alpha=alpha)
+            yield STANDARD, ProbeSpec(ProbeFamily.PRODUCT_PLUS, n, alpha=alpha)
+            if n % 2 == 0:
+                yield STANDARD, ProbeSpec(ProbeFamily.DICKE_SYMMETRIC, n, alpha=alpha)
+            for scheme in (DI_IDEAL, DI_ECHO, DI_REPEAT):
+                for n1 in range(1, n):
+                    k1, k2 = int(rng.integers(n1 + 1)), int(rng.integers(n - n1 + 1))
+                    yield scheme, ProbeSpec(ProbeFamily.GHZ_BIPARTITE, n, n1=n1, alpha=alpha)
+                    yield scheme, ProbeSpec(ProbeFamily.PRODUCT_PLUS, n, n1=n1, alpha=alpha)
+                    yield scheme, ProbeSpec(ProbeFamily.BSD, n, n1=n1, k1=k1, k2=k2,
+                                            alpha=alpha)
+                    if alpha == 0.0 and 2 * n1 == n:
+                        yield scheme, ProbeSpec(ProbeFamily.DFS_OPTIMAL, n)
 
 
 class TestProbeSpec:
@@ -54,6 +105,11 @@ class TestProbeSpec:
             ProbeSpec(ProbeFamily.DFS_OPTIMAL, 7)
         with pytest.raises(ValueError):
             ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8, alpha=0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ProbeSpec(ProbeFamily.GHZ, 4, alpha=bad)
 
     def test_plain_families_reject_split(self):
         with pytest.raises(ValueError):
@@ -102,6 +158,13 @@ class TestBuildProbe:
         np.testing.assert_allclose(total, whole.amplitudes, atol=1e-12)
 
 
+class TestSchemeSpec:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_times_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SchemeSpec(SchemeKind.STANDARD, NOISE, times=(0.1, bad))
+
+
 class TestSchemeQfi:
     def test_standard_ghz_matches_closed_form(self):
         probe = build_probe(ProbeSpec(ProbeFamily.GHZ, 8))
@@ -134,10 +197,97 @@ class TestSchemeQfi:
         with pytest.raises(ValueError):
             scheme_qfi(probe, DI_IDEAL, 0.1)
 
+    def test_frequency_of_a_dead_probe_is_zero_at_huge_times(self):
+        # T^2 overflows to inf; inf * 0 would be NaN
+        assert scheme_qfi(ghz_state(4), STANDARD, 1e300) == (0.0, 0.0)
+        rows = scan(STANDARD, [ProbeSpec(ProbeFamily.GHZ, 4)], times=[1e300],
+                    optimize_alpha=True, alpha_grid=11)
+        assert (rows[0].f_phase, rows[0].f_freq, rows[0].error) == (0.0, 0.0, None)
+        mixed = StateMatrix(SymmetricBasis(4), np.eye(5) / 5)
+        g = generator(mixed.basis, GeneratorLabel.SZ_TOTAL)
+        assert qfi_frequency(mixed, g, 1e300) == 0.0
+
     def test_frequency_is_time_squared(self):
         probe = build_probe(ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 8, n1=4))
         f_phase, f_freq = scheme_qfi(probe, DI_IDEAL, 3.0)
         assert f_freq == pytest.approx(9.0 * f_phase, rel=1e-12)
+
+
+class TestFramesAgainstDense:
+    """scheme_qfi diagonalizes in reduced frames; the dense channels are the oracle."""
+
+    def test_every_scheme_and_family_matches_the_dense_channels(self):
+        rng = np.random.default_rng(2)
+        for scheme, spec in oracle_cells(rng):
+            T = float(10.0 ** rng.uniform(-5.0, math.log10(30.0)))
+            assert_matches_dense(build_probe(spec), scheme, T)
+
+    def test_complex_and_entangled_probes_match_the_dense_channels(self):
+        rng = np.random.default_rng(5)
+        for basis in (SymmetricBasis(5), BipartiteSymmetricBasis(2, 3),
+                      BipartiteSymmetricBasis(4, 3)):
+            schemes = (STANDARD,) if isinstance(basis, SymmetricBasis) \
+                else (STANDARD, DI_IDEAL, DI_ECHO, DI_REPEAT)
+            for _ in range(5):
+                psi = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+                probe = PureState(basis, psi / np.linalg.norm(psi))
+                for scheme in schemes:
+                    for T in (0.0, 3e-4, 3e-3, 1.0):
+                        assert_matches_dense(probe, scheme, T)
+
+    def test_phases_on_a_product_modulus_match_the_dense_channels(self):
+        # entangled through its signs only: a diagonal phase commutes with the
+        # noise and the generator, so the factorized partition-2 frame applies
+        rng = np.random.default_rng(7)
+        basis = BipartiteSymmetricBasis(3, 4)
+        a, b = rng.uniform(0.1, 1.0, size=4), rng.uniform(0.1, 1.0, size=5)
+        modulus = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        probe = PureState(basis, modulus * rng.choice([-1.0, 1.0], size=basis.dimension))
+        for scheme in (DI_ECHO, DI_REPEAT):
+            for T in (1e-4, 1e-3, 1e-2):
+                assert_matches_dense(probe, scheme, T)
+
+    def test_spin_echo_and_repeat_ghz_pair_decay_like_partition_2(self):
+        for scheme in (DI_ECHO, DI_REPEAT):
+            for n, n1 in ((8, 4), (9, 2), (30, 13), (60, 35)):
+                n2 = n - n1
+                probe = build_probe(ProbeSpec(ProbeFamily.GHZ_BIPARTITE, n, n1=n1))
+                for T in np.logspace(-6, 0, 13):
+                    c = phase_variance_c(float(T), NOISE)
+                    assert scheme_qfi(probe, scheme, float(T))[0] == pytest.approx(
+                        n2 * n2 * math.exp(-n2 * n2 * c), rel=1e-9, abs=1e-12 * n * n)
+
+    @pytest.mark.parametrize("n", [80, 120, 200])
+    def test_di_ideal_plateau_matches_bsd_closed_form(self, n):
+        for n1, k1, k2 in ((n // 2, n // 4, n // 4), (n // 3, n // 6, n // 2),
+                           (n // 4, 1, n // 3)):
+            probe = build_probe(ProbeSpec(ProbeFamily.BSD, n, n1=n1, k1=k1, k2=k2))
+            late = scheme_qfi(probe, DI_IDEAL, 50 * NOISE.tau_c)[0]
+            closed = bsd_steady_qfi(SplitChoice(n, n1, k1, k1 + k2))
+            assert late == pytest.approx(closed, rel=1e-9, abs=1e-12 * n * n)
+
+    def test_dfs_optimal_support_frame(self):
+        # (q, r) = (0, 4) and (4, 0): one coherence, scaled by exp(-Var/2)
+        probe = build_probe(ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8))
+        for T in (0.0, 1e-4, 1e-3, 0.01, 1.0, 25.0):
+            assert scheme_qfi(probe, DI_IDEAL, T)[0] == pytest.approx(16.0, abs=1e-10)
+            variances = {DI_ECHO: spin_echo_weights_variance(4.0, -4.0, T, NOISE),
+                         DI_REPEAT: 32.0 * phase_variance_c(T, NOISE)}
+            for scheme, var in variances.items():
+                assert scheme_qfi(probe, scheme, T)[0] == pytest.approx(
+                    16.0 * math.exp(-var), rel=1e-12, abs=1e-12)
+
+    def test_uneven_ghz_pairs_never_negative(self):
+        times = [0.0, *np.logspace(-5, 1.5, 25)]
+        for n in range(3, 13):
+            for n1 in range(1, n):
+                if 2 * n1 == n:
+                    continue
+                for alpha in (0.0, 0.7):
+                    probe = build_probe(ProbeSpec(ProbeFamily.GHZ_BIPARTITE, n, n1=n1,
+                                                  alpha=alpha))
+                    assert all(scheme_qfi(probe, DI_IDEAL, float(T))[0] >= 0.0
+                               for T in times)
 
 
 class TestOptimizeRotation:
@@ -192,6 +342,11 @@ class TestScan:
         rows = scan(STANDARD, [ProbeSpec(ProbeFamily.GHZ, 4)], times=[-1.0, 0.0])
         assert rows[0].error is not None
         assert rows[1].error is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_raises(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            scan(STANDARD, [ProbeSpec(ProbeFamily.GHZ, 4)], times=[0.1, bad])
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
