@@ -27,9 +27,7 @@ from .dephasing import (
     steady_state,
 )
 from .qfi import (
-    EigenDecomposition,
     cramer_rao_bound,
-    eigh,
     max_qfi_bound,
     qfi_frequency,
     qfi_phase,

@@ -19,7 +19,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .collective_basis import GeneratorLabel, generator, wigner_d_matrix
-from .dephasing import NoiseParams, ou_variance_quadrature, spin_echo_weights_variance, steady_state
+from .dephasing import (NoiseParams, ou_variance_quadrature, phase_variance_c,
+                        spin_echo_weights_variance, steady_state)
 from .qfi import qfi_phase
 from .schemes import ProbeFamily, ProbeSpec, ScanResult, SchemeKind, SchemeSpec, build_probe, scan, scheme_qfi
 from .steady_forms import SplitChoice, bsd_steady_qfi, ghz_qfi_analytic, optimize_bsd_split
@@ -59,12 +60,11 @@ class RunConfig:
     alpha_count: int = 181
     out: str | None = None
     format: str = "csv"
-    threads: int = 1
 
 
 _PARSERS = {
     "scheme": str, "family": str, "t_scale": str, "t_list": str, "out": str, "format": str,
-    "n": int, "n1": int, "k1": int, "k2": int, "t_count": int, "alpha_count": int, "threads": int,
+    "n": int, "n1": int, "k1": int, "k2": int, "t_count": int, "alpha_count": int,
     "alpha": float, "gamma_delta_b": float, "tau_c": float,
     "t_min": float, "t_max": float, "alpha_min": float, "alpha_max": float,
     "optimize_alpha": bool,
@@ -112,6 +112,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         override = getattr(args, field.name, None)
         if override is not None:
             setattr(cfg, field.name, override)
+    if cfg.format not in ("csv", "jsonl"):
+        raise ConfigError(f"format must be 'csv' or 'jsonl', got {cfg.format!r}")
     return cfg
 
 
@@ -186,9 +188,13 @@ def _scheme(cfg: RunConfig, times: tuple[float, ...]) -> SchemeSpec:
         raise ConfigError(f"unknown scheme {cfg.scheme!r} (valid: {valid})") from exc
     noise = _noise(cfg)
     try:
-        return SchemeSpec(kind, noise, times)
+        spec = SchemeSpec(kind, noise, times)
+        # C(T) grows with T, so the largest time decides whether it overflows;
+        # negative times are left to scan, which flags them per row
+        phase_variance_c(max(0.0, *spec.times), noise)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return spec
 
 
 def _fmt(value) -> str:
@@ -219,8 +225,6 @@ def _scan_row_values(row: ScanResult) -> list:
 
 
 def _emit_table(cfg: RunConfig, columns: tuple[str, ...], rows: list[list]) -> int:
-    if cfg.format not in ("csv", "jsonl"):
-        raise ConfigError(f"format must be 'csv' or 'jsonl', got {cfg.format!r}")
     lines = [UNITS_COMMENT]
     if cfg.format == "csv":
         lines.append(",".join(columns))
@@ -237,21 +241,24 @@ def _emit_table(cfg: RunConfig, columns: tuple[str, ...], rows: list[list]) -> i
     # write a sibling file and rename it over the target, so a failed write
     # never leaves the target half-written or destroys a file already there
     tmp = f"{cfg.out}.{os.getpid()}.tmp"
-    handle = open(tmp, "x", encoding="utf-8")
     try:
-        with handle:
-            handle.write(text)
-        os.replace(tmp, cfg.out)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        handle = open(tmp, "x", encoding="utf-8")
+        try:
+            with handle:
+                handle.write(text)
+            os.replace(tmp, cfg.out)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {cfg.out}: {exc}") from exc
     return 0
 
 
 def run_scan(cfg: RunConfig, probes, optimize_alpha: bool) -> int:
     """Evaluate a probe/time grid and emit the table; shared by both scans."""
     scheme = _scheme(cfg, _times(cfg))
-    rows = scan(scheme, probes, optimize_alpha=optimize_alpha, threads=cfg.threads)
+    rows = scan(scheme, probes, optimize_alpha=optimize_alpha)
     return _emit_table(cfg, SCAN_COLUMNS, [_scan_row_values(r) for r in rows])
 
 
@@ -398,7 +405,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "jsonl"))
-    parser.add_argument("--threads", type=int, help="worker threads, 0 = auto")
     parser.add_argument("--scheme", help="standard | di_ideal | di_spin_echo | di_repeat")
     parser.add_argument("--family", help="comma-separated probe families")
     parser.add_argument("--n", type=int)

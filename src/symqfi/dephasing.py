@@ -41,6 +41,10 @@ class NoiseParams:
         for name, value in (("gamma_delta_b", self.gamma_delta_b), ("tau_c", self.tau_c)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
+        scale = self.gamma_delta_b * self.tau_c
+        if not math.isfinite(scale * scale):
+            raise ValueError(f"(gamma_delta_b * tau_c)^2 overflows: gamma_delta_b="
+                             f"{self.gamma_delta_b!r}, tau_c={self.tau_c!r}")
 
 
 class NoiseVariant(Enum):
@@ -65,7 +69,10 @@ def _check_time(T: float) -> None:
 def phase_variance_c(T: float, p: NoiseParams) -> float:
     """Variance C(T) of the collectively accumulated noise phase at time T."""
     _check_time(T)
-    return (p.gamma_delta_b * p.tau_c) ** 2 * _exp_decay_remainder(T / p.tau_c)
+    c = (p.gamma_delta_b * p.tau_c) ** 2 * _exp_decay_remainder(T / p.tau_c)
+    if not math.isfinite(c):
+        raise ValueError(f"noise phase variance overflows at T={T!r}")
+    return c
 
 
 def apply_collective_dephasing(rho: StateMatrix, T: float, p: NoiseParams) -> StateMatrix:
@@ -112,7 +119,10 @@ def spin_echo_weights_variance(a, b, T: float, p: NoiseParams):
     c = 0.5 * scale * math.expm1(-x) ** 2
     s = np.asarray(a) + np.asarray(b)
     d = np.asarray(b) - np.asarray(a)
-    out = (s * s + d * d) * v + 2.0 * (s * d) * c
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        out = (s * s + d * d) * v + 2.0 * (s * d) * c
+    if not np.isfinite(out).all():
+        raise ValueError(f"noise phase variance overflows at T={T!r}")
     return float(out) if out.ndim == 0 else out
 
 

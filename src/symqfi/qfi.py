@@ -15,38 +15,10 @@ and 1/F lower-bounds the variance of any unbiased estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .collective_basis import EIGENVALUE_FLOOR, Generator, StateMatrix
-
-RECONSTRUCTION_TOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Eigenvalues in descending order with matching orthonormal column vectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eigh(rho: StateMatrix) -> EigenDecomposition:
-    """Spectral decomposition with a deterministic ordering and phase convention.
-
-    Eigenvalues descend; each eigenvector is rescaled so that its first
-    component of magnitude above 1e-11 is positive real.
-    """
-    eigvals, eigvecs = np.linalg.eigh(rho.matrix)
-    eigvals = eigvals[::-1].copy()
-    eigvecs = eigvecs[:, ::-1].copy()
-    for j in range(eigvecs.shape[1]):
-        significant = np.flatnonzero(np.abs(eigvecs[:, j]) > 1e-11)
-        if significant.size:
-            lead = eigvecs[significant[0], j]
-            eigvecs[:, j] *= lead.conjugate() / abs(lead)
-    return EigenDecomposition(eigvals, eigvecs)
 
 
 def spectral_qfi(m: np.ndarray, g_bar: np.ndarray, v: np.ndarray | None = None,

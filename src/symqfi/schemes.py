@@ -13,8 +13,6 @@ generator, so it never changes the QFI and is not applied to the state.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -336,24 +334,14 @@ def _evaluate_cell(scheme: SchemeSpec, probe: ProbeSpec, T: float,
 
 
 def scan(scheme: SchemeSpec, probes: list[ProbeSpec], times=None,
-         optimize_alpha: bool = False, alpha_grid: int = 201,
-         threads: int = 1) -> list[ScanResult]:
+         optimize_alpha: bool = False, alpha_grid: int = 201) -> list[ScanResult]:
     """Evaluate every (probe, time) pair, probe-major then time-minor.
 
     Domain errors in single cells become flagged NaN rows instead of
     aborting the whole scan; a non-finite time raises ValueError.
-    threads > 1 (or 0 for the CPU count) runs cells concurrently; row order
-    is deterministic either way.
     """
     times = scheme.times if times is None else _finite_times(times)
     if not probes or not times:
         raise ValueError("scan needs at least one probe and one time")
-    cells = [(probe, float(T)) for probe in probes for T in times]
-    if threads == 1:
-        return [_evaluate_cell(scheme, probe, T, optimize_alpha, alpha_grid)
-                for probe, T in cells]
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(lambda cell: _evaluate_cell(scheme, cell[0], cell[1],
-                                                       optimize_alpha, alpha_grid), cells)
-        return list(results)
+    return [_evaluate_cell(scheme, probe, T, optimize_alpha, alpha_grid)
+            for probe in probes for T in times]

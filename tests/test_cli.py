@@ -49,7 +49,7 @@ class TestScanTime:
                 "--t-min", "1e-4", "--t-max", "1", "--t-count", "5"]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(args + ["--out", str(out1)])
-        run_cli(args + ["--out", str(out2), "--threads", "3"])
+        run_cli(args + ["--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_di_table_bounds_and_steady_plateaus(self, tmp_path):
@@ -148,7 +148,7 @@ class TestErrors:
         assert run_cli(["scan-time", "--family", "ghz", "--n", "4", "--alpha", "nan"]) == 1
         assert "finite" in capsys.readouterr().err
 
-    def test_failed_write_keeps_existing_output(self, tmp_path, monkeypatch):
+    def test_failed_write_keeps_existing_output(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "scan.csv"
         out.write_text("earlier results\n")
 
@@ -156,9 +156,9 @@ class TestErrors:
             raise OSError("disk full")
 
         monkeypatch.setattr("symqfi.cli.os.replace", failing_replace)
-        with pytest.raises(OSError, match="disk full"):
-            run_cli(["scan-time", "--family", "ghz", "--n", "4", "--t-list", "1e-3",
-                     "--out", str(out)])
+        assert run_cli(["scan-time", "--family", "ghz", "--n", "4", "--t-list", "1e-3",
+                        "--out", str(out)]) == 1
+        assert f"error: cannot write {out}: disk full" in capsys.readouterr().err
         assert out.read_text() == "earlier results\n"
         assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
         monkeypatch.undo()
@@ -166,6 +166,34 @@ class TestErrors:
                         "--out", str(out)]) == 0
         assert out.read_text().startswith("# units:")
         assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
+
+    def test_missing_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run_cli(["scan-time", "--family", "ghz", "--n", "4", "--t-list", "1e-3",
+                        "--out", str(out)]) == 1
+        assert f"error: cannot write {out}:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_format_refused_before_scanning(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=xml\n")
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scan ran before the format was checked")
+
+        monkeypatch.setattr("symqfi.cli.scan", no_scan)
+        assert run_cli(["scan-time", "--config", str(cfg), "--family", "ghz", "--n", "4"]) == 1
+        assert "format must be 'csv' or 'jsonl'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--gamma-delta-b", "1e200"],
+                                       ["--gamma-delta-b", "1e150", "--t-list", "1,1e10"]])
+    def test_overflowing_noise_is_config_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        assert run_cli(["scan-time", "--family", "ghz", "--n", "4", "--out", str(out)]
+                       + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows" in err
+        assert not out.exists()
 
     def test_unknown_family(self, capsys):
         assert run_cli(["scan-time", "--family", "bell", "--n", "4"]) == 1
@@ -176,6 +204,12 @@ class TestErrors:
         cfg.write_text("qubits=4\n")
         assert run_cli(["scan-time", "--config", str(cfg)]) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_threads_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("family=ghz\nthreads=2\n")
+        assert run_cli(["scan-time", "--config", str(cfg)]) == 1
+        assert "unknown config key 'threads'" in capsys.readouterr().err
 
     def test_bad_subcommand(self, capsys):
         assert run_cli(["render-plots"]) == 1

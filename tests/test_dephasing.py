@@ -53,6 +53,10 @@ class TestNoiseParams:
         with pytest.raises(ValueError):
             NoiseParams(math.inf, 1.0)
 
+    def test_rejects_overflowing_scale(self):
+        with pytest.raises(ValueError, match="overflows"):
+            NoiseParams(1e200, 1.0)
+
 
 class TestPhaseVariance:
     def test_zero_time(self):
@@ -80,6 +84,10 @@ class TestPhaseVariance:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             phase_variance_c(-1e-9, DEFAULTS)
+
+    def test_overflow_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            phase_variance_c(1e10, NoiseParams(1e150, 1.0))
 
     def test_tiny_argument_stability(self):
         # series branch must agree with the direct branch at the crossover
@@ -200,6 +208,12 @@ class TestSpinEchoVariance:
 
     def test_zero_time(self):
         assert spin_echo_weights_variance(1.0, 2.0, 0.0, DEFAULTS) == 0.0
+
+    def test_overflow_rejected(self):
+        p = NoiseParams(1e150, 1.0)
+        for a, b in ((0.0, 1.0), (np.zeros((2, 2)), np.ones((2, 2)))):
+            with pytest.raises(ValueError, match="overflows"):
+                spin_echo_weights_variance(a, b, 1e10, p)
 
     def test_equal_weights_frozen_field_limit(self):
         # echoed part cancels a static field; variance -> (2b)^2 C(T/2)

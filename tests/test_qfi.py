@@ -15,11 +15,11 @@ from symqfi.collective_basis import (
 from symqfi.dephasing import NoiseParams, apply_collective_dephasing, phase_variance_c
 from symqfi.qfi import (
     cramer_rao_bound,
-    eigh,
     max_qfi_bound,
     qfi_frequency,
     qfi_phase,
     repeated_frequency_precision,
+    spectral_qfi,
 )
 
 DEFAULTS = NoiseParams(2 * math.pi * 50, 1.0)
@@ -39,48 +39,25 @@ def random_mixed(rng, basis, rank=3) -> StateMatrix:
     return StateMatrix(basis, mat)
 
 
-class TestEigh:
-    def test_maximally_mixed(self):
-        dim = 5
-        rho = StateMatrix(SymmetricBasis(4), np.eye(dim) / dim)
-        dec = eigh(rho)
-        np.testing.assert_allclose(dec.eigenvalues, np.full(dim, 1 / dim))
+class TestSpectralQfi:
+    # spectral_qfi is the one eigendecomposition in the package; StateMatrix
+    # validation keeps qfi_phase from ever reaching its positivity refusal
+    G_BAR = np.array([-1.5, -0.5, 0.5, 1.5])
 
-    def test_two_level_closed_form(self):
-        # 2x2 closed form: eigenvalues of [[a, b], [b, a]] are a +/- b
-        basis = SymmetricBasis(1)
-        rho = StateMatrix(basis, np.array([[3, 1], [1, 3]]) / 6)
-        dec = eigh(rho)
-        np.testing.assert_allclose(dec.eigenvalues, [(3 + 1) / 6, (3 - 1) / 6],
-                                   atol=1e-15)
+    @staticmethod
+    def frame_matrix(eigenvalues):
+        u = np.linalg.qr(np.random.default_rng(31).normal(size=(4, 4)))[0]
+        return (u * np.asarray(eigenvalues)) @ u.T
 
-    def test_dephased_ghz_spectrum(self):
-        n, T = 8, 0.001
-        rho = apply_collective_dephasing(ghz_state(n).density_matrix(), T, DEFAULTS)
-        d = math.exp(-0.5 * n * n * phase_variance_c(T, DEFAULTS))
-        lam = eigh(rho).eigenvalues
-        assert lam[0] == pytest.approx((1 + d) / 2, rel=1e-12)
-        assert lam[1] == pytest.approx((1 - d) / 2, rel=1e-12)
-        np.testing.assert_allclose(lam[2:], 0.0, atol=1e-14)
+    def test_negative_eigenvalue_refused(self):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            spectral_qfi(self.frame_matrix([0.6, 0.3, 0.2, -0.1]), self.G_BAR)
 
-    def test_descending_order_and_reconstruction(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            rho = random_mixed(rng, BipartiteSymmetricBasis(2, 3))
-            dec = eigh(rho)
-            assert np.all(np.diff(dec.eigenvalues) <= 0)
-            v = dec.eigenvectors
-            rebuilt = (v * dec.eigenvalues) @ v.conj().T
-            assert np.max(np.abs(rebuilt - rho.matrix)) < 1e-10
-            assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-10
-
-    def test_phase_convention(self):
-        rng = np.random.default_rng(29)
-        rho = random_mixed(rng, SymmetricBasis(6))
-        v = eigh(rho).eigenvectors
-        for j in range(v.shape[1]):
-            lead = v[np.flatnonzero(np.abs(v[:, j]) > 1e-11)[0], j]
-            assert lead.real > 0 and abs(lead.imag) < 1e-11 * abs(lead)
+    def test_tiny_negative_eigenvalue_clamped_to_zero(self):
+        clamped = spectral_qfi(self.frame_matrix([0.5, 0.3, 0.2, -1e-12]), self.G_BAR)
+        zero = spectral_qfi(self.frame_matrix([0.5, 0.3, 0.2, 0.0]), self.G_BAR)
+        assert zero > 0
+        assert clamped == pytest.approx(zero, rel=1e-10)
 
 
 class TestQfiPhase:

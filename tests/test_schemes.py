@@ -354,13 +354,15 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(STANDARD, [ProbeSpec(ProbeFamily.GHZ, 4)], times=[])
 
-    def test_threading_matches_serial(self):
-        probes = [ProbeSpec(ProbeFamily.GHZ, 6), ProbeSpec(ProbeFamily.DICKE_SYMMETRIC, 6)]
-        times = list(np.logspace(-4, -2, 5))
-        serial = scan(STANDARD, probes, times=times, threads=1)
-        parallel = scan(STANDARD, probes, times=times, threads=4)
-        assert [(r.family, r.T, r.f_phase) for r in serial] \
-            == [(r.family, r.T, r.f_phase) for r in parallel]
+    @pytest.mark.parametrize("kind", [SchemeKind.DI_IDEAL, SchemeKind.DI_SPIN_ECHO,
+                                      SchemeKind.DI_REPEAT])
+    def test_overflowing_noise_variance_flagged(self, kind):
+        # (gamma_delta_b tau_c)^2 = 1e300 is finite, C(1e10) is not, and a
+        # kernel entry exp(-0 * inf / 2) would be NaN
+        scheme = SchemeSpec(kind, NoiseParams(1e150, 1.0))
+        rows = scan(scheme, [ProbeSpec(ProbeFamily.DFS_OPTIMAL, 6)], times=[1.0, 1e10])
+        assert rows[0].error is None
+        assert math.isnan(rows[1].f_phase) and "overflows" in rows[1].error
 
     def test_optimized_scan_records_angle(self):
         rows = scan(STANDARD, [ProbeSpec(ProbeFamily.GHZ, 8)], times=[0.01],
