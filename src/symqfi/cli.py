@@ -11,6 +11,7 @@ frequencies in rad/s.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -426,13 +427,20 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha-count", dest="alpha_count", type=int)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls, and
+    # building the subparsers costs about as much as a steady-map job at n=16
     parser = argparse.ArgumentParser(prog="symqfi", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command in ("scan-time", "scan-rotation", "steady-map", "verify"):
         _add_common_flags(subparsers.add_parser(command))
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     handler = {

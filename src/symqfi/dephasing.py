@@ -180,11 +180,15 @@ def dephasing_kernel(m1, m2, T: float, p: NoiseParams,
     d2 = np.subtract.outer(m2, m2)
     if variant is NoiseVariant.IDEAL_COLLECTIVE:
         dm = d1 + d2
-        var = phase_variance_c(T, p) * (dm * dm)
+        # C(T) is finite, so a product can only overflow to +inf, and
+        # exp(-inf) = 0 is the exact kernel value there
+        with np.errstate(over="ignore"):
+            var = phase_variance_c(T, p) * (dm * dm)
     elif variant is NoiseVariant.SPIN_ECHO:
         var = spin_echo_weights_variance(d1, d2, T, p)
     elif variant is NoiseVariant.INDEPENDENT_REPEAT:
-        var = phase_variance_c(T, p) * (d1 * d1 + d2 * d2)
+        with np.errstate(over="ignore"):  # exact, as for IDEAL_COLLECTIVE
+            var = phase_variance_c(T, p) * (d1 * d1 + d2 * d2)
     else:
         raise ValueError(f"unknown noise variant {variant!r}")
     return np.exp(-0.5 * var)

@@ -122,15 +122,39 @@ def block_probabilities(c: SplitChoice) -> np.ndarray:
     return _block_moments(c)[0]
 
 
+def _steady_qfi(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Four times the weight-summed conditional variance s2 - s1^2/s0 over
+    the blocks k' on the first axis, skipping blocks below the floor."""
+    keep = s0 > BLOCK_PROBABILITY_FLOOR
+    mean_sq = np.divide(s1 ** 2, s0, out=np.zeros_like(s0), where=keep)
+    return 4.0 * np.sum(np.where(keep, s2 - mean_sq, 0.0), axis=0)
+
+
 def bsd_steady_qfi(c: SplitChoice) -> float:
     """Steady-state QFI of a rotated bipartite Dicke probe.
 
     Four times the probability-weighted conditional variance of the
     partition-2 weight across the surviving fixed-excitation blocks.
     """
-    s0, s1, s2 = _block_moments(c)
-    keep = s0 > BLOCK_PROBABILITY_FLOOR
-    return float(4.0 * np.sum(s2[keep] - s1[keep] ** 2 / s0[keep]))
+    return float(_steady_qfi(*_block_moments(c)))
+
+
+def _split_grid(n: int, n1: int) -> np.ndarray:
+    """bsd_steady_qfi of every (k1, k2) at split n1, as grid[k1, k2].
+
+    The moments of all pairs come from one contraction over the partition-1
+    excitation q: V[q, k', j, k2] = W2[k' - q, k2] m2^j, zero where k' - q
+    falls outside 0..n2, summed against W1[q, k1].
+    """
+    n2 = n - n1
+    w1, w2 = _rotation_weights(n1), _rotation_weights(n2)
+    m2 = (np.arange(n2 + 1) - n2 / 2)[:, None]
+    v1 = w2 * m2
+    padded = np.zeros((n1 + n + 1, 3, n2 + 1))
+    padded[n1:n1 + n2 + 1] = np.stack([w2, v1, v1 * m2], axis=1)
+    shift = np.arange(n + 1) - np.arange(n1 + 1)[:, None] + n1
+    moments = np.tensordot(w1, padded[shift], axes=(0, 0))
+    return _steady_qfi(*np.moveaxis(moments, (2, 1), (0, 1)))
 
 
 @dataclass(frozen=True)
@@ -150,15 +174,21 @@ def optimize_bsd_split(n: int) -> list[SplitOptimum]:
     """
     if n < 2:
         raise ValueError(f"need at least two qubits to split, got n={n}")
-    table = []
-    for k in range(n + 1):
-        evaluated = []
-        for n1 in range(n + 1):
-            for k1 in range(max(0, k - (n - n1)), min(k, n1) + 1):
-                f = bsd_steady_qfi(SplitChoice(n, n1, k1, k))
-                evaluated.append((f, n1, k1))
-        best = max(f for f, _, _ in evaluated)
-        tie = best - 1e-9 * max(abs(best), 1.0)
-        argmax = tuple(sorted((n1, k1) for f, n1, k1 in evaluated if f >= tie))
-        table.append(SplitOptimum(k=k, max_qfi=best, argmax=argmax))
-    return table
+    f, n1s, k1s, ks = [], [], [], []
+    for n1 in range(n + 1):
+        grid = _split_grid(n, n1)
+        k1, k2 = np.indices(grid.shape)
+        f.append(grid.ravel())
+        n1s.append(np.full(grid.size, n1))
+        k1s.append(k1.ravel())
+        ks.append((k1 + k2).ravel())
+    f, n1s, k1s, ks = map(np.concatenate, (f, n1s, k1s, ks))
+    best = np.full(n + 1, -np.inf)
+    np.maximum.at(best, ks, f)
+    tie = best - 1e-9 * np.maximum(np.abs(best), 1.0)
+    winners = np.flatnonzero(f >= tie[ks])
+    winners = winners[np.lexsort((k1s[winners], n1s[winners], ks[winners]))]
+    pairs = np.stack([n1s[winners], k1s[winners]], axis=1)
+    groups = np.split(pairs, np.cumsum(np.bincount(ks[winners], minlength=n + 1))[:-1])
+    return [SplitOptimum(k=k, max_qfi=float(best[k]), argmax=tuple(map(tuple, group.tolist())))
+            for k, group in enumerate(groups)]

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from symqfi import cli
 from symqfi.cli import main
 from symqfi.collective_basis import GeneratorLabel, SymmetricBasis, generator
 from symqfi.qfi import max_qfi_bound
@@ -70,6 +71,14 @@ class TestScanTime:
         assert last["bsd"] == pytest.approx(6.0, rel=1e-9)
         assert last["product_plus"] == pytest.approx(2.0, rel=1e-9)
 
+    def test_dead_coherence_is_an_exact_zero_without_warnings(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert run_cli(["scan-time", "--family", "ghz", "--n", "8", "--gamma-delta-b", "1e150",
+                        "--t-list", "1e7", "--out", str(out)]) == 0
+        _, rows = read_table(out)
+        assert [row[8] for row in rows] == ["0"]
+        assert capsys.readouterr().err == ""
+
     def test_optimize_alpha_flag(self, tmp_path):
         out = tmp_path / "scan.csv"
         run_cli(["scan-time", "--family", "product_plus", "--n", "6",
@@ -85,6 +94,22 @@ class TestScanTime:
                         "--out", str(out)]) == 0
         _, rows = read_table(out)
         assert rows[0][2] == "6"  # flag wins over the file
+
+
+def test_consecutive_calls_share_no_state(tmp_path):
+    first, second, third = tmp_path / "a.jsonl", tmp_path / "b.csv", tmp_path / "c.csv"
+    assert run_cli(["steady-map", "--n", "4", "--format", "jsonl", "--out", str(first)]) == 0
+    assert run_cli(["steady-map", "--n", "5", "--out", str(second)]) == 0
+    assert run_cli(["scan-time", "--family", "ghz", "--n", "3", "--t-list", "1e-3",
+                    "--out", str(third)]) == 0
+    records = [json.loads(line) for line in first.read_text().splitlines()[1:]]
+    assert {r["k"] for r in records} == set(range(5))
+    header, rows = read_table(second)
+    assert header == ["k", "max_qfi", "n1", "k1"]
+    assert {int(row[0]) for row in rows} == set(range(6))
+    _, rows = read_table(third)
+    assert [row[:8] for row in rows] == [["standard", "ghz", "3", "", "", "", "0", "0.001"]]
+    assert cli._parser() is cli._parser()
 
 
 class TestScanRotation:

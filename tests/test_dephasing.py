@@ -18,6 +18,7 @@ from symqfi.dephasing import (
     NoiseVariant,
     apply_collective_dephasing,
     apply_variant_dephasing,
+    dephasing_kernel,
     ou_variance_quadrature,
     phase_variance_c,
     spin_echo_weights_variance,
@@ -295,6 +296,13 @@ class TestVariantChannels:
         for variant in (NoiseVariant.SPIN_ECHO, NoiseVariant.INDEPENDENT_REPEAT):
             with pytest.raises(ValueError):
                 apply_variant_dephasing(rho, 0.1, DEFAULTS, variant)
+
+    @pytest.mark.parametrize("variant, m1", [(NoiseVariant.IDEAL_COLLECTIVE, 0.0),
+                                             (NoiseVariant.INDEPENDENT_REPEAT, [0, 8])])
+    def test_overflowing_variance_gives_the_exact_zero(self, variant, m1):
+        # C(1e7) ~ 1e307 is finite; C * 8^2 overflows, and exp(-inf) = 0
+        kernel = dephasing_kernel(m1, [0, 8], 1e7, NoiseParams(1e150, 1.0), variant)
+        np.testing.assert_array_equal(kernel, np.eye(2))
 
     def test_ideal_variant_delegates(self):
         rho = build_probe(ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 6, n1=3)).density_matrix()

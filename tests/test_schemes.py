@@ -23,7 +23,7 @@ from symqfi.dephasing import (
     spin_echo_weights_variance,
     steady_state,
 )
-from symqfi.qfi import qfi_frequency, qfi_phase
+from symqfi.qfi import max_qfi_bound, qfi_frequency, qfi_phase
 from symqfi.schemes import (
     ProbeFamily,
     ProbeSpec,
@@ -377,7 +377,58 @@ class TestScan:
         assert values[-1] < 1e-3 * values[0]
 
 
+@pytest.fixture(scope="module")
+def curves():
+    """Phase QFI over 25 log-spaced times for every scheme and family at
+    n <= 8, unrotated and at alpha = 0.4, with the generator's bound.
+    BSD takes one balanced and one uneven excitation pair per split."""
+    times = np.logspace(-5, 1, 25)
+    out = []
+    for n in range(1, 9):
+        for alpha in (0.0, 0.4):
+            cells = [(STANDARD, ProbeSpec(ProbeFamily.GHZ, n, alpha=alpha)),
+                     (STANDARD, ProbeSpec(ProbeFamily.PRODUCT_PLUS, n, alpha=alpha))]
+            if n % 2 == 0:
+                cells.append((STANDARD, ProbeSpec(ProbeFamily.DICKE_SYMMETRIC, n, alpha=alpha)))
+            for scheme in (DI_IDEAL, DI_ECHO, DI_REPEAT):
+                for n1 in range(1, n):
+                    n2 = n - n1
+                    cells += [(scheme, ProbeSpec(ProbeFamily.GHZ_BIPARTITE, n, n1=n1, alpha=alpha)),
+                              (scheme, ProbeSpec(ProbeFamily.PRODUCT_PLUS, n, n1=n1, alpha=alpha)),
+                              (scheme, ProbeSpec(ProbeFamily.BSD, n, n1=n1, k1=n1 // 2,
+                                                 k2=n2 // 2, alpha=alpha)),
+                              (scheme, ProbeSpec(ProbeFamily.BSD, n, n1=n1, k1=0,
+                                                 k2=(n2 + 1) // 2, alpha=alpha))]
+                if alpha == 0.0 and n % 2 == 0:
+                    cells.append((scheme, ProbeSpec(ProbeFamily.DFS_OPTIMAL, n)))
+            for scheme, spec in cells:
+                probe = build_probe(spec)
+                label = (GeneratorLabel.SZ_TOTAL if scheme is STANDARD
+                         else GeneratorLabel.SZ_PARTITION2)
+                bound = max_qfi_bound(generator(probe.basis, label))
+                values = [scheme_qfi(probe, scheme, float(t))[0] for t in times]
+                out.append((scheme, spec, values, bound))
+    return out
+
+
 class TestSchemeProperties:
+    def test_phase_qfi_nonincreasing_in_time(self, curves):
+        # Gaussian dephasing composes and commutes with the generator for
+        # these kinds, so a later state is a processed earlier one
+        kinds = set()
+        for scheme, spec, values, _ in curves:
+            if scheme is DI_ECHO:
+                continue
+            kinds.add(scheme.kind)
+            for a, b in zip(values, values[1:]):
+                assert b <= a + 1e-12 * a, (scheme.kind, spec)
+        assert kinds == {SchemeKind.STANDARD, SchemeKind.DI_IDEAL, SchemeKind.DI_REPEAT}
+
+    def test_qfi_within_generator_bound(self, curves):
+        assert {scheme.kind for scheme, *_ in curves} == set(SchemeKind)
+        for scheme, spec, values, bound in curves:
+            assert max(values) <= bound * (1 + 1e-12), (scheme.kind, spec)
+
     def test_rotation_symmetry_about_half_pi(self):
         for alpha in (0.2, 0.9, 1.4):
             f1 = scheme_qfi(build_probe(ProbeSpec(ProbeFamily.GHZ, 8, alpha=alpha)),

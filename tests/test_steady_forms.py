@@ -9,6 +9,7 @@ from symqfi.qfi import qfi_phase
 from symqfi.schemes import ProbeFamily, ProbeSpec, SchemeKind, SchemeSpec, build_probe, scheme_qfi
 from symqfi.steady_forms import (
     SplitChoice,
+    _split_grid,
     block_probabilities,
     bsd_steady_qfi,
     dfs_piecewise_qfi,
@@ -19,6 +20,20 @@ from symqfi.steady_forms import (
 )
 
 NOISE = NoiseParams(2 * math.pi * 50, 1.0)
+
+
+def brute_force_split(n):
+    """The splitting optimum by one bsd_steady_qfi call per (k, n1, k1)."""
+    table = []
+    for k in range(n + 1):
+        evaluated = []
+        for n1 in range(n + 1):
+            for k1 in range(max(0, k - (n - n1)), min(k, n1) + 1):
+                evaluated.append((bsd_steady_qfi(SplitChoice(n, n1, k1, k)), n1, k1))
+        best = max(f for f, _, _ in evaluated)
+        tie = best - 1e-9 * max(abs(best), 1.0)
+        table.append((k, best, tuple(sorted((n1, k1) for f, n1, k1 in evaluated if f >= tie))))
+    return table
 
 
 def numeric_steady_qfi(n, n1, k1, k2):
@@ -214,3 +229,20 @@ class TestOptimizeSplit:
         table = optimize_bsd_split(50)
         assert len(table[25].argmax) > 1
         assert table[25].argmax == tuple(sorted(table[25].argmax))
+
+    @pytest.mark.parametrize("n", [*range(2, 25), 50])
+    def test_matches_brute_force(self, n):
+        table = optimize_bsd_split(n)
+        assert [r.k for r in table] == list(range(n + 1))
+        for record, (k, best, argmax) in zip(table, brute_force_split(n)):
+            assert record.argmax == argmax, k
+            assert abs(record.max_qfi - best) <= 4e-15 * max(abs(best), 1.0), k
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_grid_matches_single_cells(self, n):
+        for n1 in range(n + 1):
+            grid = _split_grid(n, n1)
+            assert grid.shape == (n1 + 1, n - n1 + 1)
+            for (k1, k2), f in np.ndenumerate(grid):
+                ref = bsd_steady_qfi(SplitChoice(n, n1, k1, k1 + k2))
+                assert abs(f - ref) <= 1e-12 * max(abs(ref), 1.0), (n1, k1, k2)
