@@ -21,7 +21,6 @@ from .dephasing import (
     apply_collective_dephasing,
     apply_variant_dephasing,
     dephasing_kernel,
-    ou_variance_quadrature,
     phase_variance_c,
     spin_echo_weights_variance,
     steady_state,

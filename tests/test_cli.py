@@ -252,6 +252,17 @@ class TestVerify:
         assert len(checks) == 6
         assert all(l.startswith("PASS") for l in checks)
 
+    def test_failing_check_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setitem(cli.VERIFY_CHECKS, "spin-echo-variance",
+                            lambda: (2.0, "forced failure"))
+        assert run_cli(["verify"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        fails = [l for l in lines if l.startswith("FAIL")]
+        assert fails == ["FAIL spin-echo-variance: normalized deviation 2.000e+00 "
+                         "(<= 1 required; forced failure)"]
+        assert sum(l.startswith("PASS") for l in lines) == 5
+        assert lines[-1] == "1 verification check(s) failed"
+
 
 def test_generator_bound_helper():
     g = generator(SymmetricBasis(8), GeneratorLabel.SZ_TOTAL)

@@ -19,7 +19,6 @@ from symqfi.dephasing import (
     apply_collective_dephasing,
     apply_variant_dephasing,
     dephasing_kernel,
-    ou_variance_quadrature,
     phase_variance_c,
     spin_echo_weights_variance,
     steady_state,
@@ -234,11 +233,12 @@ class TestSpinEchoVariance:
             a, b, T, DEFAULTS.gamma_delta_b, DEFAULTS.tau_c)
         assert closed == pytest.approx(oracle, rel=1e-6, abs=1e-12)
 
-    def test_against_package_quadrature(self):
+    def test_tight_against_trapezoid_oracle(self):
         for a, b, T in ((1.0, 2.0, 0.3), (2.0, -1.0, 1.7)):
             closed = spin_echo_weights_variance(a, b, T, DEFAULTS)
-            assert closed == pytest.approx(ou_variance_quadrature(a, b, T, DEFAULTS),
-                                           rel=1e-8)
+            oracle = oracles.ou_variance_trapezoid_extrapolated(
+                a, b, T, DEFAULTS.gamma_delta_b, DEFAULTS.tau_c)
+            assert closed == pytest.approx(oracle, rel=1e-8)
 
     def test_against_adaptive_quadrature(self):
         # third route: scipy adaptive integration over the four blocks
@@ -298,7 +298,8 @@ class TestVariantChannels:
                 apply_variant_dephasing(rho, 0.1, DEFAULTS, variant)
 
     @pytest.mark.parametrize("variant, m1", [(NoiseVariant.IDEAL_COLLECTIVE, 0.0),
-                                             (NoiseVariant.INDEPENDENT_REPEAT, [0, 8])])
+                                             (NoiseVariant.INDEPENDENT_REPEAT, [0, 8]),
+                                             (NoiseVariant.SPIN_ECHO, [0, 8])])
     def test_overflowing_variance_gives_the_exact_zero(self, variant, m1):
         # C(1e7) ~ 1e307 is finite; C * 8^2 overflows, and exp(-inf) = 0
         kernel = dephasing_kernel(m1, [0, 8], 1e7, NoiseParams(1e150, 1.0), variant)

@@ -364,6 +364,14 @@ class TestScan:
         assert rows[0].error is None
         assert math.isnan(rows[1].f_phase) and "overflows" in rows[1].error
 
+    @pytest.mark.parametrize("kind", [SchemeKind.DI_SPIN_ECHO, SchemeKind.DI_REPEAT])
+    def test_overflowing_kernel_exponent_gives_zero(self, kind):
+        # C(1e7) ~ 1e307 is finite, C * 4^2 is not: every coherence of the
+        # probe is exactly exp(-inf) = 0, so the cell is a valid zero
+        scheme = SchemeSpec(kind, NoiseParams(1e150, 1.0))
+        rows = scan(scheme, [ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8)], times=[1e7])
+        assert (rows[0].f_phase, rows[0].f_freq, rows[0].error) == (0.0, 0.0, None)
+
     def test_optimized_scan_records_angle(self):
         rows = scan(STANDARD, [ProbeSpec(ProbeFamily.GHZ, 8)], times=[0.01],
                     optimize_alpha=True, alpha_grid=101)
