@@ -22,7 +22,7 @@ from .collective_basis import EIGENVALUE_FLOOR, Generator, StateMatrix
 
 
 def spectral_qfi(m: np.ndarray, g_bar: np.ndarray, v: np.ndarray | None = None,
-                 eps_sum: float = 1e-12) -> float:
+                 eps_sum: float = 1e-12) -> float | np.ndarray:
     """Phase QFI of a state from its matrix m in an orthonormal frame e_k.
 
     The frame must hold the state's support, and the generator G must be
@@ -41,22 +41,29 @@ def spectral_qfi(m: np.ndarray, g_bar: np.ndarray, v: np.ndarray | None = None,
     as eigenvalue 0: their analytic contribution is zero but the ratio is
     0/0 in floating point.  An eigenvalue below EIGENVALUE_FLOOR means m is not
     a state and raises ValueError; tiny negative ones are clamped to zero.
+
+    m may carry leading stack axes, shape (..., d, d) with g_bar and v of
+    shape (..., d); every matrix is then treated on its own and the result
+    is an array of shape (...).  A single (d, d) matrix gives a float.
     """
     lam, u = np.linalg.eigh(m)
-    if lam[0] < EIGENVALUE_FLOOR:
-        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lam[0]!r}")
-    lam = np.clip(lam, 0.0, None)
-    floor = eps_sum * lam.max()
-    overlaps = (u.conj().T * g_bar) @ u
-    sums = lam[:, None] + lam[None, :]
-    diffs = lam[:, None] - lam[None, :]
-    weights = np.zeros_like(sums)
-    np.divide(diffs * diffs, sums, out=weights, where=sums > floor)
+    lam_min = lam.min()  # eigh sorts ascending, so this is the first of some matrix
+    if lam_min < EIGENVALUE_FLOOR:
+        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lam_min!r}")
+    lam = np.maximum(lam, 0.0)
+    floor = eps_sum * lam[..., -1:]  # the largest eigenvalue of each matrix
+    overlaps = (u.conj().swapaxes(-1, -2) * g_bar[..., None, :]) @ u
+    col, row = lam[..., :, None], lam[..., None, :]
+    sums = col + row
+    diffs = col - row
+    weights = np.zeros(sums.shape)
+    np.divide(diffs * diffs, sums, out=weights, where=sums > floor[..., None])
     # full double sum counts each a<b pair twice, hence the factor 2 not 4
-    f = 2.0 * np.sum(weights * np.abs(overlaps) ** 2)
+    f = 2.0 * (weights * np.abs(overlaps) ** 2).sum(axis=(-2, -1))
     if v is not None:
-        f += 4.0 * np.sum(np.where(lam > floor, lam, 0.0) * (v @ np.abs(u) ** 2))
-    return float(f)
+        f += 4.0 * (np.where(lam > floor, lam, 0.0)
+                    * (v[..., None, :] @ np.abs(u) ** 2)[..., 0, :]).sum(axis=-1)
+    return float(f) if f.ndim == 0 else f
 
 
 def qfi_phase(rho: StateMatrix, g: Generator, eps_sum: float = 1e-12) -> float:

@@ -13,6 +13,7 @@ generator, so it never changes the QFI and is not applied to the state.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,6 +23,7 @@ from .collective_basis import (
     BipartiteSymmetricBasis,
     GeneratorLabel,
     PureState,
+    _sy_eigensystem,
     dicke_state,
     generator,
     ghz_state,
@@ -148,32 +150,37 @@ class ScanResult:
     error: str | None = None
 
 
+def _rotatable_parts(spec: ProbeSpec) -> tuple[list[PureState], float]:
+    """Unrotated factors of a rotatable probe and the angle its rotation starts from.
+
+    One factor per partition (one for an unsplit probe); the probe is their
+    tensor product with every factor rotated by offset + spec.alpha.
+    """
+    f, n, n1 = spec.family, spec.n, spec.n1
+    sizes = (n,) if n1 is None else (n1, n - n1)
+    if f is ProbeFamily.PRODUCT_PLUS:
+        return [plus_product_state(m) for m in sizes], 0.0
+    if f is ProbeFamily.GHZ or f is ProbeFamily.GHZ_BIPARTITE:
+        return [ghz_state(m) for m in sizes], 0.0
+    if f is ProbeFamily.DICKE_SYMMETRIC:
+        return [dicke_state(n, n // 2)], math.pi / 2
+    if f is ProbeFamily.BSD:
+        return [dicke_state(n1, spec.k1), dicke_state(n - n1, spec.k2)], math.pi / 2
+    raise ValueError(f"{f.value} has no rotation parameter")
+
+
 def build_probe(spec: ProbeSpec) -> PureState:
     """Construct the probe state selected by spec."""
-    f, n, n1, alpha = spec.family, spec.n, spec.n1, spec.alpha
-    if f is ProbeFamily.PRODUCT_PLUS:
-        if n1 is None:
-            return rotate_y(plus_product_state(n), alpha)
-        return tensor_bipartite(rotate_y(plus_product_state(n1), alpha),
-                                rotate_y(plus_product_state(n - n1), alpha))
-    if f is ProbeFamily.GHZ:
-        return rotate_y(ghz_state(n), alpha)
-    if f is ProbeFamily.DICKE_SYMMETRIC:
-        return rotate_y(dicke_state(n, n // 2), math.pi / 2 + alpha)
-    if f is ProbeFamily.BSD:
-        return tensor_bipartite(rotate_y(dicke_state(n1, spec.k1), math.pi / 2 + alpha),
-                                rotate_y(dicke_state(n - n1, spec.k2), math.pi / 2 + alpha))
-    if f is ProbeFamily.GHZ_BIPARTITE:
-        return tensor_bipartite(rotate_y(ghz_state(n1), alpha),
-                                rotate_y(ghz_state(n - n1), alpha))
-    if f is ProbeFamily.DFS_OPTIMAL:
-        basis = BipartiteSymmetricBasis(n1, n - n1)
+    if spec.family is ProbeFamily.DFS_OPTIMAL:
+        n1, n2 = spec.n1, spec.n - spec.n1
+        basis = BipartiteSymmetricBasis(n1, n2)
         amps = np.zeros(basis.dimension, dtype=complex)
-        n2 = n - n1
         amps[0 * (n2 + 1) + n2] = 1.0 / math.sqrt(2.0)  # (q, r) = (0, n2)
         amps[n1 * (n2 + 1) + 0] = 1.0 / math.sqrt(2.0)  # (q, r) = (n1, 0)
         return PureState(basis, amps)
-    raise ValueError(f"unknown probe family {f!r}")
+    parts, offset = _rotatable_parts(spec)
+    rotated = [rotate_y(part, offset + spec.alpha) for part in parts]
+    return rotated[0] if len(rotated) == 1 else tensor_bipartite(*rotated)
 
 
 # A second Schmidt coefficient at most this large is rounding in a product
@@ -181,27 +188,36 @@ def build_probe(spec: ProbeSpec) -> PureState:
 PRODUCT_TOL = 1e-13
 
 
-def _block_frame(amps: np.ndarray, k: np.ndarray, g: np.ndarray, T: float,
-                 noise: NoiseParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collectively dephased probe in the frame of its excitation blocks.
+def _block_frame(p: np.ndarray, index: np.ndarray, g: np.ndarray,
+                 kernel: Callable[[np.ndarray], np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Collectively dephased probes in the frame of their excitation blocks.
 
-    amps are nonnegative amplitudes, k the total excitation number and g
-    the generator's diagonal on each basis vector.  Collective dephasing
-    scales P_j rho P_k by exp(-C(T)(j - k)^2 / 2), so the state stays in
-    the span of the normalized blocks P_k psi / ||P_k psi||, with the
-    matrix sqrt(w_j w_k) exp(-C(T)(j - k)^2 / 2), w_k = ||P_k psi||^2.
-    g maps block k into itself, with mean g_bar[k] and variance v[k] in it.
+    p holds the squared amplitude moduli of G probes, shape (G, D); index
+    and g give each entry of p.ravel() its block and generator value: the
+    total excitation number k offset by nk * i in probe i's row,
+    nk = max(k) + 1, so one bincount serves the stack, and the generator's
+    diagonal repeated per row (k and the diagonal when G = 1).  Collective
+    dephasing scales P_j rho P_k by exp(-C(T)(j - k)^2 / 2), so the state
+    stays in the span of the normalized blocks P_k psi / ||P_k psi||, with
+    the matrix sqrt(w_j w_k) kernel(ks)[j, k], w_k = ||P_k psi||^2.  g maps
+    block k into itself, with mean g_bar[k] and variance v[k] in it.  The
+    frame holds the blocks occupied in any probe of the stack; an empty one
+    is a zero row and column, which adds nothing.
     """
-    p = amps * amps
-    w = np.bincount(k, p)
+    p_flat = p.ravel()
+    w = np.bincount(index, p_flat)
     occupied = w > 0
-    g_bar = np.divide(np.bincount(k, p * g), w, out=np.zeros_like(w), where=occupied)
+    g_bar = np.divide(np.bincount(index, p_flat * g), w, out=np.zeros(w.shape),
+                      where=occupied)
     # the centered form is a sum of squares; E[g^2] - g_bar^2 can cancel below 0
-    v = np.divide(np.bincount(k, p * (g - g_bar[k]) ** 2), w, out=np.zeros_like(w),
-                  where=occupied)
-    ks = np.flatnonzero(occupied)
-    root = np.sqrt(w[ks])
-    return np.outer(root, root) * dephasing_kernel(0.0, ks, T, noise), g_bar[ks], v[ks]
+    v = np.divide(np.bincount(index, p_flat * (g - g_bar[index]) ** 2), w,
+                  out=np.zeros(w.shape), where=occupied)
+    shape = len(p), -1
+    ks = np.flatnonzero(occupied.reshape(shape).any(axis=0))
+    root = np.sqrt(w.reshape(shape)[:, ks])
+    return (root[:, :, None] * root[:, None, :] * kernel(ks), g_bar.reshape(shape)[:, ks],
+            v.reshape(shape)[:, ks])
 
 
 def _variant_frame(amps: np.ndarray, basis: BipartiteSymmetricBasis, g: np.ndarray,
@@ -218,7 +234,10 @@ def _variant_frame(amps: np.ndarray, basis: BipartiteSymmetricBasis, g: np.ndarr
     _, s, vt = np.linalg.svd(amps.reshape(basis.n1 + 1, basis.n2 + 1))
     if s[1] <= PRODUCT_TOL:
         r = np.arange(basis.n2 + 1)
-        return _block_frame(np.abs(vt[0]), r, r - basis.n2 / 2, T, noise)
+        factor = np.abs(vt[:1])
+        m, g_bar, v = _block_frame(factor * factor, r, r - basis.n2 / 2,
+                                   lambda ks: dephasing_kernel(0.0, ks, T, noise))
+        return m[0], g_bar[0], v[0]
     support = np.flatnonzero(amps)
     kernel = dephasing_kernel(basis.partition1_weights()[support],
                               basis.partition2_weights()[support], T, noise, variant)
@@ -250,9 +269,70 @@ def scheme_qfi(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[float, f
     if kind in _VARIANT_FOR_KIND:
         frame = _variant_frame(amps, basis, g, T, scheme.noise, _VARIANT_FOR_KIND[kind])
     else:
-        frame = _block_frame(amps, basis.excitations(), g, T, scheme.noise)
+        m, g_bar, v = _block_frame((amps * amps)[None], basis.excitations(), g,
+                                   lambda ks: dephasing_kernel(0.0, ks, T, scheme.noise))
+        frame = m[0], g_bar[0], v[0]
     f_phase = spectral_qfi(*frame)
     return f_phase, frequency_from_phase(f_phase, T)
+
+
+# largest stack G * d^2 of frame entries evaluated at once (128 KiB per array)
+_CHUNK_ENTRIES = 2 ** 14
+
+
+def _rotation_qfi(spec: ProbeSpec, scheme: SchemeSpec,
+                  T: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Phase QFI of spec's probe at every rotation angle of an array, for one cell.
+
+    Agrees with scheme_qfi(build_probe(...)) to rounding, without a probe per
+    angle: in the eigenbasis of Sy a rotation is a phase, so one (G, m+1)
+    product per factor gives the amplitudes at G angles, and the frames of
+    all G angles go to spectral_qfi as one stack.  A rotatable probe is a
+    product state, so under spin echo and repeat its frame is partition 2's
+    factor alone at C(T), the reduction _variant_frame reaches by SVD.
+    """
+    parts, offset = _rotatable_parts(spec)
+    kind = scheme.kind
+    if kind is SchemeKind.STANDARD:
+        label = GeneratorLabel.SZ_TOTAL
+    elif len(parts) == 1:
+        raise ValueError(f"{kind.value} requires a bipartite probe")
+    elif kind in _VARIANT_FOR_KIND:
+        # partition 2's factor alone, on which the signal generator is the total z-spin
+        parts, label = parts[1:], GeneratorLabel.SZ_TOTAL
+    else:
+        label = GeneratorLabel.SZ_PARTITION2
+    if len(parts) == 1:
+        basis = parts[0].basis
+    else:
+        basis = BipartiteSymmetricBasis(parts[0].basis.n, parts[1].basis.n)
+    g = generator(basis, label).diagonal
+    k = basis.excitations()
+    nk = int(k.max()) + 1
+    block_kernel = dephasing_kernel(0.0, np.arange(nk), T, scheme.noise)
+    step = max(1, _CHUNK_ENTRIES // (nk * nk))
+    # block index and generator of a full chunk; a stack of G probes uses its first G rows
+    index = (k + nk * np.arange(step)[:, None]).ravel()
+    g_rows = np.tile(g, step)
+    rotations = []
+    for part in parts:
+        eigvals, eigvecs = _sy_eigensystem(part.basis.n)
+        rotations.append((eigvals, eigvecs.T, eigvecs.conj().T @ part.amplitudes))
+
+    def frame_stack(theta: np.ndarray):
+        probs = [((np.exp(-1j * theta[:, None] * eigvals) * coeffs) @ vt).real ** 2
+                 for eigvals, vt, coeffs in rotations]
+        p = probs[0] if len(probs) == 1 else \
+            (probs[0][:, :, None] * probs[1][:, None, :]).reshape(len(theta), -1)
+        return _block_frame(p, index[:p.size], g_rows[:p.size],
+                            lambda ks: block_kernel[ks[:, None], ks])
+
+    def evaluate(alphas: np.ndarray) -> np.ndarray:
+        theta = offset + np.asarray(alphas, dtype=float)
+        return np.concatenate([spectral_qfi(*frame_stack(theta[i:i + step]))
+                               for i in range(0, len(theta), step)])
+
+    return evaluate
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, float]:
@@ -286,9 +366,10 @@ def optimize_rotation(family: ProbeFamily, n: int, scheme: SchemeSpec, T: float,
     if grid < 2:
         raise ValueError(f"grid must have at least 2 points, got {grid}")
 
+    evaluate = _rotation_qfi(ProbeSpec(family, n, n1=n1, k1=k1, k2=k2), scheme, T)
+
     def f_of(alpha: float) -> float:
-        spec = ProbeSpec(family, n, n1=n1, k1=k1, k2=k2, alpha=alpha)
-        return scheme_qfi(build_probe(spec), scheme, T)[0]
+        return float(evaluate(np.array([alpha]))[0])
 
     # tie window: relative part for flat optima, absolute part for landscapes
     # that have fully decohered to numerical-noise level
@@ -296,7 +377,7 @@ def optimize_rotation(family: ProbeFamily, n: int, scheme: SchemeSpec, T: float,
         return 1e-9 * abs(f) + 1e-11 * n * n
 
     alphas = np.linspace(0.0, math.pi / 2, grid)
-    values = np.array([f_of(a) for a in alphas])
+    values = evaluate(alphas)
     f_max = float(values.max())
     best = int(np.argmax(values >= f_max - window(f_max)))  # first near-maximal point
     lo = alphas[max(best - 1, 0)]

@@ -59,6 +59,38 @@ class TestSpectralQfi:
         assert zero > 0
         assert clamped == pytest.approx(zero, rel=1e-10)
 
+    @staticmethod
+    def random_frames(rng, size, d):
+        """size random PSD frame matrices, some of them rank-deficient, with
+        traces from 1 down to 1e-14 (each matrix's eps_sum floor scales with
+        its own largest eigenvalue), and random block means and variances."""
+        a = rng.normal(size=(size, d, d))
+        a[::3, :, : d // 2] = 0.0
+        m = a @ np.swapaxes(a, -1, -2)
+        m /= np.trace(m, axis1=-2, axis2=-1)[:, None, None]
+        m *= 10.0 ** -rng.integers(0, 15, size=size)[:, None, None]
+        return m, rng.normal(size=(size, d)), rng.uniform(0.0, 2.0, size=(size, d))
+
+    def test_stack_matches_single_calls(self):
+        rng = np.random.default_rng(37)
+        for d in range(1, 13):
+            m, g_bar, v = self.random_frames(rng, 7, d)
+            for variances in (v, None):
+                stacked = spectral_qfi(m, g_bar, variances)
+                assert isinstance(stacked, np.ndarray) and stacked.shape == (7,)
+                for i in range(7):
+                    single = spectral_qfi(m[i], g_bar[i], None if variances is None
+                                          else variances[i])
+                    assert isinstance(single, float)
+                    assert stacked[i] == pytest.approx(single, rel=1e-15, abs=0.0)
+
+    def test_one_negative_matrix_refuses_the_stack(self):
+        m = np.stack([self.frame_matrix([0.4, 0.3, 0.2, 0.1]),
+                      self.frame_matrix([0.6, 0.3, 0.2, -0.1]),
+                      self.frame_matrix([0.7, 0.2, 0.1, 0.0])])
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            spectral_qfi(m, np.tile(self.G_BAR, (3, 1)))
+
 
 class TestQfiPhase:
     def test_pure_ghz_reaches_heisenberg(self):

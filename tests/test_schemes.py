@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from symqfi import schemes
 from symqfi.collective_basis import (
     BipartiteSymmetricBasis,
     GeneratorLabel,
@@ -29,6 +31,7 @@ from symqfi.schemes import (
     ProbeSpec,
     SchemeKind,
     SchemeSpec,
+    _rotation_qfi,
     build_probe,
     optimize_rotation,
     scan,
@@ -312,11 +315,119 @@ class TestOptimizeRotation:
         with pytest.raises(ValueError):
             optimize_rotation(ProbeFamily.DFS_OPTIMAL, 8, DI_IDEAL, 0.0)
 
+    def test_optimum_reaches_the_brute_force_maximum(self):
+        # judge of the grid-plus-golden-section search: the maximum over a
+        # 20001-point grid, at small frames so the grids stay cheap
+        alphas = np.linspace(0.0, math.pi / 2, 20001)
+        cells = [(STANDARD, ProbeSpec(ProbeFamily.GHZ, 8)),
+                 (STANDARD, ProbeSpec(ProbeFamily.DICKE_SYMMETRIC, 6)),
+                 (STANDARD, ProbeSpec(ProbeFamily.PRODUCT_PLUS, 5))]
+        for scheme in (STANDARD, DI_IDEAL, DI_ECHO, DI_REPEAT):
+            cells += [(scheme, ProbeSpec(ProbeFamily.BSD, 5, n1=2, k1=1, k2=2)),
+                      (scheme, ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 5, n1=2)),
+                      (scheme, ProbeSpec(ProbeFamily.PRODUCT_PLUS, 5, n1=3))]
+        for scheme, spec in cells:
+            for T in (3e-4, 3e-3, 0.03):
+                brute = float(_rotation_qfi(spec, scheme, T)(alphas).max())
+                _, f = optimize_rotation(spec.family, spec.n, scheme, T, n1=spec.n1,
+                                         k1=spec.k1, k2=spec.k2)
+                assert f >= brute - (1e-9 * abs(f) + 1e-11 * spec.n ** 2), (scheme.kind, spec, T)
+
+    def test_decohered_landscape_ties_to_zero(self):
+        # every grid value is rounding noise below the absolute part of the
+        # tie window, 1e-11 n^2, and the largest sits near pi/2
+        values = _rotation_qfi(ProbeSpec(ProbeFamily.PRODUCT_PLUS, 12), STANDARD, 0.05)(
+            np.linspace(0.0, math.pi / 2, 201))
+        assert 0.0 < values.max() < 1e-11 * 12 ** 2
+        assert int(np.argmax(values)) > 100
+        alpha, f = optimize_rotation(ProbeFamily.PRODUCT_PLUS, 12, STANDARD, 0.05)
+        assert alpha == 0.0
+        assert f == values[0]
+
+    @pytest.mark.parametrize("rise, first", [(5e-10, True), (5e-9, False)])
+    def test_flat_top_ties_to_its_first_angle(self, monkeypatch, rise, first):
+        # a plateau of 100 on [0.5, 1.1] rising by rise relative to a peak at
+        # 0.8: within the relative window 1e-9 it is one tie and its first
+        # grid point wins; above it, the first point near the peak does
+        def landscape(spec, scheme, T):
+            def evaluate(alphas):
+                a = np.asarray(alphas, dtype=float)
+                top = 100.0 * (1.0 + rise * (1.0 - (a - 0.8) ** 2 / 0.09))
+                return np.where((a >= 0.5) & (a <= 1.1), top, 10.0)
+            return evaluate
+
+        monkeypatch.setattr(schemes, "_rotation_qfi", landscape)
+        alpha, f = optimize_rotation(ProbeFamily.GHZ, 8, STANDARD, 0.01)
+        grid = np.linspace(0.0, math.pi / 2, 201)
+        if first:
+            assert alpha == grid[grid >= 0.5][0]
+        else:
+            assert 0.6 < alpha < 0.8
+            assert alpha in grid
+        assert f == landscape(None, None, None)(np.array([alpha]))[0]
+
     def test_refinement_beats_grid(self):
         alpha_c, f_c = optimize_rotation(ProbeFamily.GHZ, 8, STANDARD, 0.001, grid=41)
         alpha_f, f_f = optimize_rotation(ProbeFamily.GHZ, 8, STANDARD, 0.001, grid=401)
         assert f_c <= f_f + 1e-9 * f_f
         assert abs(alpha_c - alpha_f) < 2e-3
+
+
+def rotatable_cells(rng, sizes):
+    """Every rotatable family under every kind that takes it: the unsplit
+    families under STANDARD and the bipartite ones at every split under all
+    four kinds (BSD excitation numbers drawn per split)."""
+    for n in sizes:
+        yield STANDARD, ProbeSpec(ProbeFamily.GHZ, n)
+        yield STANDARD, ProbeSpec(ProbeFamily.PRODUCT_PLUS, n)
+        if n % 2 == 0:
+            yield STANDARD, ProbeSpec(ProbeFamily.DICKE_SYMMETRIC, n)
+        for n1 in range(1, n):
+            k1, k2 = int(rng.integers(n1 + 1)), int(rng.integers(n - n1 + 1))
+            for scheme in (STANDARD, DI_IDEAL, DI_ECHO, DI_REPEAT):
+                yield scheme, ProbeSpec(ProbeFamily.GHZ_BIPARTITE, n, n1=n1)
+                yield scheme, ProbeSpec(ProbeFamily.PRODUCT_PLUS, n, n1=n1)
+                yield scheme, ProbeSpec(ProbeFamily.BSD, n, n1=n1, k1=k1, k2=k2)
+
+
+def assert_evaluator_matches_pipeline(spec: ProbeSpec, scheme: SchemeSpec, T: float,
+                                      alphas: np.ndarray):
+    stacked = _rotation_qfi(spec, scheme, T)(alphas)
+    n = spec.n
+    for alpha, value in zip(alphas, stacked):
+        probe = build_probe(dataclasses.replace(spec, alpha=float(alpha)))
+        ref = scheme_qfi(probe, scheme, T)[0]
+        assert abs(value - ref) <= 1e-9 * abs(ref) + 1e-12 * n * n, (scheme.kind, spec, T, alpha)
+
+
+class TestRotationEvaluator:
+    """optimize_rotation evaluates all angles of a cell in one stacked pass;
+    scheme_qfi(build_probe(spec)) at each angle is its oracle."""
+
+    def test_matches_the_pipeline_at_every_split(self):
+        rng = np.random.default_rng(13)
+        for scheme, spec in rotatable_cells(rng, range(1, 10)):
+            T = float(10.0 ** rng.uniform(-5.0, math.log10(30.0)))
+            alphas = np.array([0.0, math.pi / 2, *rng.uniform(0.0, math.pi, 3)])
+            assert_evaluator_matches_pipeline(spec, scheme, T, alphas)
+
+    def test_chunked_grid_matches_the_pipeline(self):
+        # frames of 41, 31 and 41 blocks take 9, 17 and 9 angles per chunk
+        alphas = np.linspace(0.0, math.pi / 2, 23)
+        for scheme, spec in ((STANDARD, ProbeSpec(ProbeFamily.DICKE_SYMMETRIC, 40)),
+                             (DI_IDEAL, ProbeSpec(ProbeFamily.BSD, 30, n1=13, k1=4, k2=9)),
+                             (DI_REPEAT, ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 70, n1=30))):
+            for T in (3e-4, 3e-3):
+                assert_evaluator_matches_pipeline(spec, scheme, T, alphas)
+
+    @pytest.mark.parametrize("scheme", [DI_IDEAL, DI_ECHO, DI_REPEAT])
+    def test_unsplit_probe_is_an_error_row(self, scheme):
+        probes = [ProbeSpec(ProbeFamily.GHZ, 6), ProbeSpec(ProbeFamily.PRODUCT_PLUS, 6),
+                  ProbeSpec(ProbeFamily.DICKE_SYMMETRIC, 6)]
+        rows = scan(scheme, probes, times=[0.01], optimize_alpha=True)
+        for row in rows:
+            assert row.error == f"{scheme.kind.value} requires a bipartite probe"
+            assert math.isnan(row.f_phase) and math.isnan(row.f_freq)
 
 
 class TestScan:
