@@ -4,6 +4,7 @@ from .collective_basis import (
     BipartiteSymmetricBasis,
     Generator,
     GeneratorLabel,
+    ProductState,
     PureState,
     StateMatrix,
     SymmetricBasis,

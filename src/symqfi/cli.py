@@ -256,9 +256,13 @@ def _emit_table(cfg: RunConfig, columns: tuple[str, ...], rows: list[list]) -> i
 
 
 def run_scan(cfg: RunConfig, probes, optimize_alpha: bool) -> int:
-    """Evaluate a probe/time grid and emit the table; shared by both scans."""
+    """Evaluate a probe/time grid and emit the table, with each nan row's reason on stderr."""
     scheme = _scheme(cfg, _times(cfg))
     rows = scan(scheme, probes, optimize_alpha=optimize_alpha)
+    for r in rows:
+        if r.error is not None:
+            print(f"nan row: scheme={r.scheme} family={r.family} n={r.n} alpha={_fmt(r.alpha)} "
+                  f"T={_fmt(r.T)}: {r.error}", file=sys.stderr)
     return _emit_table(cfg, SCAN_COLUMNS, [_scan_row_values(r) for r in rows])
 
 

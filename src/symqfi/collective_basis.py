@@ -247,12 +247,23 @@ def rotate_y(state: PureState, angle: float) -> PureState:
     return PureState(basis, amps)
 
 
-def tensor_bipartite(a: PureState, b: PureState) -> PureState:
+@dataclass(frozen=True, eq=False, init=False)
+class ProductState(PureState):
+    """Bipartite product state that keeps its two factors and computes its amplitudes from them."""
+
+    parts: tuple[PureState, PureState]
+
+    def __init__(self, a: PureState, b: PureState):
+        if not isinstance(a.basis, SymmetricBasis) or not isinstance(b.basis, SymmetricBasis):
+            raise ValueError("tensor_bipartite expects two single-partition states")
+        object.__setattr__(self, "parts", (a, b))
+        super().__init__(BipartiteSymmetricBasis(a.basis.n, b.basis.n),
+                         np.kron(a.amplitudes, b.amplitudes))
+
+
+def tensor_bipartite(a: PureState, b: PureState) -> ProductState:
     """Tensor product of two symmetric-sector states, one per partition."""
-    if not isinstance(a.basis, SymmetricBasis) or not isinstance(b.basis, SymmetricBasis):
-        raise ValueError("tensor_bipartite expects two single-partition states")
-    basis = BipartiteSymmetricBasis(a.basis.n, b.basis.n)
-    return PureState(basis, np.kron(a.amplitudes, b.amplitudes))
+    return ProductState(a, b)
 
 
 def generator(basis: Basis, label: GeneratorLabel) -> Generator:

@@ -101,6 +101,8 @@ def cramer_rao_bound(F: float) -> float:
 
 def repeated_frequency_precision(F_phi: float, T: float, t_total: float) -> float:
     """Inverse-variance bound t_total * T * F_phi for repeated runs of length T."""
+    if not all(math.isfinite(x) for x in (F_phi, T, t_total)):
+        raise ValueError(f"F_phi, T and t_total must be finite, got {F_phi!r}, {T!r}, {t_total!r}")
     if T <= 0:
         raise ValueError(f"single-run time must be positive, got {T!r}")
     if T > t_total:

@@ -22,6 +22,7 @@ import numpy as np
 from .collective_basis import (
     BipartiteSymmetricBasis,
     GeneratorLabel,
+    ProductState,
     PureState,
     _sy_eigensystem,
     dicke_state,
@@ -183,11 +184,6 @@ def build_probe(spec: ProbeSpec) -> PureState:
     return rotated[0] if len(rotated) == 1 else tensor_bipartite(*rotated)
 
 
-# A second Schmidt coefficient at most this large is rounding in a product
-# state: numpy.kron of two unit vectors leaves it near 1e-16.
-PRODUCT_TOL = 1e-13
-
-
 def _block_frame(p: np.ndarray, index: np.ndarray, g: np.ndarray,
                  kernel: Callable[[np.ndarray], np.ndarray]
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,29 +216,25 @@ def _block_frame(p: np.ndarray, index: np.ndarray, g: np.ndarray,
             v.reshape(shape)[:, ks])
 
 
-def _variant_frame(amps: np.ndarray, basis: BipartiteSymmetricBasis, g: np.ndarray,
-                   T: float, noise: NoiseParams, variant: NoiseVariant):
-    """Probe under spin-echo or repeat dephasing, in the smallest exact frame.
+def _signal_state(probe: PureState,
+                  kind: SchemeKind) -> tuple[PureState, GeneratorLabel, NoiseVariant | None]:
+    """The state whose QFI kind measures, its signal generator, and its noise
+    variant (None for collective dephasing, constant on excitation blocks).
 
-    Both kernels factorize into one factor per partition, and partition 2's
-    is exp(-C(T) dm2^2 / 2): for spin echo the dm1 dm2 term of
+    Spin echo and repeat kernels factorize per partition, and partition 2's
+    factor is exp(-C(T) dm2^2 / 2): for spin echo the dm1 dm2 term of
     spin_echo_weights_variance cancels and 2 C(T/2) + the cross covariance
     term add up to C(T).  A product probe therefore carries the QFI of its
-    partition-2 factor under collective dephasing at C(T).  Any other probe
-    is taken in the frame of its support.
+    partition-2 factor, with its total z-spin, under collective dephasing.
     """
-    _, s, vt = np.linalg.svd(amps.reshape(basis.n1 + 1, basis.n2 + 1))
-    if s[1] <= PRODUCT_TOL:
-        r = np.arange(basis.n2 + 1)
-        factor = np.abs(vt[:1])
-        m, g_bar, v = _block_frame(factor * factor, r, r - basis.n2 / 2,
-                                   lambda ks: dephasing_kernel(0.0, ks, T, noise))
-        return m[0], g_bar[0], v[0]
-    support = np.flatnonzero(amps)
-    kernel = dephasing_kernel(basis.partition1_weights()[support],
-                              basis.partition2_weights()[support], T, noise, variant)
-    a = amps[support]
-    return np.outer(a, a) * kernel, g[support], None
+    if kind is SchemeKind.STANDARD:
+        return probe, GeneratorLabel.SZ_TOTAL, None
+    if not isinstance(probe.basis, BipartiteSymmetricBasis):
+        raise ValueError(f"{kind.value} requires a bipartite probe")
+    variant = _VARIANT_FOR_KIND.get(kind)
+    if variant is not None and isinstance(probe, ProductState):
+        return probe.parts[1], GeneratorLabel.SZ_TOTAL, None
+    return probe, GeneratorLabel.SZ_PARTITION2, variant
 
 
 def scheme_qfi(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[float, float]:
@@ -252,26 +244,25 @@ def scheme_qfi(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[float, f
     that holds it, without building the dense density matrix: the
     normalized total-excitation blocks for STANDARD and DI_IDEAL (the
     occupied Dicke states on an unsplit ensemble), partition 2's Dicke
-    states for DI_SPIN_ECHO and DI_REPEAT on a product probe, and the
+    states for DI_SPIN_ECHO and DI_REPEAT on a ProductState, and the
     probe's support otherwise.  Amplitudes enter by modulus only: a diagonal
     phase commutes with the noise and with the generator, so it cannot
     change the QFI.
     """
-    basis, kind = probe.basis, scheme.kind
-    if kind is SchemeKind.STANDARD:
-        label = GeneratorLabel.SZ_TOTAL
-    elif isinstance(basis, BipartiteSymmetricBasis):
-        label = GeneratorLabel.SZ_PARTITION2
-    else:
-        raise ValueError(f"{kind.value} requires a bipartite probe")
+    state, label, variant = _signal_state(probe, scheme.kind)
+    basis = state.basis
     g = generator(basis, label).diagonal
-    amps = np.abs(probe.amplitudes)
-    if kind in _VARIANT_FOR_KIND:
-        frame = _variant_frame(amps, basis, g, T, scheme.noise, _VARIANT_FOR_KIND[kind])
-    else:
+    amps = np.abs(state.amplitudes)
+    if variant is None:
         m, g_bar, v = _block_frame((amps * amps)[None], basis.excitations(), g,
                                    lambda ks: dephasing_kernel(0.0, ks, T, scheme.noise))
         frame = m[0], g_bar[0], v[0]
+    else:
+        support = np.flatnonzero(amps)
+        kernel = dephasing_kernel(basis.partition1_weights()[support],
+                                  basis.partition2_weights()[support], T, scheme.noise, variant)
+        a = amps[support]
+        frame = np.outer(a, a) * kernel, g[support], None
     f_phase = spectral_qfi(*frame)
     return f_phase, frequency_from_phase(f_phase, T)
 
@@ -287,27 +278,16 @@ def _rotation_qfi(spec: ProbeSpec, scheme: SchemeSpec,
     Agrees with scheme_qfi(build_probe(...)) to rounding, without a probe per
     angle: in the eigenbasis of Sy a rotation is a phase, so one (G, m+1)
     product per factor gives the amplitudes at G angles, and the frames of
-    all G angles go to spectral_qfi as one stack.  A rotatable probe is a
-    product state, so under spin echo and repeat its frame is partition 2's
-    factor alone at C(T), the reduction _variant_frame reaches by SVD.
+    all G angles go to spectral_qfi as one stack.  Every rotatable probe is
+    a product state and stays one under rotation, so the frame _signal_state
+    picks for the unrotated probe serves every angle.
     """
-    parts, offset = _rotatable_parts(spec)
-    kind = scheme.kind
-    if kind is SchemeKind.STANDARD:
-        label = GeneratorLabel.SZ_TOTAL
-    elif len(parts) == 1:
-        raise ValueError(f"{kind.value} requires a bipartite probe")
-    elif kind in _VARIANT_FOR_KIND:
-        # partition 2's factor alone, on which the signal generator is the total z-spin
-        parts, label = parts[1:], GeneratorLabel.SZ_TOTAL
-    else:
-        label = GeneratorLabel.SZ_PARTITION2
-    if len(parts) == 1:
-        basis = parts[0].basis
-    else:
-        basis = BipartiteSymmetricBasis(parts[0].basis.n, parts[1].basis.n)
-    g = generator(basis, label).diagonal
-    k = basis.excitations()
+    factors, offset = _rotatable_parts(spec)
+    probe = factors[0] if len(factors) == 1 else tensor_bipartite(*factors)
+    state, label, _ = _signal_state(probe, scheme.kind)
+    parts = state.parts if isinstance(state, ProductState) else (state,)
+    g = generator(state.basis, label).diagonal
+    k = state.basis.excitations()
     nk = int(k.max()) + 1
     block_kernel = dephasing_kernel(0.0, np.arange(nk), T, scheme.noise)
     step = max(1, _CHUNK_ENTRIES // (nk * nk))
@@ -395,14 +375,13 @@ def optimize_rotation(family: ProbeFamily, n: int, scheme: SchemeSpec, T: float,
 
 
 def _evaluate_cell(scheme: SchemeSpec, probe: ProbeSpec, T: float,
-                   optimize_alpha: bool, alpha_grid: int) -> ScanResult:
+                   optimize_alpha: bool) -> ScanResult:
     base = dict(scheme=scheme.kind.value, family=probe.family.value, n=probe.n,
                 n1=probe.n1, k1=probe.k1, k2=probe.k2)
     try:
         if optimize_alpha:
             alpha, f_phase = optimize_rotation(probe.family, probe.n, scheme, T,
-                                               grid=alpha_grid, n1=probe.n1,
-                                               k1=probe.k1, k2=probe.k2)
+                                               n1=probe.n1, k1=probe.k1, k2=probe.k2)
             f_freq = frequency_from_phase(f_phase, T)
         else:
             alpha = probe.alpha
@@ -415,7 +394,7 @@ def _evaluate_cell(scheme: SchemeSpec, probe: ProbeSpec, T: float,
 
 
 def scan(scheme: SchemeSpec, probes: list[ProbeSpec], times=None,
-         optimize_alpha: bool = False, alpha_grid: int = 201) -> list[ScanResult]:
+         optimize_alpha: bool = False) -> list[ScanResult]:
     """Evaluate every (probe, time) pair, probe-major then time-minor.
 
     Domain errors in single cells become flagged NaN rows instead of
@@ -424,5 +403,5 @@ def scan(scheme: SchemeSpec, probes: list[ProbeSpec], times=None,
     times = scheme.times if times is None else _finite_times(times)
     if not probes or not times:
         raise ValueError("scan needs at least one probe and one time")
-    return [_evaluate_cell(scheme, probe, T, optimize_alpha, alpha_grid)
+    return [_evaluate_cell(scheme, probe, T, optimize_alpha)
             for probe in probes for T in times]

@@ -79,6 +79,15 @@ class TestScanTime:
         assert [row[8] for row in rows] == ["0"]
         assert capsys.readouterr().err == ""
 
+    def test_nan_row_reason_on_stderr(self, capsys):
+        assert run_cli(["scan-time", "--family", "ghz", "--n", "4", "--t-list=-1,0.1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[2:] == ["standard,ghz,4,,,,0,-1,nan,nan,0",
+                                                 "standard,ghz,4,,,,0,0.10000000000000001,0,0,0"]
+        [line] = captured.err.splitlines()
+        assert "scheme=standard family=ghz n=4" in line and "T=-1" in line
+        assert "time must be finite and nonnegative" in line
+
     def test_optimize_alpha_flag(self, tmp_path):
         out = tmp_path / "scan.csv"
         run_cli(["scan-time", "--family", "product_plus", "--n", "6",

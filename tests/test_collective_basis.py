@@ -190,8 +190,9 @@ class TestTensorAndGenerator:
         left = rotate_y(dicke_state(4, 2), math.pi / 2)
         right = rotate_y(dicke_state(4, 2), math.pi / 2)
         state = tensor_bipartite(left, right)
-        np.testing.assert_allclose(state.amplitudes,
-                                   np.kron(left.amplitudes, right.amplitudes))
+        assert state.parts == (left, right)
+        np.testing.assert_array_equal(state.amplitudes,
+                                      np.kron(left.amplitudes, right.amplitudes))
 
     def test_tensor_of_basis_vectors(self):
         state = tensor_bipartite(dicke_state(2, 1), dicke_state(3, 0))

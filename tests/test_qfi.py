@@ -228,6 +228,13 @@ class TestFrequencyAndBounds:
         with pytest.raises(ValueError):
             repeated_frequency_precision(1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("args", [(math.nan, 0.5, 1.0), (1.0, 0.5, math.inf),
+                                      (math.inf, 0.5, 1.0), (1.0, math.nan, 1.0),
+                                      (1.0, 0.5, math.nan)])
+    def test_repeated_precision_refuses_non_finite(self, args):
+        with pytest.raises(ValueError, match="must be finite"):
+            repeated_frequency_precision(*args)
+
     def test_max_qfi_bound_values(self):
         for n in (2, 8):
             g = generator(SymmetricBasis(n), GeneratorLabel.SZ_TOTAL)

@@ -8,6 +8,7 @@ from symqfi import schemes
 from symqfi.collective_basis import (
     BipartiteSymmetricBasis,
     GeneratorLabel,
+    ProductState,
     PureState,
     StateMatrix,
     SymmetricBasis,
@@ -204,7 +205,7 @@ class TestSchemeQfi:
         # T^2 overflows to inf; inf * 0 would be NaN
         assert scheme_qfi(ghz_state(4), STANDARD, 1e300) == (0.0, 0.0)
         rows = scan(STANDARD, [ProbeSpec(ProbeFamily.GHZ, 4)], times=[1e300],
-                    optimize_alpha=True, alpha_grid=11)
+                    optimize_alpha=True)
         assert (rows[0].f_phase, rows[0].f_freq, rows[0].error) == (0.0, 0.0, None)
         mixed = StateMatrix(SymmetricBasis(4), np.eye(5) / 5)
         g = generator(mixed.basis, GeneratorLabel.SZ_TOTAL)
@@ -220,10 +221,17 @@ class TestFramesAgainstDense:
     """scheme_qfi diagonalizes in reduced frames; the dense channels are the oracle."""
 
     def test_every_scheme_and_family_matches_the_dense_channels(self):
+        # split rotatable probes carry their factors; under spin echo and
+        # repeat a plain PureState copy of one takes the support frame instead
         rng = np.random.default_rng(2)
         for scheme, spec in oracle_cells(rng):
             T = float(10.0 ** rng.uniform(-5.0, math.log10(30.0)))
-            assert_matches_dense(build_probe(spec), scheme, T)
+            probe = build_probe(spec)
+            split = spec.n1 is not None and spec.family is not ProbeFamily.DFS_OPTIMAL
+            assert isinstance(probe, ProductState) == split, spec
+            assert_matches_dense(probe, scheme, T)
+            if split and scheme in (DI_ECHO, DI_REPEAT) and spec.n <= 9:
+                assert_matches_dense(PureState(probe.basis, probe.amplitudes), scheme, T)
 
     def test_complex_and_entangled_probes_match_the_dense_channels(self):
         rng = np.random.default_rng(5)
@@ -239,8 +247,9 @@ class TestFramesAgainstDense:
                         assert_matches_dense(probe, scheme, T)
 
     def test_phases_on_a_product_modulus_match_the_dense_channels(self):
-        # entangled through its signs only: a diagonal phase commutes with the
-        # noise and the generator, so the factorized partition-2 frame applies
+        # entangled through its signs only, and a plain PureState, so it takes
+        # the support frame; a diagonal phase commutes with the noise and the
+        # generator, so its QFI is that of the product of its moduli
         rng = np.random.default_rng(7)
         basis = BipartiteSymmetricBasis(3, 4)
         a, b = rng.uniform(0.1, 1.0, size=4), rng.uniform(0.1, 1.0, size=5)
@@ -485,7 +494,7 @@ class TestScan:
 
     def test_optimized_scan_records_angle(self):
         rows = scan(STANDARD, [ProbeSpec(ProbeFamily.GHZ, 8)], times=[0.01],
-                    optimize_alpha=True, alpha_grid=101)
+                    optimize_alpha=True)
         assert rows[0].alpha_optimized
         assert rows[0].alpha == pytest.approx(0.8969288749493659, abs=1e-4)
 
