@@ -19,12 +19,9 @@ from .collective_basis import (
 from .dephasing import (
     NoiseParams,
     NoiseVariant,
-    apply_collective_dephasing,
-    apply_variant_dephasing,
     dephasing_kernel,
     phase_variance_c,
     spin_echo_weights_variance,
-    steady_state,
 )
 from .qfi import (
     cramer_rao_bound,

@@ -232,10 +232,13 @@ def rotate_y(state: PureState, angle: float) -> PureState:
     """Rotate a state about the collective y-axis.
 
     On a bipartite basis the rotation acts collectively on every qubit, so
-    it factorizes into one Wigner-d block per partition.
+    it factorizes into one Wigner-d block per partition, and a ProductState
+    stays one: each of its factors is rotated.
     """
     if angle == 0.0:
         return state
+    if isinstance(state, ProductState):
+        return ProductState(*(rotate_y(part, angle) for part in state.parts))
     basis = state.basis
     if isinstance(basis, SymmetricBasis):
         amps = wigner_d_matrix(basis.n, angle) @ state.amplitudes
@@ -257,8 +260,9 @@ class ProductState(PureState):
         if not isinstance(a.basis, SymmetricBasis) or not isinstance(b.basis, SymmetricBasis):
             raise ValueError("tensor_bipartite expects two single-partition states")
         object.__setattr__(self, "parts", (a, b))
+        # np.kron of two vectors, bit for bit, without its general n-d overhead
         super().__init__(BipartiteSymmetricBasis(a.basis.n, b.basis.n),
-                         np.kron(a.amplitudes, b.amplitudes))
+                         (a.amplitudes[:, None] * b.amplitudes).ravel())
 
 
 def tensor_bipartite(a: PureState, b: PureState) -> ProductState:

@@ -1,4 +1,4 @@
-"""Collective Gaussian phase-noise channels and their steady-state limit.
+"""Collective Gaussian phase noise: its statistics and its dephasing kernel.
 
 The noise is a fluctuating level splitting, identical for all qubits, with
 zero mean and an exponentially decaying autocorrelation of correlation time
@@ -9,10 +9,13 @@ basis vectors of z-weights m and m' by exp[-(m - m')^2 C(T) / 2], with
     C(T) = (gamma_delta_b * tau_c)^2 * (exp(-T/tau_c) + T/tau_c - 1).
 
 C(T) is normalized so that the phase collected with a uniform unit weight
-over [0, T] has variance exactly C(T); all channel variants below share
-that normalization.  As T grows, every coherence between different total
-excitation numbers dies and the channel approaches the block projection
-implemented exactly by :func:`steady_state`.
+over [0, T] has variance exactly C(T); all noise variants below share
+that normalization.  This module holds the noise statistics and the
+factors :func:`dephasing_kernel` by which they scale each coherence; the
+QFI pipeline applies the kernel in its own frames.  As T grows, every
+coherence between different total excitation numbers dies, and for
+IDEAL_COLLECTIVE the kernel becomes the indicator of equal total
+excitation number, exactly once exp(-C(T)/2) underflows to 0.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .collective_basis import BipartiteSymmetricBasis, StateMatrix
 
 
 @dataclass(frozen=True)
@@ -73,28 +74,6 @@ def phase_variance_c(T: float, p: NoiseParams) -> float:
     if not math.isfinite(c):
         raise ValueError(f"noise phase variance overflows at T={T!r}")
     return c
-
-
-def apply_collective_dephasing(rho: StateMatrix, T: float, p: NoiseParams) -> StateMatrix:
-    """Average a state over the collective noise phase accumulated up to T.
-
-    Matrix elements between z-weights m, m' shrink by exp[-(m-m')^2 C(T)/2];
-    the diagonal (and every fixed-excitation block's internal structure with
-    equal total weight) is untouched, so trace and Hermiticity are exact.
-    """
-    kernel = dephasing_kernel(0.0, rho.basis.z_weights(), T, p)
-    return StateMatrix(rho.basis, rho.matrix * kernel)
-
-
-def steady_state(rho: StateMatrix) -> StateMatrix:
-    """Infinite-time limit of collective dephasing, as an exact block projection.
-
-    Every element between basis vectors of different total excitation number
-    is zeroed; elements within a fixed-excitation block survive unchanged.
-    """
-    k = rho.basis.excitations()
-    keep = k[:, None] == k[None, :]
-    return StateMatrix(rho.basis, np.where(keep, rho.matrix, 0.0))
 
 
 def spin_echo_weights_variance(a, b, T: float, p: NoiseParams):
@@ -159,22 +138,3 @@ def dephasing_kernel(m1, m2, T: float, p: NoiseParams,
     else:
         raise ValueError(f"unknown noise variant {variant!r}")
     return np.exp(-0.5 * var)
-
-
-def apply_variant_dephasing(rho: StateMatrix, T: float, p: NoiseParams,
-                            variant: NoiseVariant) -> StateMatrix:
-    """Apply one of the channel realizations to a bipartite state.
-
-    IDEAL_COLLECTIVE: both partitions see the same noise (delegates to
-    :func:`apply_collective_dephasing`).  SPIN_ECHO: partition 1 is flipped
-    at T/2, so its noise weight changes sign over the second half.
-    INDEPENDENT_REPEAT: the two partitions see independent noise samples,
-    so their suppression factors multiply.
-    """
-    if variant is NoiseVariant.IDEAL_COLLECTIVE:
-        return apply_collective_dephasing(rho, T, p)
-    if not isinstance(rho.basis, BipartiteSymmetricBasis):
-        raise ValueError(f"{variant.value} dephasing requires a bipartite basis")
-    kernel = dephasing_kernel(rho.basis.partition1_weights(), rho.basis.partition2_weights(),
-                              T, p, variant)
-    return StateMatrix(rho.basis, rho.matrix * kernel)

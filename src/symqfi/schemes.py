@@ -151,23 +151,25 @@ class ScanResult:
     error: str | None = None
 
 
-def _rotatable_parts(spec: ProbeSpec) -> tuple[list[PureState], float]:
-    """Unrotated factors of a rotatable probe and the angle its rotation starts from.
+def _rotatable_parts(spec: ProbeSpec) -> tuple[PureState, float]:
+    """Unrotated probe of a rotatable family and the angle its rotation starts from.
 
-    One factor per partition (one for an unsplit probe); the probe is their
-    tensor product with every factor rotated by offset + spec.alpha.
+    A split family's probe is a ProductState with one factor per partition;
+    spec's probe is this one rotated by offset + spec.alpha.
     """
     f, n, n1 = spec.family, spec.n, spec.n1
     sizes = (n,) if n1 is None else (n1, n - n1)
     if f is ProbeFamily.PRODUCT_PLUS:
-        return [plus_product_state(m) for m in sizes], 0.0
-    if f is ProbeFamily.GHZ or f is ProbeFamily.GHZ_BIPARTITE:
-        return [ghz_state(m) for m in sizes], 0.0
-    if f is ProbeFamily.DICKE_SYMMETRIC:
-        return [dicke_state(n, n // 2)], math.pi / 2
-    if f is ProbeFamily.BSD:
-        return [dicke_state(n1, spec.k1), dicke_state(n - n1, spec.k2)], math.pi / 2
-    raise ValueError(f"{f.value} has no rotation parameter")
+        parts, offset = [plus_product_state(m) for m in sizes], 0.0
+    elif f is ProbeFamily.GHZ or f is ProbeFamily.GHZ_BIPARTITE:
+        parts, offset = [ghz_state(m) for m in sizes], 0.0
+    elif f is ProbeFamily.DICKE_SYMMETRIC:
+        parts, offset = [dicke_state(n, n // 2)], math.pi / 2
+    elif f is ProbeFamily.BSD:
+        parts, offset = [dicke_state(n1, spec.k1), dicke_state(n - n1, spec.k2)], math.pi / 2
+    else:
+        raise ValueError(f"{f.value} has no rotation parameter")
+    return (parts[0] if len(parts) == 1 else tensor_bipartite(*parts)), offset
 
 
 def build_probe(spec: ProbeSpec) -> PureState:
@@ -179,9 +181,8 @@ def build_probe(spec: ProbeSpec) -> PureState:
         amps[0 * (n2 + 1) + n2] = 1.0 / math.sqrt(2.0)  # (q, r) = (0, n2)
         amps[n1 * (n2 + 1) + 0] = 1.0 / math.sqrt(2.0)  # (q, r) = (n1, 0)
         return PureState(basis, amps)
-    parts, offset = _rotatable_parts(spec)
-    rotated = [rotate_y(part, offset + spec.alpha) for part in parts]
-    return rotated[0] if len(rotated) == 1 else tensor_bipartite(*rotated)
+    probe, offset = _rotatable_parts(spec)
+    return rotate_y(probe, offset + spec.alpha)
 
 
 def _block_frame(p: np.ndarray, index: np.ndarray, g: np.ndarray,
@@ -282,8 +283,7 @@ def _rotation_qfi(spec: ProbeSpec, scheme: SchemeSpec,
     a product state and stays one under rotation, so the frame _signal_state
     picks for the unrotated probe serves every angle.
     """
-    factors, offset = _rotatable_parts(spec)
-    probe = factors[0] if len(factors) == 1 else tensor_bipartite(*factors)
+    probe, offset = _rotatable_parts(spec)
     state, label, _ = _signal_state(probe, scheme.kind)
     parts = state.parts if isinstance(state, ProductState) else (state,)
     g = generator(state.basis, label).diagonal

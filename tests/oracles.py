@@ -1,8 +1,21 @@
 """Independent reference constructions used to cross-check the package.
 
-Everything here works in the full 2^n computational-basis space (or by
-direct numerical quadrature), deliberately sharing no code with the
-package internals.
+Everything here works in the full 2^n computational-basis space, by
+direct numerical quadrature, or on dense matrices over the bipartite Dicke
+basis, deliberately sharing no code with the package: nothing here
+imports symqfi.
+
+The dense Gaussian dephasing takes the noise statistics as three numbers
+from the caller, the coefficients of the phase variance
+
+    Var = var11 dm1^2 + 2 var12 dm1 dm2 + var22 dm2^2
+
+in the z-weight differences dm1, dm2 of partitions 1 and 2, and builds
+its kernel exp(-Var/2) itself.  The tests take the coefficients from the
+package's variance functions, which the quadrature oracle here anchors:
+(C, C, C) for collective noise, (C, 0, C) for independent samples per
+partition, and for spin echo var11 = Var(1, 0), var22 = Var(0, 1) and
+var12 = (Var(1, 1) - Var(1, 0) - Var(0, 1)) / 2.
 """
 
 import itertools
@@ -68,6 +81,35 @@ def dephase_full(rho_full, c, weights):
     """Elementwise Gaussian dephasing multiplier on a full-space density matrix."""
     dm = weights[:, None] - weights[None, :]
     return rho_full * np.exp(-0.5 * c * dm * dm)
+
+
+def bipartite_levels(n1, n2):
+    """Excitation numbers (q, r) of the bipartite Dicke basis |D_n1^q>|D_n2^r>,
+    flattened row-major (q-major); n1 = 0 gives an unsplit ensemble of n2 qubits."""
+    q = np.repeat(np.arange(n1 + 1), n2 + 1)
+    r = np.tile(np.arange(n2 + 1), n1 + 1)
+    return q, r
+
+
+def dephase_bipartite(rho, n1, n2, var11, var12, var22):
+    """Gaussian dephasing of a dense matrix over the bipartite Dicke basis.
+
+    Entry [i, j] is scaled by exp(-Var/2) with Var the phase variance of the
+    module docstring at the partition weight differences of i and j.
+    """
+    q, r = bipartite_levels(n1, n2)
+    d1 = (q[:, None] - q[None, :]).astype(float)
+    d2 = (r[:, None] - r[None, :]).astype(float)
+    var = var11 * d1 * d1 + 2.0 * var12 * d1 * d2 + var22 * d2 * d2
+    return rho * np.exp(-0.5 * var)
+
+
+def block_project(rho, n1, n2):
+    """Infinite-time limit of collective dephasing: every entry between basis
+    vectors of different total excitation number q + r is zeroed."""
+    q, r = bipartite_levels(n1, n2)
+    k = q + r
+    return np.where(k[:, None] == k[None, :], rho, 0.0)
 
 
 def ou_variance_trapezoid(a, b, T, gamma_delta_b, tau_c, num=2001):

@@ -233,6 +233,15 @@ class TestErrors:
         assert run_cli(["scan-time", "--family", "bell", "--n", "4"]) == 1
         assert "unknown family" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["scan-time", "scan-rotation"])
+    @pytest.mark.parametrize("family", ["product_plus", "bsd"])
+    def test_unknown_scheme_reported_before_the_family_needs(self, capsys, command, family):
+        # neither family's missing n1 is reported: the scheme is resolved first
+        assert run_cli([command, "--scheme", "bogus", "--family", family, "--n", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown scheme 'bogus' (valid: ")
+        assert "n1" not in err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("qubits=4\n")

@@ -6,6 +6,7 @@ import pytest
 from symqfi.collective_basis import (
     BipartiteSymmetricBasis,
     GeneratorLabel,
+    ProductState,
     PureState,
     SymmetricBasis,
     dicke_state,
@@ -170,9 +171,12 @@ class TestRotations:
         np.testing.assert_allclose(probe.amplitudes, full, atol=1e-12)
 
     def test_bipartite_rotation_factorizes(self):
-        a, b = ghz_state(3), plus_product_state(2)
-        joint = rotate_y(tensor_bipartite(a, b), 0.71)
-        split = tensor_bipartite(rotate_y(a, 0.71), rotate_y(b, 0.71))
+        # a ProductState rotates factor by factor; a plain state on the same
+        # basis takes one Wigner-d block per partition
+        product = tensor_bipartite(ghz_state(3), plus_product_state(2))
+        split = rotate_y(product, 0.71)
+        joint = rotate_y(PureState(product.basis, product.amplitudes), 0.71)
+        assert isinstance(split, ProductState) and not isinstance(joint, ProductState)
         np.testing.assert_allclose(joint.amplitudes, split.amplitudes, atol=1e-13)
 
 

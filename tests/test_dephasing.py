@@ -16,12 +16,9 @@ from symqfi.collective_basis import (
 from symqfi.dephasing import (
     NoiseParams,
     NoiseVariant,
-    apply_collective_dephasing,
-    apply_variant_dephasing,
     dephasing_kernel,
     phase_variance_c,
     spin_echo_weights_variance,
-    steady_state,
 )
 from symqfi.qfi import qfi_phase
 from symqfi.schemes import ProbeFamily, ProbeSpec, build_probe
@@ -29,6 +26,15 @@ from symqfi.schemes import ProbeFamily, ProbeSpec, build_probe
 import oracles
 
 DEFAULTS = NoiseParams(gamma_delta_b=2 * math.pi * 50, tau_c=1.0)
+LATE = 50 * DEFAULTS.tau_c  # exp(-C(T)/2) underflows: the kernel is exactly 0 off the blocks
+
+
+def kernel_on(basis, T, variant=NoiseVariant.IDEAL_COLLECTIVE):
+    """dephasing_kernel between every pair of vectors of a basis (unsplit: m1 = 0)."""
+    if isinstance(basis, SymmetricBasis):
+        return dephasing_kernel(0.0, basis.z_weights(), T, DEFAULTS, variant)
+    return dephasing_kernel(basis.partition1_weights(), basis.partition2_weights(), T,
+                            DEFAULTS, variant)
 
 
 def random_bipartite_state(rng, n1, n2):
@@ -97,50 +103,62 @@ class TestPhaseVariance:
         assert lo == pytest.approx(hi, rel=1e-9)
 
 
+
 class TestCollectiveDephasing:
     def test_ghz_coherence_decay(self):
-        n = 6
-        rho = ghz_state(n).density_matrix()
-        T = 0.002
-        out = apply_collective_dephasing(rho, T, DEFAULTS)
+        n, T = 6, 0.002
+        kernel = kernel_on(SymmetricBasis(n), T)
         d = math.exp(-0.5 * n * n * phase_variance_c(T, DEFAULTS))
-        assert out.matrix[0, n] == pytest.approx(0.5 * d, rel=1e-12)
-        assert out.matrix[0, 0] == pytest.approx(0.5, rel=1e-15)
+        assert kernel[0, n] == pytest.approx(d, rel=1e-12)
+        assert kernel[0, 0] == 1.0
 
     def test_zero_time_identity(self):
         rho = plus_product_state(5).density_matrix()
-        out = apply_collective_dephasing(rho, 0.0, DEFAULTS)
-        np.testing.assert_array_equal(out.matrix, rho.matrix)
+        np.testing.assert_array_equal(rho.matrix * kernel_on(rho.basis, 0.0), rho.matrix)
 
     def test_diagonal_states_invariant(self):
+        # unit diagonal
         rng = np.random.default_rng(7)
-        probs = rng.dirichlet(np.ones(5))
-        rho = StateMatrix(SymmetricBasis(4), np.diag(probs.astype(complex)))
+        rho = np.diag(rng.dirichlet(np.ones(5)).astype(complex))
         for T in (0.01, 1.0, 40.0):
-            out = apply_collective_dephasing(rho, T, DEFAULTS)
-            np.testing.assert_array_equal(out.matrix, rho.matrix)
+            np.testing.assert_array_equal(rho * kernel_on(SymmetricBasis(4), T), rho)
 
     def test_matches_full_space_oracle(self):
+        c = phase_variance_c(0.004, DEFAULTS)
         for n in (2, 3, 5):
             proj = oracles.sym_projector(n)
             psi = plus_product_state(n)
             rho_full = np.outer(proj.T @ psi.amplitudes, (proj.T @ psi.amplitudes).conj())
-            c = phase_variance_c(0.004, DEFAULTS)
             ref = proj @ oracles.dephase_full(rho_full, c, oracles.bit_weights(n)) @ proj.T
-            out = apply_collective_dephasing(psi.density_matrix(), 0.004, DEFAULTS)
-            np.testing.assert_allclose(out.matrix, ref, atol=1e-12)
+            out = psi.density_matrix().matrix * kernel_on(psi.basis, 0.004)
+            np.testing.assert_allclose(out, ref, atol=1e-12)
+        # split ensembles: collective noise weighs all n qubits, independent
+        # repeats weigh each partition's qubits with their own sample
+        for n1, n2 in ((2, 1), (2, 3)):
+            proj = np.kron(oracles.sym_projector(n1), oracles.sym_projector(n2))
+            psi = tensor_bipartite(plus_product_state(n1), plus_product_state(n2))
+            rho_full = np.outer(proj.T @ psi.amplitudes, (proj.T @ psi.amplitudes).conj())
+            w1 = np.repeat(oracles.bit_weights(n1), 2 ** n2)
+            w2 = np.tile(oracles.bit_weights(n2), 2 ** n1)
+            refs = {NoiseVariant.IDEAL_COLLECTIVE: oracles.dephase_full(rho_full, c, w1 + w2),
+                    NoiseVariant.INDEPENDENT_REPEAT: oracles.dephase_full(
+                        oracles.dephase_full(rho_full, c, w1), c, w2)}
+            for variant, ref in refs.items():
+                out = psi.density_matrix().matrix * kernel_on(psi.basis, 0.004, variant)
+                np.testing.assert_allclose(out, proj @ ref @ proj.T, atol=1e-12)
 
     def test_trace_and_hermiticity_preserved_exactly(self):
         rng = np.random.default_rng(3)
-        rho = random_bipartite_state(rng, 3, 2)
-        out = apply_collective_dephasing(rho, 0.8, DEFAULTS)
-        # diagonal untouched bitwise, so the trace is preserved exactly
-        np.testing.assert_array_equal(np.diag(out.matrix), np.diag(rho.matrix))
-        assert out.matrix.trace() == rho.matrix.trace()
-        # the real symmetric multiplier cannot amplify the Hermiticity defect
-        defect_in = np.max(np.abs(rho.matrix - rho.matrix.conj().T))
-        defect_out = np.max(np.abs(out.matrix - out.matrix.conj().T))
-        assert defect_out <= defect_in
+        rho = random_bipartite_state(rng, 3, 2).matrix
+        for variant in NoiseVariant:
+            out = rho * kernel_on(BipartiteSymmetricBasis(3, 2), 0.8, variant)
+            # diagonal untouched bitwise, so the trace is preserved exactly
+            np.testing.assert_array_equal(np.diag(out), np.diag(rho))
+            assert out.trace() == rho.trace()
+            # the real symmetric multiplier cannot amplify the Hermiticity defect
+            defect_in = np.max(np.abs(rho - rho.conj().T))
+            defect_out = np.max(np.abs(out - out.conj().T))
+            assert defect_out <= defect_in
 
     def test_complete_positivity_random_states(self):
         rng = np.random.default_rng(11)
@@ -150,16 +168,18 @@ class TestCollectiveDephasing:
             rho = random_bipartite_state(rng, n1, n2)
             T = float(rng.uniform(0, 3))
             variant = rng.choice(list(NoiseVariant))
-            out = apply_variant_dephasing(rho, T, DEFAULTS, variant)
-            assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-10
+            kernel = kernel_on(rho.basis, T, variant)
+            assert np.linalg.eigvalsh(kernel)[0] >= -1e-10
+            assert np.linalg.eigvalsh(rho.matrix * kernel)[0] >= -1e-10
 
     def test_long_time_limit_equals_steady_projection(self):
-        rng = np.random.default_rng(5)
-        for n1, n2 in ((1, 1), (2, 3), (4, 4)):
-            rho = random_bipartite_state(rng, n1, n2)
-            late = apply_collective_dephasing(rho, 50 * DEFAULTS.tau_c, DEFAULTS)
-            np.testing.assert_allclose(late.matrix, steady_state(rho).matrix,
-                                       atol=1e-10)
+        # verify's bsd-oracle-equivalence check reads scheme_qfi at this T as
+        # the exact steady state
+        for n in range(2, 13):
+            for n1 in range(1, n):
+                basis = BipartiteSymmetricBasis(n1, n - n1)
+                indicator = oracles.block_project(np.ones((basis.dimension,) * 2), n1, n - n1)
+                np.testing.assert_array_equal(kernel_on(basis, LATE), indicator)
 
     def test_qfi_monotone_under_dephasing(self):
         times = np.logspace(-5, 0, 25)
@@ -170,34 +190,35 @@ class TestCollectiveDephasing:
         ]
         for probe in probes:
             g = generator(probe.basis, GeneratorLabel.SZ_TOTAL)
-            rho = probe.density_matrix()
-            values = [qfi_phase(apply_collective_dephasing(rho, float(t), DEFAULTS), g)
+            rho = probe.density_matrix().matrix
+            values = [qfi_phase(StateMatrix(probe.basis, rho * kernel_on(probe.basis, float(t))), g)
                       for t in times]
             assert all(later <= earlier + 1e-9
                        for earlier, later in zip(values, values[1:]))
 
 
 class TestSteadyState:
+    """The collective kernel at late times is the block projection."""
+
     def test_ghz_pair_eigenvalues(self):
         rho = tensor_bipartite(ghz_state(4), ghz_state(4)).density_matrix()
-        lam = np.linalg.eigvalsh(steady_state(rho).matrix)[::-1]
+        lam = np.linalg.eigvalsh(rho.matrix * kernel_on(rho.basis, LATE))[::-1]
         np.testing.assert_allclose(lam[:3], [0.5, 0.25, 0.25], atol=1e-12)
         np.testing.assert_allclose(lam[3:], 0.0, atol=1e-12)
 
     def test_fixed_excitation_state_untouched(self):
         rho = build_probe(ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8)).density_matrix()
-        np.testing.assert_array_equal(steady_state(rho).matrix, rho.matrix)
+        np.testing.assert_array_equal(rho.matrix * kernel_on(rho.basis, LATE), rho.matrix)
 
     def test_diagonal_untouched(self):
         rng = np.random.default_rng(13)
-        probs = rng.dirichlet(np.ones(9))
-        rho = StateMatrix(SymmetricBasis(8), np.diag(probs.astype(complex)))
-        np.testing.assert_array_equal(steady_state(rho).matrix, rho.matrix)
+        rho = np.diag(rng.dirichlet(np.ones(9)).astype(complex))
+        for variant in NoiseVariant:
+            kernel = kernel_on(BipartiteSymmetricBasis(2, 2), LATE, variant)
+            np.testing.assert_array_equal(rho * kernel, rho)
 
     def test_symmetric_basis_steady_is_diagonal(self):
-        rho = plus_product_state(6).density_matrix()
-        out = steady_state(rho).matrix
-        np.testing.assert_allclose(out, np.diag(np.diag(out)))
+        np.testing.assert_array_equal(kernel_on(SymmetricBasis(6), LATE), np.eye(7))
 
 
 class TestSpinEchoVariance:
@@ -258,44 +279,34 @@ class TestSpinEchoVariance:
             val, rel=1e-7)
 
 
+
 class TestVariantChannels:
     def test_repeat_kills_all_coherences(self):
         rho = build_probe(ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 8, n1=4)).density_matrix()
-        out = apply_variant_dephasing(rho, 50 * DEFAULTS.tau_c, DEFAULTS,
-                                      NoiseVariant.INDEPENDENT_REPEAT)
-        np.testing.assert_allclose(out.matrix, np.diag(np.diag(out.matrix)), atol=1e-300)
+        kernel = kernel_on(rho.basis, LATE, NoiseVariant.INDEPENDENT_REPEAT)
+        np.testing.assert_array_equal(kernel, np.eye(rho.basis.dimension))
         g = generator(rho.basis, GeneratorLabel.SZ_PARTITION2)
-        assert qfi_phase(out, g) < 1e-6
+        assert qfi_phase(StateMatrix(rho.basis, rho.matrix * kernel), g) < 1e-6
 
     def test_ideal_on_fixed_excitation_state(self):
         rho = build_probe(ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8)).density_matrix()
-        out = apply_variant_dephasing(rho, 2.0, DEFAULTS, NoiseVariant.IDEAL_COLLECTIVE)
-        np.testing.assert_array_equal(out.matrix, rho.matrix)
+        np.testing.assert_array_equal(rho.matrix * kernel_on(rho.basis, 2.0), rho.matrix)
 
     def test_spin_echo_zero_time_identity(self):
-        rho = build_probe(ProbeSpec(ProbeFamily.BSD, 8, n1=4, k1=2, k2=2)).density_matrix()
-        out = apply_variant_dephasing(rho, 0.0, DEFAULTS, NoiseVariant.SPIN_ECHO)
-        np.testing.assert_array_equal(out.matrix, rho.matrix)
+        basis = BipartiteSymmetricBasis(4, 4)
+        kernel = kernel_on(basis, 0.0, NoiseVariant.SPIN_ECHO)
+        np.testing.assert_array_equal(kernel, np.ones((basis.dimension,) * 2))
 
     def test_spin_echo_matches_elementwise_formula(self):
-        rng = np.random.default_rng(17)
-        rho = random_bipartite_state(rng, 2, 2)
-        basis = rho.basis
-        T = 0.4
-        out = apply_variant_dephasing(rho, T, DEFAULTS, NoiseVariant.SPIN_ECHO)
-        m1, m2 = basis.partition1_weights(), basis.partition2_weights()
-        for i in range(basis.dimension):
-            for j in range(basis.dimension):
-                var = spin_echo_weights_variance(m1[i] - m1[j], m2[i] - m2[j], T,
-                                                 DEFAULTS)
-                assert out.matrix[i, j] == pytest.approx(
-                    rho.matrix[i, j] * math.exp(-0.5 * var), abs=1e-15)
-
-    def test_variants_need_bipartite_basis(self):
-        rho = ghz_state(4).density_matrix()
-        for variant in (NoiseVariant.SPIN_ECHO, NoiseVariant.INDEPENDENT_REPEAT):
-            with pytest.raises(ValueError):
-                apply_variant_dephasing(rho, 0.1, DEFAULTS, variant)
+        # at these times no entry underflows, so a wrong partition-1 weight
+        # or a surviving cross term moves the kernel far beyond rounding
+        basis = BipartiteSymmetricBasis(2, 3)
+        d1 = np.subtract.outer(basis.partition1_weights(), basis.partition1_weights())
+        d2 = np.subtract.outer(basis.partition2_weights(), basis.partition2_weights())
+        for T in (1e-4, 1e-3, 1e-2):
+            var = spin_echo_weights_variance(d1, d2, T, DEFAULTS)
+            np.testing.assert_allclose(kernel_on(basis, T, NoiseVariant.SPIN_ECHO),
+                                       np.exp(-0.5 * var), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("variant, m1", [(NoiseVariant.IDEAL_COLLECTIVE, 0.0),
                                              (NoiseVariant.INDEPENDENT_REPEAT, [0, 8]),
@@ -304,9 +315,3 @@ class TestVariantChannels:
         # C(1e7) ~ 1e307 is finite; C * 8^2 overflows, and exp(-inf) = 0
         kernel = dephasing_kernel(m1, [0, 8], 1e7, NoiseParams(1e150, 1.0), variant)
         np.testing.assert_array_equal(kernel, np.eye(2))
-
-    def test_ideal_variant_delegates(self):
-        rho = build_probe(ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 6, n1=3)).density_matrix()
-        a = apply_variant_dephasing(rho, 0.02, DEFAULTS, NoiseVariant.IDEAL_COLLECTIVE)
-        b = apply_collective_dephasing(rho, 0.02, DEFAULTS)
-        np.testing.assert_array_equal(a.matrix, b.matrix)

@@ -12,7 +12,7 @@ from symqfi.collective_basis import (
     generator,
     ghz_state,
 )
-from symqfi.dephasing import NoiseParams, apply_collective_dephasing, phase_variance_c
+from symqfi.dephasing import NoiseParams, phase_variance_c
 from symqfi.qfi import (
     cramer_rao_bound,
     max_qfi_bound,
@@ -22,7 +22,17 @@ from symqfi.qfi import (
     spectral_qfi,
 )
 
+import oracles
+
 DEFAULTS = NoiseParams(2 * math.pi * 50, 1.0)
+
+
+def dephased_ghz(n, T) -> StateMatrix:
+    """GHZ state under collective dephasing up to T, through the dense oracle."""
+    psi = ghz_state(n).amplitudes
+    c = phase_variance_c(T, DEFAULTS)
+    return StateMatrix(SymmetricBasis(n),
+                       oracles.dephase_bipartite(np.outer(psi, psi.conj()), 0, n, c, c, c))
 
 
 def random_pure(rng, basis) -> PureState:
@@ -101,7 +111,7 @@ class TestQfiPhase:
 
     def test_dephased_ghz_decay_squared(self):
         n, T = 8, 0.0005
-        rho = apply_collective_dephasing(ghz_state(n).density_matrix(), T, DEFAULTS)
+        rho = dephased_ghz(n, T)
         g = generator(rho.basis, GeneratorLabel.SZ_TOTAL)
         d = math.exp(-0.5 * n * n * phase_variance_c(T, DEFAULTS))
         assert qfi_phase(rho, g) == pytest.approx(n * n * d * d, rel=1e-9)
@@ -181,7 +191,7 @@ class TestQfiPhase:
         n = 8
         g = generator(SymmetricBasis(n), GeneratorLabel.SZ_TOTAL)
         for T in (1e-4, 1e-3, 1e-2):
-            rho = apply_collective_dephasing(ghz_state(n).density_matrix(), T, DEFAULTS)
+            rho = dephased_ghz(n, T)
             values = [qfi_phase(rho, g, eps_sum=e) for e in (1e-14, 1e-12, 1e-10)]
             assert max(values) - min(values) <= 1e-8 * (1 + max(values))
 
@@ -194,7 +204,7 @@ class TestFrequencyAndBounds:
 
     def test_frequency_ghz_decay(self):
         n, T = 6, 0.003
-        rho = apply_collective_dephasing(ghz_state(n).density_matrix(), T, DEFAULTS)
+        rho = dephased_ghz(n, T)
         g = generator(rho.basis, GeneratorLabel.SZ_TOTAL)
         d = math.exp(-0.5 * n * n * phase_variance_c(T, DEFAULTS))
         assert qfi_frequency(rho, g, T) == pytest.approx(T * T * n * n * d * d, rel=1e-9)

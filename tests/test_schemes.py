@@ -17,15 +17,7 @@ from symqfi.collective_basis import (
     ghz_state,
     rotate_y,
 )
-from symqfi.dephasing import (
-    NoiseParams,
-    NoiseVariant,
-    apply_collective_dephasing,
-    apply_variant_dephasing,
-    phase_variance_c,
-    spin_echo_weights_variance,
-    steady_state,
-)
+from symqfi.dephasing import NoiseParams, phase_variance_c, spin_echo_weights_variance
 from symqfi.qfi import max_qfi_bound, qfi_frequency, qfi_phase
 from symqfi.schemes import (
     ProbeFamily,
@@ -40,24 +32,51 @@ from symqfi.schemes import (
 )
 from symqfi.steady_forms import SplitChoice, bsd_steady_qfi, ghz_qfi_analytic
 
+import oracles
+
 NOISE = NoiseParams(2 * math.pi * 50, 1.0)
 STANDARD = SchemeSpec(SchemeKind.STANDARD, NOISE)
 DI_IDEAL = SchemeSpec(SchemeKind.DI_IDEAL, NOISE)
 DI_ECHO = SchemeSpec(SchemeKind.DI_SPIN_ECHO, NOISE)
 DI_REPEAT = SchemeSpec(SchemeKind.DI_REPEAT, NOISE)
-_VARIANT = {SchemeKind.DI_IDEAL: NoiseVariant.IDEAL_COLLECTIVE,
-            SchemeKind.DI_SPIN_ECHO: NoiseVariant.SPIN_ECHO,
-            SchemeKind.DI_REPEAT: NoiseVariant.INDEPENDENT_REPEAT}
+
+
+def oracle_variances(kind: SchemeKind, T: float) -> tuple[float, float, float]:
+    """(var11, var12, var22) of the phase variance that kind's noise gives,
+    from the package's variance functions; the oracle builds the kernel."""
+    c = phase_variance_c(T, NOISE)
+    if kind is SchemeKind.DI_SPIN_ECHO:
+        v10, v01, v11 = (spin_echo_weights_variance(a, b, T, NOISE)
+                         for a, b in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
+        return v10, (v11 - v10 - v01) / 2, v01
+    if kind is SchemeKind.DI_REPEAT:
+        return c, 0.0, c
+    return c, c, c
+
+
+def split_sizes(basis) -> tuple[int, int]:
+    """Partition sizes (n1, n2) of a basis, (0, n) for an unsplit one."""
+    if isinstance(basis, BipartiteSymmetricBasis):
+        return basis.n1, basis.n2
+    return 0, basis.n
 
 
 def dense_qfi(probe: PureState, scheme: SchemeSpec, T: float) -> float:
-    """The dense oracle: full density matrix, public channel, qfi_phase."""
-    rho = probe.density_matrix()
-    if scheme.kind is SchemeKind.STANDARD:
-        return qfi_phase(apply_collective_dephasing(rho, T, scheme.noise),
-                         generator(rho.basis, GeneratorLabel.SZ_TOTAL))
-    out = apply_variant_dephasing(rho, T, scheme.noise, _VARIANT[scheme.kind])
-    return qfi_phase(out, generator(rho.basis, GeneratorLabel.SZ_PARTITION2))
+    """The dense oracle: full density matrix, the oracle's kernel, qfi_phase."""
+    rho = np.outer(probe.amplitudes, probe.amplitudes.conj())
+    out = oracles.dephase_bipartite(rho, *split_sizes(probe.basis),
+                                    *oracle_variances(scheme.kind, T))
+    label = (GeneratorLabel.SZ_TOTAL if scheme.kind is SchemeKind.STANDARD
+             else GeneratorLabel.SZ_PARTITION2)
+    return qfi_phase(StateMatrix(probe.basis, out), generator(probe.basis, label))
+
+
+def steady_qfi(probe: PureState) -> float:
+    """Partition-2 QFI of a bipartite probe's block projection, the oracle's steady state."""
+    rho = oracles.block_project(np.outer(probe.amplitudes, probe.amplitudes.conj()),
+                                *split_sizes(probe.basis))
+    return qfi_phase(StateMatrix(probe.basis, rho),
+                     generator(probe.basis, GeneratorLabel.SZ_PARTITION2))
 
 
 def assert_matches_dense(probe: PureState, scheme: SchemeSpec, T: float):
@@ -145,6 +164,19 @@ class TestBuildProbe:
         ref = rotate_y(ghz_state(8), 0.3)
         np.testing.assert_allclose(probe.amplitudes, ref.amplitudes, atol=1e-14)
 
+    def test_rotating_a_split_probe_keeps_its_factors(self):
+        # so scheme_qfi takes partition 2's frame, as for the probe built at that angle
+        for spec in (ProbeSpec(ProbeFamily.BSD, 8, n1=3, k1=1, k2=2),
+                     ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 7, n1=4),
+                     ProbeSpec(ProbeFamily.PRODUCT_PLUS, 6, n1=2)):
+            for alpha in (0.3, 1.1):
+                rotated = rotate_y(build_probe(spec), alpha)
+                assert isinstance(rotated, ProductState)
+                built = build_probe(dataclasses.replace(spec, alpha=alpha))
+                for T in (1e-4, 1e-3, 1e-2):
+                    assert scheme_qfi(rotated, DI_REPEAT, T)[0] == pytest.approx(
+                        scheme_qfi(built, DI_REPEAT, T)[0], rel=1e-12)
+
     def test_product_split_matches_whole(self):
         # collective rotation factorizes, so the split product state is the
         # same physical state as the unsplit one
@@ -192,9 +224,7 @@ class TestSchemeQfi:
                                (ProbeFamily.PRODUCT_PLUS, dict(n1=3))):
             probe = build_probe(ProbeSpec(family, 8, **kwargs))
             late = scheme_qfi(probe, DI_IDEAL, 50 * NOISE.tau_c)[0]
-            g = generator(probe.basis, GeneratorLabel.SZ_PARTITION2)
-            ref = qfi_phase(steady_state(probe.density_matrix()), g)
-            assert late == pytest.approx(ref, rel=1e-9, abs=1e-12)
+            assert late == pytest.approx(steady_qfi(probe), rel=1e-9, abs=1e-12)
 
     def test_di_needs_bipartite_probe(self):
         probe = build_probe(ProbeSpec(ProbeFamily.GHZ, 8))
@@ -218,7 +248,7 @@ class TestSchemeQfi:
 
 
 class TestFramesAgainstDense:
-    """scheme_qfi diagonalizes in reduced frames; the dense channels are the oracle."""
+    """scheme_qfi diagonalizes in reduced frames; the dense oracle channels judge them."""
 
     def test_every_scheme_and_family_matches_the_dense_channels(self):
         # split rotatable probes carry their factors; under spin echo and
@@ -615,8 +645,7 @@ class TestSchemeProperties:
 
     def test_unequal_ghz_split_steady_qfi_vanishes(self):
         probe = build_probe(ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 8, n1=3))
-        g = generator(probe.basis, GeneratorLabel.SZ_PARTITION2)
-        assert qfi_phase(steady_state(probe.density_matrix()), g) < 1e-10
+        assert steady_qfi(probe) < 1e-10
 
     def test_dfs_probe_time_invariant(self):
         probe = build_probe(ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from symqfi.collective_basis import GeneratorLabel, generator
-from symqfi.dephasing import NoiseParams, steady_state
+from symqfi.collective_basis import GeneratorLabel, StateMatrix, generator
+from symqfi.dephasing import NoiseParams
 from symqfi.qfi import qfi_phase
 from symqfi.schemes import ProbeFamily, ProbeSpec, SchemeKind, SchemeSpec, build_probe, scheme_qfi
 from symqfi.steady_forms import (
@@ -18,6 +18,8 @@ from symqfi.steady_forms import (
     optimize_bsd_split,
     product_steady_qfi,
 )
+
+import oracles
 
 NOISE = NoiseParams(2 * math.pi * 50, 1.0)
 
@@ -36,11 +38,13 @@ def brute_force_split(n):
     return table
 
 
-def numeric_steady_qfi(n, n1, k1, k2):
-    """Steady-state QFI through the full numeric pipeline."""
-    probe = build_probe(ProbeSpec(ProbeFamily.BSD, n, n1=n1, k1=k1, k2=k2))
-    g = generator(probe.basis, GeneratorLabel.SZ_PARTITION2)
-    return qfi_phase(steady_state(probe.density_matrix()), g)
+def dense_steady_qfi(spec):
+    """Steady-state QFI of a bipartite probe: the dense oracle's block projection and qfi_phase."""
+    probe = build_probe(spec)
+    basis = probe.basis
+    rho = oracles.block_project(np.outer(probe.amplitudes, probe.amplitudes.conj()),
+                                basis.n1, basis.n2)
+    return qfi_phase(StateMatrix(basis, rho), generator(basis, GeneratorLabel.SZ_PARTITION2))
 
 
 class TestGhzAnalytic:
@@ -87,9 +91,7 @@ class TestGhzBipartiteSteady:
             ghz_bipartite_steady_qfi(7)
 
     def test_matches_pipeline(self):
-        probe = build_probe(ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 8, n1=4))
-        g = generator(probe.basis, GeneratorLabel.SZ_PARTITION2)
-        numeric = qfi_phase(steady_state(probe.density_matrix()), g)
+        numeric = dense_steady_qfi(ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 8, n1=4))
         assert numeric == pytest.approx(ghz_bipartite_steady_qfi(8), abs=1e-10)
 
 
@@ -180,7 +182,7 @@ class TestBsdSteady:
             k1 = int(rng.integers(0, n1 + 1))
             k2 = int(rng.integers(0, n - n1 + 1))
             closed = bsd_steady_qfi(SplitChoice(n, n1, k1, k1 + k2))
-            numeric = numeric_steady_qfi(n, n1, k1, k2)
+            numeric = dense_steady_qfi(ProbeSpec(ProbeFamily.BSD, n, n1=n1, k1=k1, k2=k2))
             assert closed == pytest.approx(numeric, rel=1e-9, abs=1e-12)
 
     def test_identity_for_balanced_quarter_filling(self):
