@@ -363,7 +363,7 @@ def _check_bsd_oracle() -> tuple[float, str]:
     di, late = SchemeKind.DI_IDEAL, 50.0 * DEFAULT_TAU_C
     cases = [(di, ProbeSpec(ProbeFamily.BSD, n, n1=n1, k1=k1, k2=k2), late,
               bsd_steady_qfi(SplitChoice(n, n1, k1, k1 + k2)), 1e-9, 1e-12)
-             for n in (2, 4, 6, 8) for n1 in range(1, n)
+             for n in range(2, 9) for n1 in range(1, n)
              for k1 in range(n1 + 1) for k2 in range(n - n1 + 1)]
     return _anchor_deviation(cases), "steady-state formula vs numeric pipeline, all splits n<=8"
 

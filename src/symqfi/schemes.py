@@ -21,12 +21,10 @@ import numpy as np
 
 from .collective_basis import (
     BipartiteSymmetricBasis,
-    GeneratorLabel,
     ProductState,
     PureState,
     _sy_eigensystem,
     dicke_state,
-    generator,
     ghz_state,
     plus_product_state,
     rotate_y,
@@ -185,86 +183,95 @@ def build_probe(spec: ProbeSpec) -> PureState:
     return rotate_y(probe, offset + spec.alpha)
 
 
-def _block_frame(p: np.ndarray, index: np.ndarray, g: np.ndarray,
-                 kernel: Callable[[np.ndarray], np.ndarray]
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collectively dephased probes in the frame of their excitation blocks.
+def _cell(probe: PureState, scheme: SchemeSpec, T: float
+          ) -> tuple[PureState, Callable[[np.ndarray], tuple]]:
+    """Per-cell set-up: the state whose QFI scheme measures, and its frame builder.
 
-    p holds the squared amplitude moduli of G probes, shape (G, D); index
-    and g give each entry of p.ravel() its block and generator value: the
-    total excitation number k offset by nk * i in probe i's row,
-    nk = max(k) + 1, so one bincount serves the stack, and the generator's
-    diagonal repeated per row (k and the diagonal when G = 1).  Collective
-    dephasing scales P_j rho P_k by exp(-C(T)(j - k)^2 / 2), so the state
-    stays in the span of the normalized blocks P_k psi / ||P_k psi||, with
-    the matrix sqrt(w_j w_k) kernel(ks)[j, k], w_k = ||P_k psi||^2.  g maps
-    block k into itself, with mean g_bar[k] and variance v[k] in it.  The
-    frame holds the blocks occupied in any probe of the stack; an empty one
-    is a zero row and column, which adds nothing.
+    The scheme kind picks the signal state, its generator diagonal g and the
+    noise kernel.  Spin echo and repeat kernels factorize per partition, and
+    partition 2's factor is exp(-C(T) dm2^2 / 2) (for spin echo the dm1 dm2
+    term of spin_echo_weights_variance cancels), so a ProductState carries
+    the QFI of its partition-2 factor, with its total z-spin, under
+    collective dephasing.  The kernel picks the blocks: collective dephasing
+    scales P_j rho P_k by exp(-C(T)(j - k)^2 / 2) for the total-excitation
+    projectors P_k, and spin echo and repeat take one block per basis vector.
+
+    frames maps squared amplitude moduli p, shape (D,) or a stack (G, D), to
+    spectral_qfi frames: the normalized blocks P_k psi / ||P_k psi||
+    occupied in any state of the stack, the matrix sqrt(w_j w_k) kernel[j, k]
+    with w_k = ||P_k psi||^2, and the mean g_bar[k] and variance v[k] of g in
+    block k.  Both are taken about g at one entry of the block, so where g
+    is constant on a block g_bar is exact and v is 0 (v = None if 0 on every
+    block).  A block empty in one state of a stack is a zero row and column.
     """
-    p_flat = p.ravel()
-    w = np.bincount(index, p_flat)
-    occupied = w > 0
-    g_bar = np.divide(np.bincount(index, p_flat * g), w, out=np.zeros(w.shape),
-                      where=occupied)
-    # the centered form is a sum of squares; E[g^2] - g_bar^2 can cancel below 0
-    v = np.divide(np.bincount(index, p_flat * (g - g_bar[index]) ** 2), w,
-                  out=np.zeros(w.shape), where=occupied)
-    shape = len(p), -1
-    ks = np.flatnonzero(occupied.reshape(shape).any(axis=0))
-    root = np.sqrt(w.reshape(shape)[:, ks])
-    return (root[:, :, None] * root[:, None, :] * kernel(ks), g_bar.reshape(shape)[:, ks],
-            v.reshape(shape)[:, ks])
-
-
-def _signal_state(probe: PureState,
-                  kind: SchemeKind) -> tuple[PureState, GeneratorLabel, NoiseVariant | None]:
-    """The state whose QFI kind measures, its signal generator, and its noise
-    variant (None for collective dephasing, constant on excitation blocks).
-
-    Spin echo and repeat kernels factorize per partition, and partition 2's
-    factor is exp(-C(T) dm2^2 / 2): for spin echo the dm1 dm2 term of
-    spin_echo_weights_variance cancels and 2 C(T/2) + the cross covariance
-    term add up to C(T).  A product probe therefore carries the QFI of its
-    partition-2 factor, with its total z-spin, under collective dephasing.
-    """
-    if kind is SchemeKind.STANDARD:
-        return probe, GeneratorLabel.SZ_TOTAL, None
-    if not isinstance(probe.basis, BipartiteSymmetricBasis):
+    kind, noise = scheme.kind, scheme.noise
+    if kind is not SchemeKind.STANDARD and not isinstance(probe.basis, BipartiteSymmetricBasis):
         raise ValueError(f"{kind.value} requires a bipartite probe")
-    variant = _VARIANT_FOR_KIND.get(kind)
+    state, variant = probe, _VARIANT_FOR_KIND.get(kind)
     if variant is not None and isinstance(probe, ProductState):
-        return probe.parts[1], GeneratorLabel.SZ_TOTAL, None
-    return probe, GeneratorLabel.SZ_PARTITION2, variant
+        state, variant = probe.parts[1], None
+    basis = state.basis
+    g = basis.z_weights() if kind is SchemeKind.STANDARD or state is not probe \
+        else basis.partition2_weights()
+
+    # the blocks, and the partition weights the kernel sees on each
+    if variant is None:  # one block per total excitation number k
+        index, variant = basis.excitations(), NoiseVariant.IDEAL_COLLECTIVE
+        m1, m2 = np.zeros(basis.n + 1), np.arange(basis.n + 1)
+    else:  # one block per basis vector; g is partition 2's weight
+        index, m1, m2 = np.arange(basis.dimension), basis.partition1_weights(), g
+    nk = len(m2)
+    ref = np.empty(nk)
+    ref[index] = g  # g at one entry of each block
+    dg = g - ref[index]
+    kernels = {}  # kernel on each set of occupied blocks; a stack's chunks share them
+
+    def frames(p: np.ndarray):
+        stacked = p.size > index.size
+        idx = index + nk * np.arange(len(p))[:, None] if stacked else index
+        flat = idx.ravel()
+        w = np.bincount(flat, p.ravel())
+        occupied = w > 0
+
+        def block_mean(x):
+            return np.divide(np.bincount(flat, (p * x).ravel()), w, out=np.zeros(w.shape),
+                             where=occupied)
+
+        mu = block_mean(dg)
+        # the centered form is a sum of squares; E[g^2] - g_bar^2 can cancel below 0
+        c = dg - mu[idx]
+        v = block_mean(c * c)
+        ks = np.flatnonzero(occupied.reshape(-1, nk).any(axis=0) if stacked else occupied)
+        shape = p.shape[:-1] + (nk,)
+        root = np.sqrt(w.reshape(shape)[..., ks])
+        # g_bar stays 0 on a block that is empty in one state of a stack
+        g_bar = np.add(ref, mu.reshape(shape), out=np.zeros(shape),
+                       where=occupied.reshape(shape))[..., ks]
+        v = v.reshape(shape)[..., ks]
+        key = ks.tobytes()
+        if key not in kernels:
+            kernels[key] = dephasing_kernel(m1[ks], m2[ks], T, noise, variant)
+        return (root[..., :, None] * root[..., None, :] * kernels[key], g_bar,
+                v if v.any() else None)
+
+    return state, frames
 
 
 def scheme_qfi(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[float, float]:
     """Phase and frequency QFI of a probe after evolving for time T.
 
     The dephased probe is diagonalized in the smallest orthonormal frame
-    that holds it, without building the dense density matrix: the
-    normalized total-excitation blocks for STANDARD and DI_IDEAL (the
-    occupied Dicke states on an unsplit ensemble), partition 2's Dicke
-    states for DI_SPIN_ECHO and DI_REPEAT on a ProductState, and the
-    probe's support otherwise.  Amplitudes enter by modulus only: a diagonal
-    phase commutes with the noise and with the generator, so it cannot
-    change the QFI.
+    that holds it, without building the dense density matrix: the scheme
+    kind picks the kernel, and the kernel picks the frame's blocks (see
+    _cell).  Where the generator is constant on every block, as under
+    STANDARD, a probe whose coherences between blocks have died reads
+    exactly 0.0.  Amplitudes enter by modulus only: a diagonal phase
+    commutes with the noise and with the generator, so it cannot change
+    the QFI.
     """
-    state, label, variant = _signal_state(probe, scheme.kind)
-    basis = state.basis
-    g = generator(basis, label).diagonal
+    state, frames = _cell(probe, scheme, T)
     amps = np.abs(state.amplitudes)
-    if variant is None:
-        m, g_bar, v = _block_frame((amps * amps)[None], basis.excitations(), g,
-                                   lambda ks: dephasing_kernel(0.0, ks, T, scheme.noise))
-        frame = m[0], g_bar[0], v[0]
-    else:
-        support = np.flatnonzero(amps)
-        kernel = dephasing_kernel(basis.partition1_weights()[support],
-                                  basis.partition2_weights()[support], T, scheme.noise, variant)
-        a = amps[support]
-        frame = np.outer(a, a) * kernel, g[support], None
-    f_phase = spectral_qfi(*frame)
+    f_phase = spectral_qfi(*frames(amps * amps))
     return f_phase, frequency_from_phase(f_phase, T)
 
 
@@ -280,36 +287,28 @@ def _rotation_qfi(spec: ProbeSpec, scheme: SchemeSpec,
     angle: in the eigenbasis of Sy a rotation is a phase, so one (G, m+1)
     product per factor gives the amplitudes at G angles, and the frames of
     all G angles go to spectral_qfi as one stack.  Every rotatable probe is
-    a product state and stays one under rotation, so the frame _signal_state
-    picks for the unrotated probe serves every angle.
+    a product state and stays one under rotation, so the set-up _cell makes
+    for the unrotated probe serves every angle.
     """
     probe, offset = _rotatable_parts(spec)
-    state, label, _ = _signal_state(probe, scheme.kind)
+    state, frames = _cell(probe, scheme, T)
     parts = state.parts if isinstance(state, ProductState) else (state,)
-    g = generator(state.basis, label).diagonal
-    k = state.basis.excitations()
-    nk = int(k.max()) + 1
-    block_kernel = dephasing_kernel(0.0, np.arange(nk), T, scheme.noise)
-    step = max(1, _CHUNK_ENTRIES // (nk * nk))
-    # block index and generator of a full chunk; a stack of G probes uses its first G rows
-    index = (k + nk * np.arange(step)[:, None]).ravel()
-    g_rows = np.tile(g, step)
+    # the frame of a rotatable probe holds at most its n + 1 excitation blocks
+    step = max(1, _CHUNK_ENTRIES // (state.basis.n + 1) ** 2)
     rotations = []
     for part in parts:
         eigvals, eigvecs = _sy_eigensystem(part.basis.n)
         rotations.append((eigvals, eigvecs.T, eigvecs.conj().T @ part.amplitudes))
 
-    def frame_stack(theta: np.ndarray):
+    def probabilities(theta: np.ndarray) -> np.ndarray:
         probs = [((np.exp(-1j * theta[:, None] * eigvals) * coeffs) @ vt).real ** 2
                  for eigvals, vt, coeffs in rotations]
-        p = probs[0] if len(probs) == 1 else \
+        return probs[0] if len(probs) == 1 else \
             (probs[0][:, :, None] * probs[1][:, None, :]).reshape(len(theta), -1)
-        return _block_frame(p, index[:p.size], g_rows[:p.size],
-                            lambda ks: block_kernel[ks[:, None], ks])
 
     def evaluate(alphas: np.ndarray) -> np.ndarray:
         theta = offset + np.asarray(alphas, dtype=float)
-        return np.concatenate([spectral_qfi(*frame_stack(theta[i:i + step]))
+        return np.concatenate([spectral_qfi(*frames(probabilities(theta[i:i + step])))
                                for i in range(0, len(theta), step)])
 
     return evaluate
@@ -368,10 +367,8 @@ def optimize_rotation(family: ProbeFamily, n: int, scheme: SchemeSpec, T: float,
                          (float(alphas[best]), float(values[best])),
                          (a_ref, f_ref)])
     f_best = max(v for _, v in candidates)
-    for a, v in candidates:
-        if v >= f_best - window(f_best):
-            return a, v
-    return candidates[-1]
+    # the smallest angle within the window; the one holding f_best always is
+    return next((a, v) for a, v in candidates if v >= f_best - window(f_best))
 
 
 def _evaluate_cell(scheme: SchemeSpec, probe: ProbeSpec, T: float,

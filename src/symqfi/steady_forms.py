@@ -124,10 +124,11 @@ def block_probabilities(c: SplitChoice) -> np.ndarray:
 
 def _steady_qfi(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """Four times the weight-summed conditional variance s2 - s1^2/s0 over
-    the blocks k' on the first axis, skipping blocks below the floor."""
+    the blocks k' on the first axis, skipping blocks below the floor; a
+    term that cancels below 0 is clamped, as no variance is negative."""
     keep = s0 > BLOCK_PROBABILITY_FLOOR
-    mean_sq = np.divide(s1 ** 2, s0, out=np.zeros_like(s0), where=keep)
-    return 4.0 * np.sum(np.where(keep, s2 - mean_sq, 0.0), axis=0)
+    var = s2 - np.divide(s1 ** 2, s0, out=np.zeros_like(s0), where=keep)
+    return 4.0 * np.sum(np.where(keep, np.maximum(var, 0.0, out=var), 0.0), axis=0)
 
 
 def bsd_steady_qfi(c: SplitChoice) -> float:

@@ -58,7 +58,7 @@ def test_criterion_3_steady_state_closed_forms():
 
 def test_criterion_4_oracle_equivalence_all_splits():
     check(4, "bsd-oracle-equivalence",
-          "steady-state formula vs numeric pipeline, all splits n in {2,4,6,8}")
+          "steady-state formula vs numeric pipeline, all splits n<=8")
 
 
 def test_criterion_5_splitting_map_n50():

@@ -226,6 +226,32 @@ class TestSchemeQfi:
             late = scheme_qfi(probe, DI_IDEAL, 50 * NOISE.tau_c)[0]
             assert late == pytest.approx(steady_qfi(probe), rel=1e-9, abs=1e-12)
 
+    def test_dead_coherences_give_an_exact_zero(self):
+        # at 50 tau_c every coherence between blocks is exactly 0, so the
+        # state commutes with the generator: under standard its total z-spin
+        # is constant on every excitation block, and under spin echo and
+        # repeat a product probe is left with partition 2's Dicke states
+        cells = []
+        for alpha in (0.3, 0.7, 1.1, 2.4):
+            for n in range(2, 9):
+                cells += [(STANDARD, ProbeSpec(ProbeFamily.GHZ, n, alpha=alpha)),
+                          (STANDARD, ProbeSpec(ProbeFamily.PRODUCT_PLUS, n, alpha=alpha))]
+                if n % 2 == 0:
+                    cells.append((STANDARD, ProbeSpec(ProbeFamily.DICKE_SYMMETRIC, n,
+                                                      alpha=alpha)))
+                for n1 in range(1, n):
+                    specs = [ProbeSpec(ProbeFamily.GHZ_BIPARTITE, n, n1=n1, alpha=alpha),
+                             ProbeSpec(ProbeFamily.PRODUCT_PLUS, n, n1=n1, alpha=alpha)]
+                    specs += [ProbeSpec(ProbeFamily.BSD, n, n1=n1, k1=k1, k2=k2, alpha=alpha)
+                              for k1 in range(n1 + 1) for k2 in range(n - n1 + 1)]
+                    cells += [(scheme, spec) for scheme in (STANDARD, DI_ECHO, DI_REPEAT)
+                              for spec in specs]
+        assert len(cells) == 5616
+        late = 50 * NOISE.tau_c
+        nonzero = [(scheme.kind, spec) for scheme, spec in cells
+                   if scheme_qfi(build_probe(spec), scheme, late) != (0.0, 0.0)]
+        assert not nonzero, (len(nonzero), nonzero[:3])
+
     def test_di_needs_bipartite_probe(self):
         probe = build_probe(ProbeSpec(ProbeFamily.GHZ, 8))
         with pytest.raises(ValueError):

@@ -248,3 +248,11 @@ class TestOptimizeSplit:
             for (k1, k2), f in np.ndenumerate(grid):
                 ref = bsd_steady_qfi(SplitChoice(n, n1, k1, k1 + k2))
                 assert abs(f - ref) <= 1e-12 * max(abs(ref), 1.0), (n1, k1, k2)
+
+    def test_grid_is_never_negative(self):
+        # s2 - s1^2/s0 cancels below 0 on some blocks (down to -6e-14 at
+        # n=35, n1=0); a conditional variance cannot be negative
+        assert bsd_steady_qfi(SplitChoice(5, 1, 0, 2)) >= 0.0
+        for n in range(2, 41):
+            for n1 in range(n + 1):
+                assert _split_grid(n, n1).min() >= 0.0, (n, n1)
