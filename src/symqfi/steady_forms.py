@@ -10,6 +10,7 @@ excitation number labelling a steady-state block.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,6 +60,8 @@ def ghz_qfi_analytic(n: int, T: float, p: NoiseParams) -> float:
 
 def product_steady_qfi(n: int, n1: int) -> float:
     """Steady-state differential-scheme QFI n1(n - n1)/n of the |+>^n probe."""
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got n={n}")
     if not 0 <= n1 <= n:
         raise ValueError(f"partition size n1={n1} outside 0..{n}")
     return n1 * (n - n1) / n
@@ -158,6 +161,23 @@ def _split_grid(n: int, n1: int) -> np.ndarray:
     return _steady_qfi(*np.moveaxis(moments, (2, 1), (0, 1)))
 
 
+def _all_split_grids(n: int) -> list[np.ndarray]:
+    """_split_grid(n, n1) for every n1 = 0..n, evaluated for n1 <= n/2 only.
+
+    Within a steady block m1 + m2 is fixed, so both partitions have the same
+    conditional variance and exchanging them leaves the QFI unchanged:
+    grid(n1)[k1, k2] = grid(n - n1)[k2, k1].  The splits n1 <= n/2 contract
+    over the smaller partition; the others are their transposes, and the
+    equal split is filled from its upper triangle, so each mirror pair reads
+    bit-identical values.
+    """
+    half = n // 2
+    grids = [_split_grid(n, n1) for n1 in range(half + 1)]
+    if n % 2 == 0:
+        grids[half] = np.triu(grids[half]) + np.triu(grids[half], 1).T
+    return grids + [grids[n - n1].T for n1 in range(half + 1, n + 1)]
+
+
 @dataclass(frozen=True)
 class SplitOptimum:
     """Best steady-state QFI at fixed total excitation number k."""
@@ -171,13 +191,15 @@ def optimize_bsd_split(n: int) -> list[SplitOptimum]:
     """Exhaustive scan of all splittings, one optimum record per k = 0..n.
 
     All maximizers within a 1e-9 relative tie window are kept; equivalent
-    splittings occur for odd k.
+    splittings occur for odd k, and the mirror pairs (n1, k1), (n - n1,
+    k - k1) among them tie exactly (see _all_split_grids).
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"qubit count must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need at least two qubits to split, got n={n}")
     f, n1s, k1s, ks = [], [], [], []
-    for n1 in range(n + 1):
-        grid = _split_grid(n, n1)
+    for n1, grid in enumerate(_all_split_grids(n)):
         k1, k2 = np.indices(grid.shape)
         f.append(grid.ravel())
         n1s.append(np.full(grid.size, n1))

@@ -226,6 +226,21 @@ class TestSchemeQfi:
             late = scheme_qfi(probe, DI_IDEAL, 50 * NOISE.tau_c)[0]
             assert late == pytest.approx(steady_qfi(probe), rel=1e-9, abs=1e-12)
 
+    def test_di_steady_qfi_is_symmetric_under_partition_exchange(self):
+        # m1 + m2 is fixed on a steady block, so Var(m1) = Var(m2) there; the
+        # pipeline imports nothing from steady_forms, whose split optimizer
+        # relies on this identity
+        late = 50 * NOISE.tau_c
+        for n in range(2, 9):
+            for n1 in range(1, n):
+                for k1 in range(n1 + 1):
+                    for k2 in range(n - n1 + 1):
+                        f = scheme_qfi(build_probe(ProbeSpec(
+                            ProbeFamily.BSD, n, n1=n1, k1=k1, k2=k2)), DI_IDEAL, late)[0]
+                        mirror = scheme_qfi(build_probe(ProbeSpec(
+                            ProbeFamily.BSD, n, n1=n - n1, k1=k2, k2=k1)), DI_IDEAL, late)[0]
+                        assert abs(f - mirror) <= 1e-12 * max(abs(f), 1.0), (n, n1, k1, k2)
+
     def test_dead_coherences_give_an_exact_zero(self):
         # at 50 tau_c every coherence between blocks is exactly 0, so the
         # state commutes with the generator: under standard its total z-spin

@@ -9,6 +9,7 @@ from symqfi.qfi import qfi_phase
 from symqfi.schemes import ProbeFamily, ProbeSpec, SchemeKind, SchemeSpec, build_probe, scheme_qfi
 from symqfi.steady_forms import (
     SplitChoice,
+    _all_split_grids,
     _split_grid,
     block_probabilities,
     bsd_steady_qfi,
@@ -32,6 +33,19 @@ def brute_force_split(n):
         for n1 in range(n + 1):
             for k1 in range(max(0, k - (n - n1)), min(k, n1) + 1):
                 evaluated.append((bsd_steady_qfi(SplitChoice(n, n1, k1, k)), n1, k1))
+        best = max(f for f, _, _ in evaluated)
+        tie = best - 1e-9 * max(abs(best), 1.0)
+        table.append((k, best, tuple(sorted((n1, k1) for f, n1, k1 in evaluated if f >= tie))))
+    return table
+
+
+def all_split_optimum(n):
+    """The splitting optimum from _split_grid at every n1, both halves evaluated."""
+    table = []
+    grids = [_split_grid(n, n1) for n1 in range(n + 1)]
+    for k in range(n + 1):
+        evaluated = [(grid[k1, k - k1], n1, k1) for n1, grid in enumerate(grids)
+                     for k1 in range(max(0, k - (n - n1)), min(k, n1) + 1)]
         best = max(f for f, _, _ in evaluated)
         tie = best - 1e-9 * max(abs(best), 1.0)
         table.append((k, best, tuple(sorted((n1, k1) for f, n1, k1 in evaluated if f >= tie))))
@@ -79,6 +93,10 @@ class TestProductSteady:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             product_steady_qfi(8, 9)
+
+    def test_no_qubits(self):
+        with pytest.raises(ValueError):
+            product_steady_qfi(0, 0)
 
 
 class TestGhzBipartiteSteady:
@@ -248,6 +266,41 @@ class TestOptimizeSplit:
             for (k1, k2), f in np.ndenumerate(grid):
                 ref = bsd_steady_qfi(SplitChoice(n, n1, k1, k1 + k2))
                 assert abs(f - ref) <= 1e-12 * max(abs(ref), 1.0), (n1, k1, k2)
+
+    @pytest.mark.parametrize("n", [*range(2, 65), 100])
+    def test_matches_all_split_evaluation(self, n):
+        table = optimize_bsd_split(n)
+        for record, (k, best, argmax) in zip(table, all_split_optimum(n), strict=True):
+            assert record.k == k
+            assert record.argmax == argmax, k
+            assert abs(record.max_qfi - best) <= 4e-15 * max(abs(best), 1.0), k
+
+    @pytest.mark.parametrize("n", [*range(2, 65), 100])
+    def test_mirror_pairs_tie_exactly(self, n):
+        # exchanging the partitions maps (n1, k1) to (n - n1, k - k1)
+        grids = _all_split_grids(n)
+        for record in optimize_bsd_split(n):
+            k, argmax = record.k, set(record.argmax)
+            for n1, k1 in argmax:
+                assert (n - n1, k - k1) in argmax, (k, n1, k1)
+                value = grids[n1][k1, k - k1]
+                assert value == grids[n - n1][k - k1, k1], (k, n1, k1)
+                assert value >= record.max_qfi - 1e-9 * max(record.max_qfi, 1.0)
+
+    def test_grid_mirrors_the_exchanged_split(self):
+        for n in range(1, 41):
+            for n1 in range(n + 1):
+                grid, mirror = _split_grid(n, n1), _split_grid(n, n - n1).T
+                assert np.all(np.abs(grid - mirror) <= 1e-12 * np.maximum(np.abs(grid), 1.0)), \
+                    (n, n1)
+
+    @pytest.mark.parametrize("bad", [8.0, True, "8", None, 8.5])
+    def test_non_integer_qubit_count_rejected(self, bad):
+        with pytest.raises(ValueError):
+            optimize_bsd_split(bad)
+
+    def test_numpy_integer_qubit_count_accepted(self):
+        assert optimize_bsd_split(np.int64(8)) == optimize_bsd_split(8)
 
     def test_grid_is_never_negative(self):
         # s2 - s1^2/s0 cancels below 0 on some blocks (down to -6e-14 at
