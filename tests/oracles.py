@@ -1,9 +1,9 @@
 """Independent reference constructions used to cross-check the package.
 
 Everything here works in the full 2^n computational-basis space, by
-direct numerical quadrature, or on dense matrices over the bipartite Dicke
-basis, deliberately sharing no code with the package: nothing here
-imports symqfi.
+direct numerical quadrature, on dense matrices over the bipartite Dicke
+basis, or in 50-digit arithmetic, deliberately sharing no code with the
+package: nothing here imports symqfi.
 
 The dense Gaussian dephasing takes the noise statistics as three numbers
 from the caller, the coefficients of the phase variance
@@ -21,6 +21,7 @@ var12 = (Var(1, 1) - Var(1, 0) - Var(0, 1)) / 2.
 import itertools
 import math
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 
@@ -75,6 +76,32 @@ def sy_full(n):
 def rotation_full(n, angle):
     """exp(-i * angle * Sy) over the full space, via the Pade matrix exponential."""
     return expm(-1j * angle * sy_full(n))
+
+
+def wigner_d_half_pi_mp(n, dps=50):
+    """Wigner-d matrix d^{n/2}(pi/2)[k', k] at dps digits, from the finite sum.
+
+    With m = k - n/2 and m' = k' - n/2, the Wigner sum over s of
+    (-1)^(m'-m+s) cos(b/2)^(2j+m-m'-2s) sin(b/2)^(m'-m+2s) / ((j+m-s)! s!
+    (m'-m+s)! (j-m'-s)!) times sqrt((j+m')! (j-m')! (j+m)! (j-m)!) has every
+    trigonometric power equal to 2^(-n/2) at b = pi/2, and its factorials
+    regroup into the binomials C(k, s) C(n-k, k'-k+s).  The sum is then an
+    exact integer, so the only roundings are the final square root and
+    products at dps digits.  Signs follow the textbook convention; the
+    squared weights do not depend on it.  Returned as nested lists [k'][k]
+    of mpf.
+    """
+    with mpmath.workdps(dps):
+        rows = []
+        for kp in range(n + 1):
+            row = []
+            for k in range(n + 1):
+                total = sum((-1) ** (kp - k + s) * math.comb(k, s) * math.comb(n - k, kp - k + s)
+                            for s in range(max(0, k - kp), min(k, n - kp) + 1))
+                scale = mpmath.sqrt(mpmath.mpf(math.comb(n, k)) / (math.comb(n, kp) * 2 ** n))
+                row.append(total * scale)
+            rows.append(row)
+        return rows
 
 
 def dephase_full(rho_full, c, weights):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,9 @@ from symqfi.schemes import ProbeFamily, ProbeSpec, SchemeKind, SchemeSpec, build
 from symqfi.steady_forms import (
     SplitChoice,
     _all_split_grids,
+    _rotation_weights,
     _split_grid,
+    _steady_qfi,
     block_probabilities,
     bsd_steady_qfi,
     dfs_piecewise_qfi,
@@ -50,6 +53,19 @@ def all_split_optimum(n):
         tie = best - 1e-9 * max(abs(best), 1.0)
         table.append((k, best, tuple(sorted((n1, k1) for f, n1, k1 in evaluated if f >= tie))))
     return table
+
+
+def full_split_grid(n, n1):
+    """_split_grid by the unreduced contraction: every k1, k2 and block k'."""
+    n2 = n - n1
+    w1, w2 = _rotation_weights(n1), _rotation_weights(n2)
+    m2 = (np.arange(n2 + 1) - n2 / 2)[:, None]
+    v1 = w2 * m2
+    padded = np.zeros((n1 + n + 1, 3, n2 + 1))
+    padded[n1:n1 + n2 + 1] = np.stack([w2, v1, v1 * m2], axis=1)
+    shift = np.arange(n + 1) - np.arange(n1 + 1)[:, None] + n1
+    moments = np.tensordot(w1, padded[shift], axes=(0, 0))
+    return _steady_qfi(*np.moveaxis(moments, (2, 1), (0, 1)))
 
 
 def dense_steady_qfi(spec):
@@ -155,6 +171,28 @@ class TestSplitChoice:
             SplitChoice(8, 4, 3, 2)   # k1 > k
         with pytest.raises(ValueError):
             SplitChoice(8, 6, 0, 4)   # k2 > n2
+
+
+COUNT_ARGUMENTS = [
+    (SplitChoice, (8, 4, 2, 4)),
+    (product_steady_qfi, (8, 2)),
+    (dfs_piecewise_qfi, (8, 4, 2)),
+    (ghz_bipartite_steady_qfi, (8,)),
+]
+COUNT_CALLS = [(f, args, i) for f, args in COUNT_ARGUMENTS for i in range(len(args))]
+COUNT_IDS = [f"{f.__name__}-{i}" for f, _, i in COUNT_CALLS]
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 2.5, "2", None])
+@pytest.mark.parametrize("f, args, i", COUNT_CALLS, ids=COUNT_IDS)
+def test_non_integer_count_rejected(f, args, i, bad):
+    with pytest.raises(ValueError):
+        f(*args[:i], bad, *args[i + 1:])
+
+
+@pytest.mark.parametrize("f, args, i", COUNT_CALLS, ids=COUNT_IDS)
+def test_numpy_integer_count_accepted(f, args, i):
+    assert f(*args[:i], np.int64(args[i]), *args[i + 1:]) == f(*args)
 
 
 class TestBlockProbabilities:
@@ -293,6 +331,41 @@ class TestOptimizeSplit:
                 grid, mirror = _split_grid(n, n1), _split_grid(n, n - n1).T
                 assert np.all(np.abs(grid - mirror) <= 1e-12 * np.maximum(np.abs(grid), 1.0)), \
                     (n, n1)
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 31, 40, 64])
+    def test_rotation_weights_match_high_precision_judge(self, n):
+        w = _rotation_weights(n)
+        assert np.array_equal(w, w[::-1]) and np.array_equal(w, w[:, ::-1])
+        with mpmath.workdps(50):
+            d = oracles.wigner_d_half_pi_mp(n)
+            error = max(abs(mpmath.mpf(float(w[kp, k])) - d[kp][k] ** 2)
+                        for kp in range(n + 1) for k in range(n + 1))
+        assert error <= 1e-15, float(error)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_reduced_grid_matches_full_contraction(self, n):
+        # s2 - s1^2/s0 cancels from terms of size 4<m2^2> per column k2, so
+        # the tolerance scales with it: at n = 40 both contractions sit up to
+        # ~1.4e-13 from a 50-digit evaluation, and a GEMM with FMA rounds the
+        # full one's mirror blocks k', n - k' differently
+        for n1 in range(n + 1):
+            grid, full = _split_grid(n, n1), full_split_grid(n, n1)
+            m2 = np.arange(n - n1 + 1) - (n - n1) / 2
+            scale = np.maximum(np.abs(full), 4 * (m2 * m2) @ _rotation_weights(n - n1))
+            assert np.all(np.abs(grid - full) <= 4e-15 * np.maximum(scale, 1.0)), n1
+            assert np.array_equal(grid, grid[::-1]) and np.array_equal(grid, grid[:, ::-1]), n1
+            if 2 * n1 == n:
+                assert np.array_equal(grid, grid.T)
+
+    @pytest.mark.parametrize("n", [*range(2, 65), 100])
+    def test_map_reflects_in_total_excitation(self, n):
+        # reflecting both partitions maps (n1, k1) at k to (n1, n1 - k1) at n - k
+        table = optimize_bsd_split(n)
+        for record in table:
+            mirror = table[n - record.k]
+            assert record.max_qfi == mirror.max_qfi, record.k
+            assert mirror.argmax == tuple(sorted((n1, n1 - k1) for n1, k1 in record.argmax)), \
+                record.k
 
     @pytest.mark.parametrize("bad", [8.0, True, "8", None, 8.5])
     def test_non_integer_qubit_count_rejected(self, bad):
