@@ -3,9 +3,10 @@
 Subcommands: scan-time (QFI over a time grid), scan-rotation (QFI over a
 rotation-angle grid at fixed times), steady-map (best steady-state QFI per
 total excitation number) and verify (cross-check suites).  Options come
-from an optional flat key=value config file, overridable by flags of the
-same name.  Units throughout: times in seconds, angles in radians,
-frequencies in rad/s.
+from an optional flat key=value config file, overridable by flags: each
+field x_y of RunConfig is the config key x_y and the flag --x-y, and every
+subcommand accepts every key.  Units throughout: times in seconds, angles
+in radians, frequencies in rad/s.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,8 +41,13 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    scheme: str = "standard"
-    family: str = "ghz"
+    """Every option: the flags and config keys are generated from these fields."""
+
+    out: str | None = field(default=None, metadata={"help": "output path (default: stdout)"})
+    format: str = field(default="csv", metadata={"help": "csv | jsonl"})
+    scheme: str = field(default="standard",
+                        metadata={"help": "standard | di_ideal | di_spin_echo | di_repeat"})
+    family: str = field(default="ghz", metadata={"help": "comma-separated probe families"})
     n: int = 8
     n1: int | None = None
     k1: int | None = None
@@ -53,22 +59,11 @@ class RunConfig:
     t_min: float = 1e-5
     t_max: float = 10.0
     t_count: int = 40
-    t_scale: str = "log"
-    t_list: str | None = None
+    t_scale: str = field(default="log", metadata={"help": "lin | log"})
+    t_list: str | None = field(default=None, metadata={"help": "comma-separated times in s"})
     alpha_min: float = 0.0
     alpha_max: float = math.pi
     alpha_count: int = 181
-    out: str | None = None
-    format: str = "csv"
-
-
-_PARSERS = {
-    "scheme": str, "family": str, "t_scale": str, "t_list": str, "out": str, "format": str,
-    "n": int, "n1": int, "k1": int, "k2": int, "t_count": int, "alpha_count": int,
-    "alpha": float, "gamma_delta_b": float, "tau_c": float,
-    "t_min": float, "t_max": float, "alpha_min": float, "alpha_max": float,
-    "optimize_alpha": bool,
-}
 
 
 def _parse_bool(raw: str) -> bool:
@@ -78,6 +73,12 @@ def _parse_bool(raw: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"expected a boolean, got {raw!r}")
+
+
+# each key's value parser, from its field's annotation (a string under
+# postponed evaluation): "int | None" parses as int
+_TYPE_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
+_PARSERS = {f.name: _TYPE_PARSERS[f.type.split(" | ")[0]] for f in fields(RunConfig)}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -103,25 +104,24 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     for key, value in raw.items():
         if key not in _PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
-        parser = _parse_bool if _PARSERS[key] is bool else _PARSERS[key]
         try:
-            setattr(cfg, key, parser(value))
+            setattr(cfg, key, _PARSERS[key](value))
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    for field in fields(RunConfig):
-        override = getattr(args, field.name, None)
+    for f in fields(RunConfig):
+        override = getattr(args, f.name)
         if override is not None:
-            setattr(cfg, field.name, override)
+            setattr(cfg, f.name, override)
     if cfg.format not in ("csv", "jsonl"):
         raise ConfigError(f"format must be 'csv' or 'jsonl', got {cfg.format!r}")
+    if cfg.t_scale not in ("lin", "log"):
+        raise ConfigError(f"t_scale must be 'lin' or 'log', got {cfg.t_scale!r}")
     return cfg
 
 
-def _noise(cfg: RunConfig) -> NoiseParams:
-    try:
-        return NoiseParams(cfg.gamma_delta_b, cfg.tau_c)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _require_finite_bounds(grid: str, low: float, high: float) -> None:
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ConfigError(f"{grid} grid bounds must be finite, got {low!r} and {high!r}")
 
 
 def _times(cfg: RunConfig) -> tuple[float, ...]:
@@ -135,20 +135,21 @@ def _times(cfg: RunConfig) -> tuple[float, ...]:
         return times
     if cfg.t_count < 1:
         raise ConfigError(f"time grid is empty: t_count={cfg.t_count}")
-    if cfg.t_scale == "log":
-        if cfg.t_min <= 0:
-            raise ConfigError("log time grid requires t_min > 0")
-        grid = np.logspace(math.log10(cfg.t_min), math.log10(cfg.t_max), cfg.t_count)
-    elif cfg.t_scale == "lin":
+    _require_finite_bounds("time", cfg.t_min, cfg.t_max)
+    if cfg.t_scale == "lin":
         grid = np.linspace(cfg.t_min, cfg.t_max, cfg.t_count)
     else:
-        raise ConfigError(f"t_scale must be 'lin' or 'log', got {cfg.t_scale!r}")
+        if cfg.t_min <= 0 or cfg.t_max <= 0:
+            raise ConfigError(f"log time grid requires t_min > 0 and t_max > 0, "
+                              f"got t_min={cfg.t_min!r}, t_max={cfg.t_max!r}")
+        grid = np.logspace(math.log10(cfg.t_min), math.log10(cfg.t_max), cfg.t_count)
     return tuple(float(t) for t in grid)
 
 
 def _alphas(cfg: RunConfig) -> tuple[float, ...]:
     if cfg.alpha_count < 1:
         raise ConfigError(f"alpha grid is empty: alpha_count={cfg.alpha_count}")
+    _require_finite_bounds("alpha", cfg.alpha_min, cfg.alpha_max)
     return tuple(float(a) for a in np.linspace(cfg.alpha_min, cfg.alpha_max, cfg.alpha_count))
 
 
@@ -188,8 +189,8 @@ def _probe_specs(cfg: RunConfig, kind: SchemeKind, alpha: float) -> list[ProbeSp
 
 
 def _scheme(cfg: RunConfig, times: tuple[float, ...]) -> SchemeSpec:
-    noise = _noise(cfg)
     try:
+        noise = NoiseParams(cfg.gamma_delta_b, cfg.tau_c)
         spec = SchemeSpec(_scheme_kind(cfg), noise, times)
         # C(T) grows with T, so the largest time decides whether it overflows;
         # negative times are left to scan, which flags them per row
@@ -408,29 +409,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "jsonl"))
-    parser.add_argument("--scheme", help="standard | di_ideal | di_spin_echo | di_repeat")
-    parser.add_argument("--family", help="comma-separated probe families")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--n1", type=int)
-    parser.add_argument("--k1", type=int)
-    parser.add_argument("--k2", type=int)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--optimize-alpha", dest="optimize_alpha",
-                        action="store_const", const=True, default=None)
-    parser.add_argument("--gamma-delta-b", dest="gamma_delta_b", type=float)
-    parser.add_argument("--tau-c", dest="tau_c", type=float)
-    parser.add_argument("--t-min", dest="t_min", type=float)
-    parser.add_argument("--t-max", dest="t_max", type=float)
-    parser.add_argument("--t-count", dest="t_count", type=int)
-    parser.add_argument("--t-scale", dest="t_scale", choices=("lin", "log"))
-    parser.add_argument("--t-list", dest="t_list", help="comma-separated times in s")
-    parser.add_argument("--alpha-min", dest="alpha_min", type=float)
-    parser.add_argument("--alpha-max", dest="alpha_max", type=float)
-    parser.add_argument("--alpha-count", dest="alpha_count", type=int)
+    for f in fields(RunConfig):
+        flag, help_text = "--" + f.name.replace("_", "-"), f.metadata.get("help")
+        if _PARSERS[f.name] is _parse_bool:
+            parser.add_argument(flag, dest=f.name, action="store_const", const=True, help=help_text)
+        else:
+            parser.add_argument(flag, dest=f.name, type=_PARSERS[f.name], help=help_text)
 
 
 @functools.cache
@@ -440,7 +426,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="symqfi", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command in ("scan-time", "scan-rotation", "steady-map", "verify"):
-        _add_common_flags(subparsers.add_parser(command))
+        _add_flags(subparsers.add_parser(command))
     return parser
 
 

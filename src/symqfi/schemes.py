@@ -23,6 +23,7 @@ from .collective_basis import (
     BipartiteSymmetricBasis,
     ProductState,
     PureState,
+    _require_integer,
     _sy_eigensystem,
     dicke_state,
     ghz_state,
@@ -64,6 +65,10 @@ class ProbeSpec:
 
     def __post_init__(self):
         f, n, n1 = self.family, self.n, self.n1
+        _require_integer("qubit count", n)
+        for name in ("n1", "k1", "k2"):
+            if getattr(self, name) is not None:
+                _require_integer(name, getattr(self, name))
         if n < 1:
             raise ValueError(f"need at least one qubit, got n={n}")
         if not math.isfinite(self.alpha):

@@ -10,24 +10,17 @@ excitation number labelling a steady-state block.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .collective_basis import wigner_d_matrix
+from .collective_basis import _require_integer, wigner_d_matrix
 from .dephasing import NoiseParams, phase_variance_c
 
 # steady-state blocks below this probability carry no weight and an
 # undefined conditional variance, so they are skipped
 BLOCK_PROBABILITY_FLOOR = 1e-15
-
-
-def _require_integer(name: str, value) -> None:
-    """Refuse a bool or a non-integer count; numpy integers are accepted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

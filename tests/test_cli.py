@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from symqfi import cli
-from symqfi.cli import main
+from symqfi.cli import RunConfig, main
 from symqfi.collective_basis import GeneratorLabel, SymmetricBasis, generator
 from symqfi.qfi import max_qfi_bound
 from symqfi.steady_forms import ghz_qfi_analytic
@@ -229,6 +230,27 @@ class TestErrors:
         assert err.startswith("error:") and "overflows" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--t-max", "0"], ["--t-max", "-1"], ["--t-min=-1e-3"], ["--t-max", "inf"],
+        ["--t-min", "nan"], ["--t-scale", "lin", "--t-max", "inf"],
+        ["--t-scale", "lin", "--t-min=-inf"], ["--t-scale", "lin", "--t-max", "nan"],
+    ])
+    def test_bad_time_grid_bounds(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        assert run_cli(["scan-time", "--family", "ghz", "--n", "4", "--out", str(out)]
+                       + flags) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "grid" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--alpha-max", "inf"], ["--alpha-min", "nan"],
+                                       ["--alpha-min=-inf"]])
+    def test_non_finite_alpha_grid_bounds(self, capsys, flags):
+        assert run_cli(["scan-rotation", "--family", "ghz", "--n", "4", "--t-list", "1e-3"]
+                       + flags) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: alpha grid bounds must be finite")
+
     def test_unknown_family(self, capsys):
         assert run_cli(["scan-time", "--family", "bell", "--n", "4"]) == 1
         assert "unknown family" in capsys.readouterr().err
@@ -260,6 +282,50 @@ class TestErrors:
     def test_missing_bsd_counts(self, capsys):
         assert run_cli(["scan-time", "--scheme", "di_ideal", "--family", "bsd",
                         "--n", "8", "--n1", "4"]) == 1
+
+
+COMMANDS = ["scan-time", "scan-rotation", "steady-map", "verify"]
+# a config value and a different flag value for every key, by annotation
+SAMPLE_VALUES = {"int": ("3", "5"), "float": ("0.25", "0.5"), "str": ("a", "b"),
+                 "format": ("jsonl", "csv"), "t_scale": ("lin", "log")}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+    def test_each_key_is_a_flag_that_overrides_the_file(self, tmp_path, command, field):
+        key, kind = field.name, field.type.split(" | ")[0]
+        flag = "--" + key.replace("_", "-")
+        if kind == "bool":
+            in_file, from_file, flag_args, from_flag = "0", False, [flag], True
+        else:
+            in_file, in_flag = SAMPLE_VALUES.get(key, SAMPLE_VALUES[kind])
+            convert = {"int": int, "float": float, "str": str}[kind]
+            from_file, flag_args, from_flag = convert(in_file), [flag, in_flag], convert(in_flag)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={in_file}\n")
+
+        def parse(*extra):
+            args = cli._parser().parse_args([command, "--config", str(cfg), *extra])
+            return getattr(cli._build_config(args), key)
+
+        assert parse() == from_file
+        assert parse(*flag_args) == from_flag
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("key, bad, message", [
+        ("format", "xml", "error: format must be 'csv' or 'jsonl', got 'xml'"),
+        ("t_scale", "bogus", "error: t_scale must be 'lin' or 'log', got 'bogus'"),
+    ], ids=["format", "t_scale"])
+    def test_bad_choice_refused_alike_from_flag_and_file(self, tmp_path, capsys, command, key,
+                                                         bad, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={bad}\n")
+        for source in (["--config", str(cfg)], ["--" + key.replace("_", "-"), bad]):
+            assert run_cli([command, "--n", "4", *source]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [message]
+            assert captured.out == ""
 
 
 class TestVerify:

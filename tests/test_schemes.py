@@ -529,6 +529,16 @@ class TestScan:
         assert math.isnan(rows[0].f_phase) and rows[0].error is not None
         assert rows[1].error is None
 
+    @pytest.mark.parametrize("scheme, spec, twin", [
+        (STANDARD, ProbeSpec(ProbeFamily.GHZ, 8), ProbeSpec(ProbeFamily.GHZ, np.int64(8))),
+        (DI_IDEAL, ProbeSpec(ProbeFamily.BSD, 8, n1=4, k1=2, k2=2),
+         ProbeSpec(ProbeFamily.BSD, np.int64(8), n1=np.int64(4), k1=np.int32(2), k2=np.uint8(2))),
+    ])
+    def test_numpy_integer_counts_scan_like_ints(self, scheme, spec, twin):
+        rows, twin_rows = scan(scheme, [spec], [0.0, 0.01]), scan(scheme, [twin], [0.0, 0.01])
+        assert [r.error for r in twin_rows] == [None, None]
+        assert [r.f_phase for r in twin_rows] == [r.f_phase for r in rows]
+
     def test_negative_time_flagged(self):
         rows = scan(STANDARD, [ProbeSpec(ProbeFamily.GHZ, 4)], times=[-1.0, 0.0])
         assert rows[0].error is not None

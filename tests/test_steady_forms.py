@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from symqfi.collective_basis import GeneratorLabel, StateMatrix, generator
+from symqfi.collective_basis import (BipartiteSymmetricBasis, GeneratorLabel, StateMatrix,
+                                     SymmetricBasis, generator)
 from symqfi.dephasing import NoiseParams
 from symqfi.qfi import qfi_phase
 from symqfi.schemes import ProbeFamily, ProbeSpec, SchemeKind, SchemeSpec, build_probe, scheme_qfi
@@ -173,11 +174,26 @@ class TestSplitChoice:
             SplitChoice(8, 6, 0, 4)   # k2 > n2
 
 
+def ghz_probe(n):
+    return ProbeSpec(ProbeFamily.GHZ, n)
+
+
+def bsd_probe(n, n1, k1, k2):
+    return ProbeSpec(ProbeFamily.BSD, n, n1, k1, k2)
+
+
+# every count argument of the closed forms, the Dicke bases and the probe
+# specs follows one rule: bools, floats, strings and None are refused, and a
+# numpy integer gives the same value as the Python int
 COUNT_ARGUMENTS = [
     (SplitChoice, (8, 4, 2, 4)),
     (product_steady_qfi, (8, 2)),
     (dfs_piecewise_qfi, (8, 4, 2)),
     (ghz_bipartite_steady_qfi, (8,)),
+    (SymmetricBasis, (8,)),
+    (BipartiteSymmetricBasis, (4, 4)),
+    (ghz_probe, (8,)),
+    (bsd_probe, (8, 4, 2, 2)),
 ]
 COUNT_CALLS = [(f, args, i) for f, args in COUNT_ARGUMENTS for i in range(len(args))]
 COUNT_IDS = [f"{f.__name__}-{i}" for f, _, i in COUNT_CALLS]
