@@ -72,7 +72,7 @@ def _parse_bool(raw: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 # each key's value parser, from its field's annotation (a string under
@@ -101,17 +101,15 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     raw = _read_config_file(args.config) if args.config else {}
-    for key, value in raw.items():
+    # the file's values, then the flags' (as given, so one parser judges both)
+    flags = [(f.name, getattr(args, f.name)) for f in fields(RunConfig)]
+    for key, value in [*raw.items(), *((k, v) for k, v in flags if v is not None)]:
         if key not in _PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
         try:
             setattr(cfg, key, _PARSERS[key](value))
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    for f in fields(RunConfig):
-        override = getattr(args, f.name)
-        if override is not None:
-            setattr(cfg, f.name, override)
     if cfg.format not in ("csv", "jsonl"):
         raise ConfigError(f"format must be 'csv' or 'jsonl', got {cfg.format!r}")
     if cfg.t_scale not in ("lin", "log"):
@@ -414,9 +412,10 @@ def _add_flags(parser: argparse.ArgumentParser) -> None:
     for f in fields(RunConfig):
         flag, help_text = "--" + f.name.replace("_", "-"), f.metadata.get("help")
         if _PARSERS[f.name] is _parse_bool:
-            parser.add_argument(flag, dest=f.name, action="store_const", const=True, help=help_text)
+            parser.add_argument(flag, dest=f.name, action="store_const", const="true",
+                                help=help_text)
         else:
-            parser.add_argument(flag, dest=f.name, type=_PARSERS[f.name], help=help_text)
+            parser.add_argument(flag, dest=f.name, help=help_text)
 
 
 @functools.cache

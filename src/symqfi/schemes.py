@@ -293,7 +293,9 @@ def _rotation_qfi(spec: ProbeSpec, scheme: SchemeSpec,
     product per factor gives the amplitudes at G angles, and the frames of
     all G angles go to spectral_qfi as one stack.  Every rotatable probe is
     a product state and stays one under rotation, so the set-up _cell makes
-    for the unrotated probe serves every angle.
+    for the unrotated probe serves every angle.  optimize_rotation calls it
+    once with its whole grid and once per refinement round with that
+    round's angles, so its fixed per-call cost is paid a few times per cell.
     """
     probe, offset = _rotatable_parts(spec)
     state, frames = _cell(probe, scheme, T)
@@ -319,21 +321,9 @@ def _rotation_qfi(spec: ProbeSpec, scheme: SchemeSpec,
     return evaluate
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+# interior angles per refinement round: the next bracket spans two of the
+# round's eight spacings, a quarter of the current one
+_ROUND_ANGLES = 7
 
 
 def optimize_rotation(family: ProbeFamily, n: int, scheme: SchemeSpec, T: float,
@@ -341,9 +331,12 @@ def optimize_rotation(family: ProbeFamily, n: int, scheme: SchemeSpec, T: float,
                       k1: int | None = None, k2: int | None = None) -> tuple[float, float]:
     """Maximize the phase QFI over the rotation angle alpha in [0, pi/2].
 
-    Uniform grid scan followed by golden-section refinement (1e-6 rad)
-    around the best grid point; numerical ties resolve to the smallest
-    angle.
+    Uniform grid scan, then stacked refinement of the bracket around the
+    best grid point: each round evaluates 7 equally spaced interior angles
+    in one call and keeps the neighbours of their first maximum, until the
+    bracket is at most 1e-6 rad wide or a round reads one value at all 7
+    angles (as a fully dephased landscape does, exactly 0 everywhere).
+    Numerical ties resolve to the smallest angle.
     """
     if family is ProbeFamily.DFS_OPTIMAL:
         raise ValueError("dfs_optimal has no rotation parameter")
@@ -351,9 +344,6 @@ def optimize_rotation(family: ProbeFamily, n: int, scheme: SchemeSpec, T: float,
         raise ValueError(f"grid must have at least 2 points, got {grid}")
 
     evaluate = _rotation_qfi(ProbeSpec(family, n, n1=n1, k1=k1, k2=k2), scheme, T)
-
-    def f_of(alpha: float) -> float:
-        return float(evaluate(np.array([alpha]))[0])
 
     # tie window: relative part for flat optima, absolute part for landscapes
     # that have fully decohered to numerical-noise level
@@ -365,12 +355,19 @@ def optimize_rotation(family: ProbeFamily, n: int, scheme: SchemeSpec, T: float,
     f_max = float(values.max())
     best = int(np.argmax(values >= f_max - window(f_max)))  # first near-maximal point
     lo = alphas[max(best - 1, 0)]
-    hi = alphas[min(best + 1, grid - 1)]
-    a_ref, f_ref = _golden_section_max(f_of, float(lo), float(hi))
+    a_ref, f_ref = alphas[best], values[best]
+    left, right = lo, alphas[min(best + 1, grid - 1)]
+    while right - left > 1e-6:
+        points = np.linspace(left, right, _ROUND_ANGLES + 2)
+        inner = evaluate(points[1:-1])
+        i = int(np.argmax(inner))  # first maximum
+        a_ref, f_ref, left, right = points[i + 1], inner[i], points[i], points[i + 2]
+        if inner[i] == inner.min():
+            break  # a flat round has no maximum to narrow down
 
     candidates = sorted([(float(lo), float(values[max(best - 1, 0)])),
                          (float(alphas[best]), float(values[best])),
-                         (a_ref, f_ref)])
+                         (float(a_ref), float(f_ref))])
     f_best = max(v for _, v in candidates)
     # the smallest angle within the window; the one holding f_best always is
     return next((a, v) for a, v in candidates if v >= f_best - window(f_best))

@@ -251,6 +251,20 @@ class TestErrors:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: alpha grid bounds must be finite")
 
+    @pytest.mark.parametrize("source, key, bad", [
+        *((source, key, bad) for source in ("flag", "file")
+          for key, bad in (("n", "abc"), ("t_count", "1.5"), ("t_min", "soon"))),
+        ("file", "optimize_alpha", "maybe"),  # the flag takes no value
+    ])
+    def test_bad_value_is_one_line_naming_its_key(self, tmp_path, capsys, source, key, bad):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={bad}\n")
+        given = ["--config", str(cfg)] if source == "file" else ["--" + key.replace("_", "-"), bad]
+        assert run_cli(["scan-time", "--family", "ghz", *given]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: bad value for {key}: {bad!r}"]
+        assert captured.out == ""
+
     def test_unknown_family(self, capsys):
         assert run_cli(["scan-time", "--family", "bell", "--n", "4"]) == 1
         assert "unknown family" in capsys.readouterr().err

@@ -396,7 +396,7 @@ class TestOptimizeRotation:
             optimize_rotation(ProbeFamily.DFS_OPTIMAL, 8, DI_IDEAL, 0.0)
 
     def test_optimum_reaches_the_brute_force_maximum(self):
-        # judge of the grid-plus-golden-section search: the maximum over a
+        # judge of the grid search and its stacked refinement: the maximum over a
         # 20001-point grid, at small frames so the grids stay cheap
         alphas = np.linspace(0.0, math.pi / 2, 20001)
         cells = [(STANDARD, ProbeSpec(ProbeFamily.GHZ, 8)),
@@ -445,6 +445,29 @@ class TestOptimizeRotation:
             assert 0.6 < alpha < 0.8
             assert alpha in grid
         assert f == landscape(None, None, None)(np.array([alpha]))[0]
+
+    @pytest.mark.parametrize("landscape, target, rounds", [
+        (lambda a: 100.0 - 50.0 * (a - 0.6032) ** 2, 0.6032, 7),  # a peak between grid points
+        (lambda a: 10.0 + a, math.pi / 2, 7),  # rising up to the end of the range
+        (np.zeros_like, 0.0, 1),  # fully dephased: one round holds no maximum to narrow down
+    ], ids=["off-grid-peak", "rising-edge", "flat"])
+    def test_refinement_precision_and_call_budget(self, monkeypatch, landscape, target, rounds):
+        # after the grid, a few stacked rounds reach the optimum within the
+        # search tolerance, without one-angle calls and never past pi/2
+        sizes = []
+
+        def evaluator(spec, scheme, T):
+            def evaluate(alphas):
+                sizes.append(len(alphas))
+                return landscape(np.asarray(alphas, dtype=float))
+            return evaluate
+
+        monkeypatch.setattr(schemes, "_rotation_qfi", evaluator)
+        alpha, f = optimize_rotation(ProbeFamily.GHZ, 8, STANDARD, 0.01)
+        assert abs(alpha - target) <= 1e-6
+        assert alpha <= math.pi / 2
+        assert f == landscape(np.array([alpha]))[0]
+        assert sizes == [201] + [7] * rounds
 
     def test_refinement_beats_grid(self):
         alpha_c, f_c = optimize_rotation(ProbeFamily.GHZ, 8, STANDARD, 0.001, grid=41)
