@@ -130,18 +130,23 @@ def _times(cfg: RunConfig) -> tuple[float, ...]:
             raise ConfigError(f"bad t_list: {cfg.t_list!r}") from exc
         if not times:
             raise ConfigError("t_list is empty")
-        return times
-    if cfg.t_count < 1:
-        raise ConfigError(f"time grid is empty: t_count={cfg.t_count}")
-    _require_finite_bounds("time", cfg.t_min, cfg.t_max)
-    if cfg.t_scale == "lin":
-        grid = np.linspace(cfg.t_min, cfg.t_max, cfg.t_count)
     else:
-        if cfg.t_min <= 0 or cfg.t_max <= 0:
-            raise ConfigError(f"log time grid requires t_min > 0 and t_max > 0, "
-                              f"got t_min={cfg.t_min!r}, t_max={cfg.t_max!r}")
-        grid = np.logspace(math.log10(cfg.t_min), math.log10(cfg.t_max), cfg.t_count)
-    return tuple(float(t) for t in grid)
+        if cfg.t_count < 1:
+            raise ConfigError(f"time grid is empty: t_count={cfg.t_count}")
+        _require_finite_bounds("time", cfg.t_min, cfg.t_max)
+        if cfg.t_scale == "lin":
+            grid = np.linspace(cfg.t_min, cfg.t_max, cfg.t_count)
+        else:
+            if cfg.t_min <= 0 or cfg.t_max <= 0:
+                raise ConfigError(f"log time grid requires t_min > 0 and t_max > 0, "
+                                  f"got t_min={cfg.t_min!r}, t_max={cfg.t_max!r}")
+            grid = np.logspace(math.log10(cfg.t_min), math.log10(cfg.t_max), cfg.t_count)
+        times = tuple(float(t) for t in grid)
+    # finite bounds can still give an infinite step, -1e308 to 1e308 on a lin grid
+    bad = [t for t in times if not math.isfinite(t)]
+    if bad:
+        raise ConfigError(f"times must be finite, got {bad[0]!r}")
+    return times
 
 
 def _alphas(cfg: RunConfig) -> tuple[float, ...]:
@@ -189,13 +194,12 @@ def _probe_specs(cfg: RunConfig, kind: SchemeKind, alpha: float) -> list[ProbeSp
 def _scheme(cfg: RunConfig, times: tuple[float, ...]) -> SchemeSpec:
     try:
         noise = NoiseParams(cfg.gamma_delta_b, cfg.tau_c)
-        spec = SchemeSpec(_scheme_kind(cfg), noise, times)
         # C(T) grows with T, so the largest time decides whether it overflows;
         # negative times are left to scan, which flags them per row
-        phase_variance_c(max(0.0, *spec.times), noise)
+        phase_variance_c(max(0.0, *times), noise)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return spec
+    return SchemeSpec(_scheme_kind(cfg), noise)
 
 
 def _fmt(value) -> str:
@@ -258,8 +262,8 @@ def _emit_table(cfg: RunConfig, columns: tuple[str, ...], rows: list[list]) -> i
 
 def run_scan(cfg: RunConfig, probes, optimize_alpha: bool) -> int:
     """Evaluate a probe/time grid and emit the table, with each nan row's reason on stderr."""
-    scheme = _scheme(cfg, _times(cfg))
-    rows = scan(scheme, probes, optimize_alpha=optimize_alpha)
+    times = _times(cfg)
+    rows = scan(_scheme(cfg, times), probes, times, optimize_alpha=optimize_alpha)
     for r in rows:
         if r.error is not None:
             print(f"nan row: scheme={r.scheme} family={r.family} n={r.n} alpha={_fmt(r.alpha)} "
@@ -407,10 +411,31 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+# every flag but a boolean one takes exactly one token as its value
+_VALUED_FLAGS = frozenset(["--config"] + [_flag(f.name) for f in fields(RunConfig)
+                                          if _PARSERS[f.name] is not _parse_bool])
+
+
+def _bind_values(argv: list[str]) -> list[str]:
+    """argv with each valued flag joined to the token after it: --x v as --x=v.
+
+    Left apart, argparse takes a value such as -1e-3 or -inf for a flag.
+    """
+    bound, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _VALUED_FLAGS else None
+        bound.append(token if value is None else f"{token}={value}")
+    return bound
+
+
 def _add_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     for f in fields(RunConfig):
-        flag, help_text = "--" + f.name.replace("_", "-"), f.metadata.get("help")
+        flag, help_text = _flag(f.name), f.metadata.get("help")
         if _PARSERS[f.name] is _parse_bool:
             parser.add_argument(flag, dest=f.name, action="store_const", const="true",
                                 help=help_text)
@@ -431,7 +456,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_bind_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     handler = {

@@ -20,9 +20,12 @@ import numpy as np
 
 from .collective_basis import EIGENVALUE_FLOOR, Generator, StateMatrix
 
+# relative floor on eigenvalue-pair sums in spectral_qfi, looked up at each call
+EPS_SUM = 1e-12
 
-def spectral_qfi(m: np.ndarray, g_bar: np.ndarray, v: np.ndarray | None = None,
-                 eps_sum: float = 1e-12) -> float | np.ndarray:
+
+def spectral_qfi(m: np.ndarray, g_bar: np.ndarray,
+                 v: np.ndarray | None = None) -> float | np.ndarray:
     """Phase QFI of a state from its matrix m in an orthonormal frame e_k.
 
     The frame must hold the state's support, and the generator G must be
@@ -37,7 +40,7 @@ def spectral_qfi(m: np.ndarray, g_bar: np.ndarray, v: np.ndarray | None = None,
     where the second sum collects the pairs between the support and the
     rest of the space (the rank-deficient form of Liu, Yuan, Lu and Wang,
     J. Phys. A 53, 023001, 2020).  Eigenvalue pairs whose sum falls below
-    eps_sum * max(lambda) are excluded, a vector outside the frame counting
+    EPS_SUM * max(lambda) are excluded, a vector outside the frame counting
     as eigenvalue 0: their analytic contribution is zero but the ratio is
     0/0 in floating point.  An eigenvalue below EIGENVALUE_FLOOR means m is not
     a state and raises ValueError; tiny negative ones are clamped to zero.
@@ -51,7 +54,7 @@ def spectral_qfi(m: np.ndarray, g_bar: np.ndarray, v: np.ndarray | None = None,
     if lam_min < EIGENVALUE_FLOOR:
         raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lam_min!r}")
     lam = np.maximum(lam, 0.0)
-    floor = eps_sum * lam[..., -1:]  # the largest eigenvalue of each matrix
+    floor = EPS_SUM * lam[..., -1:]  # the largest eigenvalue of each matrix
     overlaps = (u.conj().swapaxes(-1, -2) * g_bar[..., None, :]) @ u
     col, row = lam[..., :, None], lam[..., None, :]
     sums = col + row
@@ -66,15 +69,15 @@ def spectral_qfi(m: np.ndarray, g_bar: np.ndarray, v: np.ndarray | None = None,
     return float(f) if f.ndim == 0 else f
 
 
-def qfi_phase(rho: StateMatrix, g: Generator, eps_sum: float = 1e-12) -> float:
+def qfi_phase(rho: StateMatrix, g: Generator) -> float:
     """QFI for phase estimation with the z-diagonal generator g.
 
     :func:`spectral_qfi` with the basis itself as the frame; see there for
-    eps_sum and the clamping of tiny negative eigenvalues.
+    the EPS_SUM floor and the clamping of tiny negative eigenvalues.
     """
     if g.basis != rho.basis:
         raise ValueError("generator and state live on different bases")
-    return spectral_qfi(rho.matrix, g.diagonal, eps_sum=eps_sum)
+    return spectral_qfi(rho.matrix, g.diagonal)
 
 
 def frequency_from_phase(f_phase: float, T: float) -> float:

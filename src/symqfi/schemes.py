@@ -116,24 +116,12 @@ _VARIANT_FOR_KIND = {
 }
 
 
-def _finite_times(times) -> tuple[float, ...]:
-    times = tuple(float(t) for t in times)
-    bad = [t for t in times if not math.isfinite(t)]
-    if bad:
-        raise ValueError(f"times must be finite, got {bad[0]!r}")
-    return times
-
-
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Estimation scheme: kind, noise parameters, and a default time grid."""
+    """Estimation scheme: kind and noise parameters; scan takes the times."""
 
     kind: SchemeKind
     noise: NoiseParams
-    times: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", _finite_times(self.times))
 
 
 @dataclass(frozen=True)
@@ -321,42 +309,39 @@ def _rotation_qfi(spec: ProbeSpec, scheme: SchemeSpec,
     return evaluate
 
 
+# angles of the uniform grid the search starts from
+_GRID_ANGLES = 201
 # interior angles per refinement round: the next bracket spans two of the
 # round's eight spacings, a quarter of the current one
 _ROUND_ANGLES = 7
 
 
-def optimize_rotation(family: ProbeFamily, n: int, scheme: SchemeSpec, T: float,
-                      grid: int = 201, n1: int | None = None,
-                      k1: int | None = None, k2: int | None = None) -> tuple[float, float]:
-    """Maximize the phase QFI over the rotation angle alpha in [0, pi/2].
+def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[float, float]:
+    """Maximize the phase QFI of spec's probe over the rotation angle alpha in [0, pi/2].
 
-    Uniform grid scan, then stacked refinement of the bracket around the
-    best grid point: each round evaluates 7 equally spaced interior angles
-    in one call and keeps the neighbours of their first maximum, until the
-    bracket is at most 1e-6 rad wide or a round reads one value at all 7
-    angles (as a fully dephased landscape does, exactly 0 everywhere).
-    Numerical ties resolve to the smallest angle.
+    spec.alpha is ignored: the search covers the whole range from the
+    family's base state.  A family without a rotation (dfs_optimal) raises
+    ValueError.  Uniform 201-point grid scan, then stacked refinement of the
+    bracket around the best grid point: each round evaluates 7 equally
+    spaced interior angles in one call and keeps the neighbours of their
+    first maximum, until the bracket is at most 1e-6 rad wide or a round
+    reads one value at all 7 angles (as a fully dephased landscape does,
+    exactly 0 everywhere).  Numerical ties resolve to the smallest angle.
     """
-    if family is ProbeFamily.DFS_OPTIMAL:
-        raise ValueError("dfs_optimal has no rotation parameter")
-    if grid < 2:
-        raise ValueError(f"grid must have at least 2 points, got {grid}")
-
-    evaluate = _rotation_qfi(ProbeSpec(family, n, n1=n1, k1=k1, k2=k2), scheme, T)
+    evaluate = _rotation_qfi(spec, scheme, T)
 
     # tie window: relative part for flat optima, absolute part for landscapes
     # that have fully decohered to numerical-noise level
     def window(f: float) -> float:
-        return 1e-9 * abs(f) + 1e-11 * n * n
+        return 1e-9 * abs(f) + 1e-11 * spec.n * spec.n
 
-    alphas = np.linspace(0.0, math.pi / 2, grid)
+    alphas = np.linspace(0.0, math.pi / 2, _GRID_ANGLES)
     values = evaluate(alphas)
     f_max = float(values.max())
     best = int(np.argmax(values >= f_max - window(f_max)))  # first near-maximal point
     lo = alphas[max(best - 1, 0)]
     a_ref, f_ref = alphas[best], values[best]
-    left, right = lo, alphas[min(best + 1, grid - 1)]
+    left, right = lo, alphas[min(best + 1, len(alphas) - 1)]
     while right - left > 1e-6:
         points = np.linspace(left, right, _ROUND_ANGLES + 2)
         inner = evaluate(points[1:-1])
@@ -379,8 +364,7 @@ def _evaluate_cell(scheme: SchemeSpec, probe: ProbeSpec, T: float,
                 n1=probe.n1, k1=probe.k1, k2=probe.k2)
     try:
         if optimize_alpha:
-            alpha, f_phase = optimize_rotation(probe.family, probe.n, scheme, T,
-                                               n1=probe.n1, k1=probe.k1, k2=probe.k2)
+            alpha, f_phase = optimize_rotation(probe, scheme, T)
             f_freq = frequency_from_phase(f_phase, T)
         else:
             alpha = probe.alpha
@@ -392,14 +376,19 @@ def _evaluate_cell(scheme: SchemeSpec, probe: ProbeSpec, T: float,
                           f_freq=math.nan, alpha_optimized=optimize_alpha, error=str(exc))
 
 
-def scan(scheme: SchemeSpec, probes: list[ProbeSpec], times=None,
+def scan(scheme: SchemeSpec, probes: list[ProbeSpec], times,
          optimize_alpha: bool = False) -> list[ScanResult]:
     """Evaluate every (probe, time) pair, probe-major then time-minor.
 
     Domain errors in single cells become flagged NaN rows instead of
-    aborting the whole scan; a non-finite time raises ValueError.
+    aborting the whole scan; a non-finite time raises ValueError.  With
+    optimize_alpha, each probe's alpha is ignored and optimize_rotation
+    picks the angle per cell.
     """
-    times = scheme.times if times is None else _finite_times(times)
+    times = tuple(float(t) for t in times)
+    bad = [t for t in times if not math.isfinite(t)]
+    if bad:
+        raise ValueError(f"times must be finite, got {bad[0]!r}")
     if not probes or not times:
         raise ValueError("scan needs at least one probe and one time")
     return [_evaluate_cell(scheme, probe, T, optimize_alpha)

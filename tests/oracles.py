@@ -2,7 +2,7 @@
 
 Everything here works in the full 2^n computational-basis space, by
 direct numerical quadrature, on dense matrices over the bipartite Dicke
-basis, or in 50-digit arithmetic, deliberately sharing no code with the
+basis, or in 40- to 50-digit arithmetic, deliberately sharing no code with the
 package: nothing here imports symqfi.
 
 The dense Gaussian dephasing takes the noise statistics as three numbers
@@ -169,3 +169,30 @@ def ou_variance_trapezoid_extrapolated(a, b, T, gamma_delta_b, tau_c, num=2001):
     fine = ou_variance_trapezoid(a, b, T, gamma_delta_b, tau_c, num)
     coarse = ou_variance_trapezoid(a, b, T, gamma_delta_b, tau_c, (num - 1) // 2 + 1)
     return (4.0 * fine - coarse) / 3.0
+
+
+def qfi_dense_mp(rho, g, dps=40):
+    """Phase QFI of a dense real symmetric state matrix under the diagonal
+    generator g, diagonalized at dps digits.
+
+    mpmath.eigsy gives rho = U diag(lambda) U^T, a negative eigenvalue (the
+    rounding of rho's entries) counts as 0, and the pair formula
+
+        F = 2 sum_ab (lambda_a - lambda_b)^2 / (lambda_a + lambda_b) (U^T g U)_ab^2
+
+    runs over every pair with lambda_a + lambda_b > 0, with no relative
+    floor on the sum.
+    """
+    rho = np.asarray(rho)
+    if np.iscomplexobj(rho):
+        if rho.imag.any():
+            raise ValueError("eigsy needs a real symmetric matrix")
+        rho = rho.real
+    d = len(g)
+    with mpmath.workdps(dps):
+        lam, u = mpmath.eigsy(mpmath.matrix(rho.tolist()))
+        lam = [max(x, 0) for x in lam]
+        overlaps = u.T * mpmath.diag([float(x) for x in g]) * u
+        total = mpmath.fsum((lam[a] - lam[b]) ** 2 / (lam[a] + lam[b]) * overlaps[a, b] ** 2
+                            for a in range(d) for b in range(d) if lam[a] + lam[b] > 0)
+        return float(2 * total)

@@ -85,9 +85,9 @@ def test_criterion_6_balanced_quarter_filling_identity():
 
 def test_criterion_7_rotation_optimization():
     product_zero = all(
-        sq.optimize_rotation(F.PRODUCT_PLUS, 8, STANDARD, float(T))[0] == 0.0
+        sq.optimize_rotation(sq.ProbeSpec(F.PRODUCT_PLUS, 8), STANDARD, float(T))[0] == 0.0
         for T in np.logspace(-4, 0, 10))
-    alpha_ghz, f_ghz = sq.optimize_rotation(F.GHZ, 8, STANDARD, 0.01)
+    alpha_ghz, f_ghz = sq.optimize_rotation(sq.ProbeSpec(F.GHZ, 8), STANDARD, 0.01)
     # regression lock: values produced by this engine on a dense grid
     locked = (abs(alpha_ghz - 0.8969288749493659) < 1e-5
               and within(f_ghz, 0.011752786210922472, rtol=1e-6))

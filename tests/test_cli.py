@@ -298,6 +298,28 @@ class TestErrors:
                         "--n", "8", "--n1", "4"]) == 1
 
 
+@pytest.mark.parametrize("form", ["space", "equals"])
+@pytest.mark.parametrize("command, flag, value, code, err", [
+    ("scan-time", "--t-min", "-1e-3", 0,
+     "nan row: scheme=standard family=ghz n=2 alpha=0 T=-0.001: time must be finite"),
+    ("scan-time", "--t-list", "-1,0.1", 0,
+     "nan row: scheme=standard family=ghz n=2 alpha=0 T=-1: time must be finite"),
+    ("scan-time", "--t-min", "-inf", 1, "error: time grid bounds must be finite, got -inf"),
+    ("scan-rotation", "--alpha-min", "-inf", 1,
+     "error: alpha grid bounds must be finite, got -inf"),
+], ids=["t-min-exponent", "t-list", "t-min-inf", "alpha-min-inf"])
+def test_negative_flag_value_is_the_flags_value(capsys, form, command, flag, value, code, err):
+    # argparse alone takes -1e-3 or -inf for an option: --x v must act as --x=v
+    given = [flag, value] if form == "space" else [f"{flag}={value}"]
+    assert run_cli([command, "--family", "ghz", "--n", "2", "--t-scale", "lin",
+                    "--t-count", "2", "--alpha-count", "2", *given]) == code
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith(err)
+    if code == 0:
+        assert float(captured.out.splitlines()[2].split(",")[7]) == float(value.split(",")[0])
+
+
 COMMANDS = ["scan-time", "scan-rotation", "steady-map", "verify"]
 # a config value and a different flag value for every key, by annotation
 SAMPLE_VALUES = {"int": ("3", "5"), "float": ("0.25", "0.5"), "str": ("a", "b"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from symqfi import qfi
 from symqfi.collective_basis import (
     BipartiteSymmetricBasis,
     GeneratorLabel,
@@ -187,12 +188,15 @@ class TestQfiPhase:
             conj = StateMatrix(basis, (phases[:, None] * rho.matrix) * phases.conj()[None, :])
             assert qfi_phase(conj, g) == pytest.approx(base, rel=1e-9, abs=1e-9)
 
-    def test_stable_over_eps_sum_range(self):
+    def test_stable_over_eps_sum_range(self, monkeypatch):
         n = 8
         g = generator(SymmetricBasis(n), GeneratorLabel.SZ_TOTAL)
         for T in (1e-4, 1e-3, 1e-2):
             rho = dephased_ghz(n, T)
-            values = [qfi_phase(rho, g, eps_sum=e) for e in (1e-14, 1e-12, 1e-10)]
+            values = []
+            for e in (1e-14, 1e-12, 1e-10):
+                monkeypatch.setattr(qfi, "EPS_SUM", e)
+                values.append(qfi_phase(rho, g))
             assert max(values) - min(values) <= 1e-8 * (1 + max(values))
 
 
