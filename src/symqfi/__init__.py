@@ -18,7 +18,6 @@ from .collective_basis import (
 )
 from .dephasing import (
     NoiseParams,
-    NoiseVariant,
     dephasing_kernel,
     phase_variance_c,
     spin_echo_weights_variance,

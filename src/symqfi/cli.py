@@ -134,15 +134,17 @@ def _times(cfg: RunConfig) -> tuple[float, ...]:
         if cfg.t_count < 1:
             raise ConfigError(f"time grid is empty: t_count={cfg.t_count}")
         _require_finite_bounds("time", cfg.t_min, cfg.t_max)
-        if cfg.t_scale == "lin":
-            grid = np.linspace(cfg.t_min, cfg.t_max, cfg.t_count)
-        else:
-            if cfg.t_min <= 0 or cfg.t_max <= 0:
-                raise ConfigError(f"log time grid requires t_min > 0 and t_max > 0, "
-                                  f"got t_min={cfg.t_min!r}, t_max={cfg.t_max!r}")
-            grid = np.logspace(math.log10(cfg.t_min), math.log10(cfg.t_max), cfg.t_count)
+        if cfg.t_scale == "log" and (cfg.t_min <= 0 or cfg.t_max <= 0):
+            raise ConfigError(f"log time grid requires t_min > 0 and t_max > 0, "
+                              f"got t_min={cfg.t_min!r}, t_max={cfg.t_max!r}")
+        # finite bounds can still give a non-finite grid point (-1e308 to
+        # 1e308 on a lin grid, up to 1.8e308 on a log one): refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.t_scale == "lin":
+                grid = np.linspace(cfg.t_min, cfg.t_max, cfg.t_count)
+            else:
+                grid = np.logspace(math.log10(cfg.t_min), math.log10(cfg.t_max), cfg.t_count)
         times = tuple(float(t) for t in grid)
-    # finite bounds can still give an infinite step, -1e308 to 1e308 on a lin grid
     bad = [t for t in times if not math.isfinite(t)]
     if bad:
         raise ConfigError(f"times must be finite, got {bad[0]!r}")
@@ -153,7 +155,10 @@ def _alphas(cfg: RunConfig) -> tuple[float, ...]:
     if cfg.alpha_count < 1:
         raise ConfigError(f"alpha grid is empty: alpha_count={cfg.alpha_count}")
     _require_finite_bounds("alpha", cfg.alpha_min, cfg.alpha_max)
-    return tuple(float(a) for a in np.linspace(cfg.alpha_min, cfg.alpha_max, cfg.alpha_count))
+    # a span that overflows gives nan angles, which ProbeSpec refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(cfg.alpha_min, cfg.alpha_max, cfg.alpha_count)
+    return tuple(float(a) for a in grid)
 
 
 def _scheme_kind(cfg: RunConfig) -> SchemeKind:
@@ -447,10 +452,11 @@ def _add_flags(parser: argparse.ArgumentParser) -> None:
 def _parser() -> argparse.ArgumentParser:
     # built once per process: parse_args keeps no state between calls, and
     # building the subparsers costs about as much as a steady-map job at n=16
-    parser = argparse.ArgumentParser(prog="symqfi", description=__doc__)
+    # no abbreviated flags: _bind_values binds the full names only
+    parser = argparse.ArgumentParser(prog="symqfi", description=__doc__, allow_abbrev=False)
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command in ("scan-time", "scan-rotation", "steady-map", "verify"):
-        _add_flags(subparsers.add_parser(command))
+        _add_flags(subparsers.add_parser(command, allow_abbrev=False))
     return parser
 
 

@@ -9,20 +9,20 @@ basis vectors of z-weights m and m' by exp[-(m - m')^2 C(T) / 2], with
     C(T) = (gamma_delta_b * tau_c)^2 * (exp(-T/tau_c) + T/tau_c - 1).
 
 C(T) is normalized so that the phase collected with a uniform unit weight
-over [0, T] has variance exactly C(T); all noise variants below share
-that normalization.  This module holds the noise statistics and the
-factors :func:`dephasing_kernel` by which they scale each coherence; the
-QFI pipeline applies the kernel in its own frames.  As T grows, every
-coherence between different total excitation numbers dies, and for
-IDEAL_COLLECTIVE the kernel becomes the indicator of equal total
-excitation number, exactly once exp(-C(T)/2) underflows to 0.
+over [0, T] has variance exactly C(T), and :func:`spin_echo_weights_variance`
+shares that normalization.  This module holds the noise statistics and
+the factors :func:`dephasing_kernel` by which two per-partition phase
+variances scale each coherence; the scheme kind picks the two variances,
+and the QFI pipeline applies the kernel in its own frames.  As T grows,
+every coherence between different total excitation numbers dies, and the
+collective kernel becomes the indicator of equal total excitation number,
+exactly once exp(-C(T)/2) underflows to 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -46,12 +46,6 @@ class NoiseParams:
         if not math.isfinite(scale * scale):
             raise ValueError(f"(gamma_delta_b * tau_c)^2 overflows: gamma_delta_b="
                              f"{self.gamma_delta_b!r}, tau_c={self.tau_c!r}")
-
-
-class NoiseVariant(Enum):
-    IDEAL_COLLECTIVE = "ideal_collective"
-    SPIN_ECHO = "spin_echo"
-    INDEPENDENT_REPEAT = "independent_repeat"
 
 
 def _exp_decay_remainder(x: float) -> float:
@@ -105,36 +99,25 @@ def spin_echo_weights_variance(a, b, T: float, p: NoiseParams):
     return float(out) if out.ndim == 0 else out
 
 
-def dephasing_kernel(m1, m2, T: float, p: NoiseParams,
-                     variant: NoiseVariant = NoiseVariant.IDEAL_COLLECTIVE) -> np.ndarray:
-    """Factors exp(-Var/2) by which dephasing up to T scales each coherence.
+def dephasing_kernel(m1, m2, var1: float, var2: float) -> np.ndarray:
+    """Factors exp(-(var1 dm1^2 + var2 dm2^2) / 2) by which dephasing scales each coherence.
 
     m1 and m2 hold the z-weight of every basis vector in partition 1 and in
-    partition 2 (pass m1 = 0 for an unsplit ensemble); entry [i, j] belongs
-    to the coherence between basis vectors i and j.  With dm1, dm2 their
-    weight differences, Var is C(T) (dm1 + dm2)^2 for IDEAL_COLLECTIVE,
-    :func:`spin_echo_weights_variance` (dm1, dm2) for SPIN_ECHO and
-    C(T) (dm1^2 + dm2^2) for INDEPENDENT_REPEAT.  The kernel is real,
-    symmetric, positive semidefinite and has a unit diagonal, so the
-    Hadamard product with a state is again a state of the same trace.
+    partition 2; entry [i, j] belongs to the coherence between basis vectors
+    i and j, whose weights differ by dm1 and dm2.  var1 and var2 are the
+    phase variances that a unit weight in each partition collects:
+    (C(T), C(T)) for independent repeats, (spin_echo_weights_variance(1, 0),
+    C(T)) for a spin echo on partition 1, whose dm1 dm2 term cancels, and
+    (0, C(T)) for collective noise, with m2 the total weight.  The kernel
+    is real, symmetric, positive semidefinite and has a unit diagonal, so
+    the Hadamard product with a state is again a state of the same trace.
     """
+    for name, var in (("var1", var1), ("var2", var2)):
+        if not (math.isfinite(var) and var >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {var!r}")
     d1 = np.subtract.outer(m1, m1)
     d2 = np.subtract.outer(m2, m2)
-    if variant is NoiseVariant.IDEAL_COLLECTIVE:
-        dm = d1 + d2
-        # C(T) is finite, so a product can only overflow to +inf, and
-        # exp(-inf) = 0 is the exact kernel value there
-        with np.errstate(over="ignore"):
-            var = phase_variance_c(T, p) * (dm * dm)
-    elif variant is NoiseVariant.SPIN_ECHO:
-        # the d1 d2 cross term cancels, so the variance is a sum of two
-        # nonnegative per-partition terms that can overflow only to +inf
-        with np.errstate(over="ignore"):
-            var = (spin_echo_weights_variance(1.0, 0.0, T, p) * (d1 * d1)
-                   + phase_variance_c(T, p) * (d2 * d2))
-    elif variant is NoiseVariant.INDEPENDENT_REPEAT:
-        with np.errstate(over="ignore"):  # exact, as for IDEAL_COLLECTIVE
-            var = phase_variance_c(T, p) * (d1 * d1 + d2 * d2)
-    else:
-        raise ValueError(f"unknown noise variant {variant!r}")
-    return np.exp(-0.5 * var)
+    # a sum of two nonnegative terms can overflow only to +inf, and
+    # exp(-inf) = 0 is the exact kernel value there
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * (var1 * (d1 * d1) + var2 * (d2 * d2)))

@@ -31,7 +31,8 @@ from .collective_basis import (
     rotate_y,
     tensor_bipartite,
 )
-from .dephasing import NoiseParams, NoiseVariant, dephasing_kernel
+from .dephasing import (NoiseParams, dephasing_kernel, phase_variance_c,
+                        spin_echo_weights_variance)
 from .qfi import frequency_from_phase, spectral_qfi
 
 
@@ -110,12 +111,6 @@ class SchemeKind(Enum):
     DI_REPEAT = "di_repeat"
 
 
-_VARIANT_FOR_KIND = {
-    SchemeKind.DI_SPIN_ECHO: NoiseVariant.SPIN_ECHO,
-    SchemeKind.DI_REPEAT: NoiseVariant.INDEPENDENT_REPEAT,
-}
-
-
 @dataclass(frozen=True)
 class SchemeSpec:
     """Estimation scheme: kind and noise parameters; scan takes the times."""
@@ -180,14 +175,17 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float
           ) -> tuple[PureState, Callable[[np.ndarray], tuple]]:
     """Per-cell set-up: the state whose QFI scheme measures, and its frame builder.
 
-    The scheme kind picks the signal state, its generator diagonal g and the
-    noise kernel.  Spin echo and repeat kernels factorize per partition, and
-    partition 2's factor is exp(-C(T) dm2^2 / 2) (for spin echo the dm1 dm2
-    term of spin_echo_weights_variance cancels), so a ProductState carries
-    the QFI of its partition-2 factor, with its total z-spin, under
-    collective dephasing.  The kernel picks the blocks: collective dephasing
-    scales P_j rho P_k by exp(-C(T)(j - k)^2 / 2) for the total-excitation
-    projectors P_k, and spin echo and repeat take one block per basis vector.
+    The scheme kind picks the signal state, its generator diagonal g and
+    dephasing_kernel's partition variances: var2 = C(T) always, and var1 =
+    C(T) under repeat, spin_echo_weights_variance(1, 0) under spin echo
+    (its dm1 dm2 term cancels) and 0 under collective noise, whose kernel
+    takes the total excitation number as partition 2's weight.  Spin echo
+    and repeat kernels thus factorize per partition with partition 2's
+    factor exp(-C(T) dm2^2 / 2), so a ProductState carries the QFI of its
+    partition-2 factor, with its total z-spin, under collective dephasing.
+    The kernel picks the blocks: collective dephasing scales P_j rho P_k by
+    exp(-C(T)(j - k)^2 / 2) for the total-excitation projectors P_k, and
+    spin echo and repeat take one block per basis vector.
 
     frames maps squared amplitude moduli p, shape (D,) or a stack (G, D), to
     spectral_qfi frames: the normalized blocks P_k psi / ||P_k psi||
@@ -200,19 +198,22 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float
     kind, noise = scheme.kind, scheme.noise
     if kind is not SchemeKind.STANDARD and not isinstance(probe.basis, BipartiteSymmetricBasis):
         raise ValueError(f"{kind.value} requires a bipartite probe")
-    state, variant = probe, _VARIANT_FOR_KIND.get(kind)
-    if variant is not None and isinstance(probe, ProductState):
-        state, variant = probe.parts[1], None
+    state, var2 = probe, phase_variance_c(T, noise)
+    per_vector = kind in (SchemeKind.DI_SPIN_ECHO, SchemeKind.DI_REPEAT)
+    if per_vector and isinstance(probe, ProductState):
+        state, per_vector = probe.parts[1], False
     basis = state.basis
     g = basis.z_weights() if kind is SchemeKind.STANDARD or state is not probe \
         else basis.partition2_weights()
 
-    # the blocks, and the partition weights the kernel sees on each
-    if variant is None:  # one block per total excitation number k
-        index, variant = basis.excitations(), NoiseVariant.IDEAL_COLLECTIVE
-        m1, m2 = np.zeros(basis.n + 1), np.arange(basis.n + 1)
-    else:  # one block per basis vector; g is partition 2's weight
+    # the blocks, and the partition weights and variances the kernel sees on each
+    if per_vector:  # one block per basis vector; g is partition 2's weight
         index, m1, m2 = np.arange(basis.dimension), basis.partition1_weights(), g
+        var1 = var2 if kind is SchemeKind.DI_REPEAT \
+            else spin_echo_weights_variance(1.0, 0.0, T, noise)
+    else:  # one block per total excitation number k, collective noise on k
+        index, m1, m2 = basis.excitations(), np.zeros(basis.n + 1), np.arange(basis.n + 1)
+        var1 = 0.0
     nk = len(m2)
     ref = np.empty(nk)
     ref[index] = g  # g at one entry of each block
@@ -243,7 +244,7 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float
         v = v.reshape(shape)[..., ks]
         key = ks.tobytes()
         if key not in kernels:
-            kernels[key] = dephasing_kernel(m1[ks], m2[ks], T, noise, variant)
+            kernels[key] = dephasing_kernel(m1[ks], m2[ks], var1, var2)
         return (root[..., :, None] * root[..., None, :] * kernels[key], g_bar,
                 v if v.any() else None)
 

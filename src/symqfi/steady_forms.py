@@ -18,10 +18,6 @@ import numpy as np
 from .collective_basis import _require_integer, wigner_d_matrix
 from .dephasing import NoiseParams, phase_variance_c
 
-# steady-state blocks below this probability carry no weight and an
-# undefined conditional variance, so they are skipped
-BLOCK_PROBABILITY_FLOOR = 1e-15
-
 
 @dataclass(frozen=True)
 class SplitChoice:
@@ -144,9 +140,10 @@ def block_probabilities(c: SplitChoice) -> np.ndarray:
 def _steady_qfi(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, counts=1.0) -> np.ndarray:
     """Four times the weight-summed conditional variance s2 - s1^2/s0 over
     the blocks k' on the first axis, each block counted `counts` times and
-    blocks below the floor skipped; a term that cancels below 0 is clamped,
-    as no variance is negative."""
-    keep = s0 > BLOCK_PROBABILITY_FLOOR
+    empty blocks (s0 = 0, no weight and no defined variance) skipped, as
+    the pipeline skips them; a term that cancels below 0 is clamped, as no
+    variance is negative."""
+    keep = s0 > 0
     var = s2 - np.divide(s1 ** 2, s0, out=np.zeros_like(s0), where=keep)
     return 4.0 * np.sum(counts * np.where(keep, np.maximum(var, 0.0, out=var), 0.0), axis=0)
 

@@ -251,6 +251,29 @@ class TestErrors:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: alpha grid bounds must be finite")
 
+    @pytest.mark.parametrize("command, flags, err", [
+        ("scan-time", ["--t-scale", "lin", "--t-min", "-1e308", "--t-max", "1e308"],
+         "error: times must be finite, got nan"),
+        ("scan-rotation", ["--t-list", "1e-3", "--alpha-min", "-1e308", "--alpha-max", "1e308"],
+         "error: rotation angle must be finite, got alpha=nan"),
+        ("scan-time", ["--t-min", "1e-3", "--t-max", "1.7976931348623157e308", "--t-count", "3"],
+         "error: times must be finite, got inf"),
+    ], ids=["lin-time-span", "alpha-span", "log-time-top"])
+    def test_overflowing_grid_is_one_error_line(self, capsys, command, flags, err):
+        # finite bounds whose grid overflows: numpy must not warn before the error
+        assert run_cli([command, "--family", "ghz", "--n", "2", *flags]) == 1
+        assert capsys.readouterr().err.splitlines() == [err]
+
+    @pytest.mark.parametrize("given", [["--t-mi", "-1e-3"], ["--t-mi=-1e-3"],
+                                       ["--t-mi", "1e-3"], ["--t-mi=1e-3"]],
+                             ids=["space-negative", "equals-negative", "space", "equals"])
+    def test_abbreviated_flag_is_refused(self, capsys, given):
+        # key x_y is flag --x-y, and only that
+        assert run_cli(["scan-time", "--family", "ghz", "--n", "2", *given]) == 1
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: " + " ".join(given) in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("source, key, bad", [
         *((source, key, bad) for source in ("flag", "file")
           for key, bad in (("n", "abc"), ("t_count", "1.5"), ("t_min", "soon"))),

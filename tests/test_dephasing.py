@@ -15,7 +15,6 @@ from symqfi.collective_basis import (
 )
 from symqfi.dephasing import (
     NoiseParams,
-    NoiseVariant,
     dephasing_kernel,
     phase_variance_c,
     spin_echo_weights_variance,
@@ -29,12 +28,27 @@ DEFAULTS = NoiseParams(gamma_delta_b=2 * math.pi * 50, tau_c=1.0)
 LATE = 50 * DEFAULTS.tau_c  # exp(-C(T)/2) underflows: the kernel is exactly 0 off the blocks
 
 
-def kernel_on(basis, T, variant=NoiseVariant.IDEAL_COLLECTIVE):
-    """dephasing_kernel between every pair of vectors of a basis (unsplit: m1 = 0)."""
+def variances(T, p=DEFAULTS):
+    """dephasing_kernel's (var1, var2) under each noise realization at time T."""
+    c = phase_variance_c(T, p)
+    return {"collective": (0.0, c),
+            "spin_echo": (spin_echo_weights_variance(1.0, 0.0, T, p), c),
+            "repeat": (c, c)}
+
+
+REALIZATIONS = list(variances(0.0))
+
+
+def kernel_on(basis, T, realization="collective"):
+    """dephasing_kernel between every pair of vectors of a basis; collective
+    noise weighs the total weight (m1 = 0)."""
     if isinstance(basis, SymmetricBasis):
-        return dephasing_kernel(0.0, basis.z_weights(), T, DEFAULTS, variant)
-    return dephasing_kernel(basis.partition1_weights(), basis.partition2_weights(), T,
-                            DEFAULTS, variant)
+        m1, m2 = 0.0, basis.z_weights()
+    elif realization == "collective":
+        m1, m2 = 0.0, basis.partition1_weights() + basis.partition2_weights()
+    else:
+        m1, m2 = basis.partition1_weights(), basis.partition2_weights()
+    return dephasing_kernel(m1, m2, *variances(T)[realization])
 
 
 def random_bipartite_state(rng, n1, n2):
@@ -140,18 +154,17 @@ class TestCollectiveDephasing:
             rho_full = np.outer(proj.T @ psi.amplitudes, (proj.T @ psi.amplitudes).conj())
             w1 = np.repeat(oracles.bit_weights(n1), 2 ** n2)
             w2 = np.tile(oracles.bit_weights(n2), 2 ** n1)
-            refs = {NoiseVariant.IDEAL_COLLECTIVE: oracles.dephase_full(rho_full, c, w1 + w2),
-                    NoiseVariant.INDEPENDENT_REPEAT: oracles.dephase_full(
-                        oracles.dephase_full(rho_full, c, w1), c, w2)}
-            for variant, ref in refs.items():
-                out = psi.density_matrix().matrix * kernel_on(psi.basis, 0.004, variant)
+            refs = {"collective": oracles.dephase_full(rho_full, c, w1 + w2),
+                    "repeat": oracles.dephase_full(oracles.dephase_full(rho_full, c, w1), c, w2)}
+            for realization, ref in refs.items():
+                out = psi.density_matrix().matrix * kernel_on(psi.basis, 0.004, realization)
                 np.testing.assert_allclose(out, proj @ ref @ proj.T, atol=1e-12)
 
     def test_trace_and_hermiticity_preserved_exactly(self):
         rng = np.random.default_rng(3)
         rho = random_bipartite_state(rng, 3, 2).matrix
-        for variant in NoiseVariant:
-            out = rho * kernel_on(BipartiteSymmetricBasis(3, 2), 0.8, variant)
+        for realization in REALIZATIONS:
+            out = rho * kernel_on(BipartiteSymmetricBasis(3, 2), 0.8, realization)
             # diagonal untouched bitwise, so the trace is preserved exactly
             np.testing.assert_array_equal(np.diag(out), np.diag(rho))
             assert out.trace() == rho.trace()
@@ -167,8 +180,8 @@ class TestCollectiveDephasing:
             n2 = int(rng.integers(1, 9 - n1))
             rho = random_bipartite_state(rng, n1, n2)
             T = float(rng.uniform(0, 3))
-            variant = rng.choice(list(NoiseVariant))
-            kernel = kernel_on(rho.basis, T, variant)
+            realization = rng.choice(REALIZATIONS)
+            kernel = kernel_on(rho.basis, T, realization)
             assert np.linalg.eigvalsh(kernel)[0] >= -1e-10
             assert np.linalg.eigvalsh(rho.matrix * kernel)[0] >= -1e-10
 
@@ -213,8 +226,8 @@ class TestSteadyState:
     def test_diagonal_untouched(self):
         rng = np.random.default_rng(13)
         rho = np.diag(rng.dirichlet(np.ones(9)).astype(complex))
-        for variant in NoiseVariant:
-            kernel = kernel_on(BipartiteSymmetricBasis(2, 2), LATE, variant)
+        for realization in REALIZATIONS:
+            kernel = kernel_on(BipartiteSymmetricBasis(2, 2), LATE, realization)
             np.testing.assert_array_equal(rho * kernel, rho)
 
     def test_symmetric_basis_steady_is_diagonal(self):
@@ -283,7 +296,7 @@ class TestSpinEchoVariance:
 class TestVariantChannels:
     def test_repeat_kills_all_coherences(self):
         rho = build_probe(ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 8, n1=4)).density_matrix()
-        kernel = kernel_on(rho.basis, LATE, NoiseVariant.INDEPENDENT_REPEAT)
+        kernel = kernel_on(rho.basis, LATE, "repeat")
         np.testing.assert_array_equal(kernel, np.eye(rho.basis.dimension))
         g = generator(rho.basis, GeneratorLabel.SZ_PARTITION2)
         assert qfi_phase(StateMatrix(rho.basis, rho.matrix * kernel), g) < 1e-6
@@ -294,7 +307,7 @@ class TestVariantChannels:
 
     def test_spin_echo_zero_time_identity(self):
         basis = BipartiteSymmetricBasis(4, 4)
-        kernel = kernel_on(basis, 0.0, NoiseVariant.SPIN_ECHO)
+        kernel = kernel_on(basis, 0.0, "spin_echo")
         np.testing.assert_array_equal(kernel, np.ones((basis.dimension,) * 2))
 
     def test_spin_echo_matches_elementwise_formula(self):
@@ -305,13 +318,20 @@ class TestVariantChannels:
         d2 = np.subtract.outer(basis.partition2_weights(), basis.partition2_weights())
         for T in (1e-4, 1e-3, 1e-2):
             var = spin_echo_weights_variance(d1, d2, T, DEFAULTS)
-            np.testing.assert_allclose(kernel_on(basis, T, NoiseVariant.SPIN_ECHO),
+            np.testing.assert_allclose(kernel_on(basis, T, "spin_echo"),
                                        np.exp(-0.5 * var), rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("variant, m1", [(NoiseVariant.IDEAL_COLLECTIVE, 0.0),
-                                             (NoiseVariant.INDEPENDENT_REPEAT, [0, 8]),
-                                             (NoiseVariant.SPIN_ECHO, [0, 8])])
-    def test_overflowing_variance_gives_the_exact_zero(self, variant, m1):
+    @pytest.mark.parametrize("realization, m1", [("collective", 0.0), ("repeat", [0, 8]),
+                                                 ("spin_echo", [0, 8])],
+                             ids=["collective", "repeat", "spin_echo"])
+    def test_overflowing_variance_gives_the_exact_zero(self, realization, m1):
         # C(1e7) ~ 1e307 is finite; C * 8^2 overflows, and exp(-inf) = 0
-        kernel = dephasing_kernel(m1, [0, 8], 1e7, NoiseParams(1e150, 1.0), variant)
+        var1, var2 = variances(1e7, NoiseParams(1e150, 1.0))[realization]
+        kernel = dephasing_kernel(m1, [0, 8], var1, var2)
         np.testing.assert_array_equal(kernel, np.eye(2))
+
+    @pytest.mark.parametrize("var1, var2", [(-1e-3, 1.0), (1.0, -2.0), (math.nan, 1.0),
+                                            (1.0, math.nan), (1.0, math.inf)])
+    def test_negative_or_non_finite_variance_refused(self, var1, var2):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            dephasing_kernel([0, 1], [0, 1], var1, var2)

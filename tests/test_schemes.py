@@ -335,6 +335,16 @@ class TestFramesAgainstDense:
                 fast = scheme_qfi(probe, scheme, T)[0]
                 assert abs(fast - ref) <= 1e-10 * abs(ref) + 1e-12 * spec.n ** 2, \
                     (scheme.kind, spec, T, fast, ref)
+        # a fig_time.csv cell whose tiny eigenvalue pairs only qfi.EPS_SUM's
+        # floor keeps out: without it the QFI reads 1.3e-6 relative off, which
+        # the absolute part of the tolerance above would swallow
+        probe, T = build_probe(ProbeSpec(ProbeFamily.DICKE_SYMMETRIC, 8)), 0.011253355826007646
+        q, r = oracles.bipartite_levels(0, 8)
+        rho = np.outer(probe.amplitudes, probe.amplitudes.conj())
+        ref = oracles.qfi_dense_mp(
+            oracles.dephase_bipartite(rho, 0, 8, *oracle_variances(SchemeKind.STANDARD, T)), q + r)
+        fast = scheme_qfi(probe, STANDARD, T)[0]
+        assert abs(fast - ref) <= 1e-9 * abs(ref), (fast, ref)
 
     def test_complex_and_entangled_probes_match_the_dense_channels(self):
         rng = np.random.default_rng(5)
