@@ -6,7 +6,6 @@ from .collective_basis import (
     GeneratorLabel,
     ProductState,
     PureState,
-    StateMatrix,
     SymmetricBasis,
     dicke_state,
     generator,
@@ -22,14 +21,7 @@ from .dephasing import (
     phase_variance_c,
     spin_echo_weights_variance,
 )
-from .qfi import (
-    cramer_rao_bound,
-    max_qfi_bound,
-    qfi_frequency,
-    qfi_phase,
-    repeated_frequency_precision,
-    spectral_qfi,
-)
+from .qfi import max_qfi_bound, spectral_qfi
 from .schemes import (
     ProbeFamily,
     ProbeSpec,

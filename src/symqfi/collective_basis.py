@@ -22,9 +22,6 @@ from functools import lru_cache
 import numpy as np
 
 NORM_TOL = 1e-12
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-EIGENVALUE_FLOOR = -1e-10
 
 
 def _require_integer(name: str, value) -> None:
@@ -132,38 +129,6 @@ class PureState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    def density_matrix(self) -> "StateMatrix":
-        return StateMatrix(self.basis, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True, eq=False)
-class StateMatrix:
-    """Density matrix over a symmetric or bipartite-symmetric basis.
-
-    Construction checks Hermiticity, unit trace and positivity (eigenvalues
-    above -1e-10), so a successfully built StateMatrix is a valid state.
-    """
-
-    basis: Basis
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = self.basis.dimension
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
-        herm_dev = np.max(np.abs(mat - mat.conj().T))
-        if herm_dev > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {herm_dev!r}")
-        trace_dev = abs(mat.trace() - 1.0)
-        if trace_dev > TRACE_TOL:
-            raise ValueError(f"matrix does not have unit trace: |tr - 1| = {trace_dev!r}")
-        lam_min = float(np.linalg.eigvalsh(mat)[0])
-        if lam_min < EIGENVALUE_FLOOR:
-            raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lam_min!r}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
 
 @dataclass(frozen=True, eq=False)
 class Generator:
@@ -184,6 +149,7 @@ class Generator:
 def dicke_state(n: int, k: int) -> PureState:
     """Dicke state |D_n^k> with k of n qubits excited."""
     basis = SymmetricBasis(n)
+    _require_integer("excitation count", k)
     if not 0 <= k <= n:
         raise ValueError(f"excitation count k={k} outside 0..{n}")
     amps = np.zeros(basis.dimension, dtype=complex)

@@ -7,19 +7,19 @@ for the phase is
 
 which reduces to 4*Var(G) on pure states.  :func:`spectral_qfi` evaluates
 it from the state's matrix in any orthonormal frame that holds the state's
-support; :func:`qfi_phase` is the case where the frame is the whole basis.
-Frequency estimation over an interrogation time T carries F_freq = T^2 * F,
-and 1/F lower-bounds the variance of any unbiased estimator.
+support.  Frequency estimation over an interrogation time T carries
+F_freq = T^2 * F, and 1/F lower-bounds the variance of any unbiased
+estimator.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .collective_basis import EIGENVALUE_FLOOR, Generator, StateMatrix
+from .collective_basis import Generator
 
+# an eigenvalue below this means spectral_qfi was not given a state
+EIGENVALUE_FLOOR = -1e-10
 # relative floor on eigenvalue-pair sums in spectral_qfi, looked up at each call
 EPS_SUM = 1e-12
 
@@ -69,48 +69,12 @@ def spectral_qfi(m: np.ndarray, g_bar: np.ndarray,
     return float(f) if f.ndim == 0 else f
 
 
-def qfi_phase(rho: StateMatrix, g: Generator) -> float:
-    """QFI for phase estimation with the z-diagonal generator g.
-
-    :func:`spectral_qfi` with the basis itself as the frame; see there for
-    the EPS_SUM floor and the clamping of tiny negative eigenvalues.
-    """
-    if g.basis != rho.basis:
-        raise ValueError("generator and state live on different bases")
-    return spectral_qfi(rho.matrix, g.diagonal)
-
-
 def frequency_from_phase(f_phase: float, T: float) -> float:
     """Frequency QFI T^2 * f_phase of a run of length T.
 
     Exactly 0 when f_phase is 0, also where T^2 overflows to infinity.
     """
     return T * T * f_phase if f_phase else 0.0
-
-
-def qfi_frequency(rho_T: StateMatrix, g: Generator, T: float) -> float:
-    """QFI for frequency estimation after interrogating for time T."""
-    if not (math.isfinite(T) and T >= 0):
-        raise ValueError(f"time must be finite and nonnegative, got {T!r}")
-    return frequency_from_phase(qfi_phase(rho_T, g), T)
-
-
-def cramer_rao_bound(F: float) -> float:
-    """Lower bound 1/F on the estimator variance; infinite when F is not positive."""
-    if F <= 0:
-        return math.inf
-    return 1.0 / F
-
-
-def repeated_frequency_precision(F_phi: float, T: float, t_total: float) -> float:
-    """Inverse-variance bound t_total * T * F_phi for repeated runs of length T."""
-    if not all(math.isfinite(x) for x in (F_phi, T, t_total)):
-        raise ValueError(f"F_phi, T and t_total must be finite, got {F_phi!r}, {T!r}, {t_total!r}")
-    if T <= 0:
-        raise ValueError(f"single-run time must be positive, got {T!r}")
-    if T > t_total:
-        raise ValueError(f"single-run time {T!r} exceeds total time {t_total!r}")
-    return t_total * T * F_phi
 
 
 def max_qfi_bound(g: Generator) -> float:

@@ -13,6 +13,7 @@ generator, so it never changes the QFI and is not applied to the state.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -72,6 +73,8 @@ class ProbeSpec:
                 _require_integer(name, getattr(self, name))
         if n < 1:
             raise ValueError(f"need at least one qubit, got n={n}")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise ValueError(f"rotation angle must be a real number, got alpha={self.alpha!r}")
         if not math.isfinite(self.alpha):
             raise ValueError(f"rotation angle must be finite, got alpha={self.alpha!r}")
         if f in _BIPARTITE_ONLY or (f is ProbeFamily.PRODUCT_PLUS and n1 is not None):

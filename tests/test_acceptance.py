@@ -131,10 +131,10 @@ def test_criterion_9_property_suites():
         basis = sq.SymmetricBasis(n)
         psi = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
         state = sq.PureState(basis, psi / np.linalg.norm(psi))
-        g = sq.generator(basis, sq.GeneratorLabel.SZ_TOTAL)
+        z = basis.z_weights()
         prob = np.abs(state.amplitudes) ** 2
-        var = float(prob @ g.diagonal ** 2 - (prob @ g.diagonal) ** 2)
-        got = sq.qfi_phase(state.density_matrix(), g)
+        var = float(prob @ z ** 2 - (prob @ z) ** 2)
+        got = sq.spectral_qfi(np.outer(state.amplitudes, state.amplitudes.conj()), z)
         pure_ok = pure_ok and within(got, 4 * var, rtol=1e-9, atol=1e-9)
 
     # convexity and the generator upper bound
@@ -145,13 +145,13 @@ def test_criterion_9_property_suites():
     for _ in range(25):
         psi1 = rng.normal(size=7) + 1j * rng.normal(size=7)
         psi2 = rng.normal(size=7) + 1j * rng.normal(size=7)
-        rho1 = sq.PureState(basis, psi1 / np.linalg.norm(psi1)).density_matrix()
-        rho2 = sq.PureState(basis, psi2 / np.linalg.norm(psi2)).density_matrix()
+        psi1, psi2 = psi1 / np.linalg.norm(psi1), psi2 / np.linalg.norm(psi2)
+        rho1, rho2 = np.outer(psi1, psi1.conj()), np.outer(psi2, psi2.conj())
         w = float(rng.uniform())
-        mix = sq.StateMatrix(basis, w * rho1.matrix + (1 - w) * rho2.matrix)
-        f_mix = sq.qfi_phase(mix, g)
-        convex_ok = convex_ok and f_mix <= (w * sq.qfi_phase(rho1, g)
-                                            + (1 - w) * sq.qfi_phase(rho2, g) + 1e-9)
+        mix = w * rho1 + (1 - w) * rho2
+        f_mix = sq.spectral_qfi(mix, g.diagonal)
+        convex_ok = convex_ok and f_mix <= (w * sq.spectral_qfi(rho1, g.diagonal)
+                                            + (1 - w) * sq.spectral_qfi(rho2, g.diagonal) + 1e-9)
         convex_ok = convex_ok and f_mix <= bound + 1e-9
 
     # spin-echo covariance closed form vs trapezoid double-integral oracle

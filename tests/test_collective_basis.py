@@ -67,6 +67,15 @@ class TestStateConstructors:
         with pytest.raises(ValueError):
             dicke_state(4, -1)
 
+    @pytest.mark.parametrize("bad", [True, False, 2.0, 1.5, "2", None])
+    def test_dicke_non_integer_count_refused(self, bad):
+        with pytest.raises(ValueError, match="excitation count must be an integer"):
+            dicke_state(4, bad)
+
+    def test_dicke_numpy_integer_count_accepted(self):
+        np.testing.assert_array_equal(dicke_state(4, np.int64(2)).amplitudes,
+                                      dicke_state(4, 2).amplitudes)
+
     def test_ghz_single_qubit_is_plus(self):
         np.testing.assert_allclose(ghz_state(1).amplitudes,
                                    plus_product_state(1).amplitudes)

@@ -10,7 +10,6 @@ from symqfi.collective_basis import (
     GeneratorLabel,
     ProductState,
     PureState,
-    StateMatrix,
     SymmetricBasis,
     dicke_state,
     generator,
@@ -18,7 +17,7 @@ from symqfi.collective_basis import (
     rotate_y,
 )
 from symqfi.dephasing import NoiseParams, phase_variance_c, spin_echo_weights_variance
-from symqfi.qfi import max_qfi_bound, qfi_frequency, qfi_phase
+from symqfi.qfi import frequency_from_phase, max_qfi_bound, spectral_qfi
 from symqfi.schemes import (
     ProbeFamily,
     ProbeSpec,
@@ -62,21 +61,20 @@ def split_sizes(basis) -> tuple[int, int]:
 
 
 def dense_qfi(probe: PureState, scheme: SchemeSpec, T: float) -> float:
-    """The dense oracle: full density matrix, the oracle's kernel, qfi_phase."""
+    """The dense oracle: full density matrix, the oracle's kernel, spectral_qfi."""
     rho = np.outer(probe.amplitudes, probe.amplitudes.conj())
     out = oracles.dephase_bipartite(rho, *split_sizes(probe.basis),
                                     *oracle_variances(scheme.kind, T))
-    label = (GeneratorLabel.SZ_TOTAL if scheme.kind is SchemeKind.STANDARD
-             else GeneratorLabel.SZ_PARTITION2)
-    return qfi_phase(StateMatrix(probe.basis, out), generator(probe.basis, label))
+    basis = probe.basis
+    w = basis.z_weights() if scheme.kind is SchemeKind.STANDARD else basis.partition2_weights()
+    return spectral_qfi(out, w)
 
 
 def steady_qfi(probe: PureState) -> float:
     """Partition-2 QFI of a bipartite probe's block projection, the oracle's steady state."""
     rho = oracles.block_project(np.outer(probe.amplitudes, probe.amplitudes.conj()),
                                 *split_sizes(probe.basis))
-    return qfi_phase(StateMatrix(probe.basis, rho),
-                     generator(probe.basis, GeneratorLabel.SZ_PARTITION2))
+    return spectral_qfi(rho, probe.basis.partition2_weights())
 
 
 def assert_matches_dense(probe: PureState, scheme: SchemeSpec, T: float):
@@ -154,6 +152,12 @@ class TestProbeSpec:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
+            ProbeSpec(ProbeFamily.GHZ, 4, alpha=bad)
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_, "0.1", None, 1j])
+    def test_non_real_angle_rejected(self, bad):
+        # a bool would reach the row as alpha=True, written as 1 or true
+        with pytest.raises(ValueError, match="real number"):
             ProbeSpec(ProbeFamily.GHZ, 4, alpha=bad)
 
     def test_plain_families_reject_split(self):
@@ -293,9 +297,7 @@ class TestSchemeQfi:
         rows = scan(STANDARD, [ProbeSpec(ProbeFamily.GHZ, 4)], times=[1e300],
                     optimize_alpha=True)
         assert (rows[0].f_phase, rows[0].f_freq, rows[0].error) == (0.0, 0.0, None)
-        mixed = StateMatrix(SymmetricBasis(4), np.eye(5) / 5)
-        g = generator(mixed.basis, GeneratorLabel.SZ_TOTAL)
-        assert qfi_frequency(mixed, g, 1e300) == 0.0
+        assert frequency_from_phase(0.0, 1e300) == 0.0
 
     def test_frequency_is_time_squared(self):
         probe = build_probe(ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 8, n1=4))
