@@ -2,7 +2,6 @@
 
 from .collective_basis import (
     BipartiteSymmetricBasis,
-    Generator,
     GeneratorLabel,
     ProductState,
     PureState,
@@ -12,7 +11,6 @@ from .collective_basis import (
     ghz_state,
     plus_product_state,
     rotate_y,
-    tensor_bipartite,
     wigner_d_matrix,
 )
 from .dephasing import (

@@ -130,22 +130,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
 
 
-@dataclass(frozen=True, eq=False)
-class Generator:
-    """Z-diagonal Hermitian generator of the signal phase."""
-
-    basis: Basis
-    diagonal: np.ndarray
-    label: GeneratorLabel
-
-    def __post_init__(self):
-        diag = np.asarray(self.diagonal, dtype=float)
-        if diag.shape != (self.basis.dimension,):
-            raise ValueError("generator diagonal does not match basis dimension")
-        diag.setflags(write=False)
-        object.__setattr__(self, "diagonal", diag)
-
-
 def dicke_state(n: int, k: int) -> PureState:
     """Dicke state |D_n^k> with k of n qubits excited."""
     basis = SymmetricBasis(n)
@@ -199,6 +183,7 @@ def wigner_d_matrix(n: int, angle: float) -> np.ndarray:
     which stays numerically stable for large n (the textbook alternating
     binomial sum does not).
     """
+    _require_integer("particle count", n)
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
     eigvals, eigvecs = _sy_eigensystem(n)
@@ -236,31 +221,27 @@ class ProductState(PureState):
 
     def __init__(self, a: PureState, b: PureState):
         if not isinstance(a.basis, SymmetricBasis) or not isinstance(b.basis, SymmetricBasis):
-            raise ValueError("tensor_bipartite expects two single-partition states")
+            raise ValueError("ProductState expects two single-partition states")
         object.__setattr__(self, "parts", (a, b))
         # np.kron of two vectors, bit for bit, without its general n-d overhead
         super().__init__(BipartiteSymmetricBasis(a.basis.n, b.basis.n),
                          (a.amplitudes[:, None] * b.amplitudes).ravel())
 
 
-def tensor_bipartite(a: PureState, b: PureState) -> ProductState:
-    """Tensor product of two symmetric-sector states, one per partition."""
-    return ProductState(a, b)
+def generator(basis: Basis, label: GeneratorLabel) -> np.ndarray:
+    """Diagonal of the signal generator on a basis, one weight per basis vector.
 
-
-def generator(basis: Basis, label: GeneratorLabel) -> Generator:
-    """Build the z-diagonal signal generator for a basis.
-
-    SZ_TOTAL is the collective z-spin of all qubits and exists on every
-    basis; SZ_PARTITION2 acts on the second partition only and requires a
-    bipartite basis.
+    SZ_TOTAL is the collective z-spin of all qubits, basis.z_weights(), and
+    exists on every basis; SZ_PARTITION2 acts on the second partition only,
+    basis.partition2_weights(), and requires a bipartite basis.  The
+    pipeline reads those weights from the basis directly; GeneratorLabel,
+    generator and max_qfi_bound are kept for the benchmark's QFI-bound
+    oracle until ROADMAP items 4 and 6.
     """
     if label is GeneratorLabel.SZ_TOTAL:
-        diag = basis.z_weights()
-    elif label is GeneratorLabel.SZ_PARTITION2:
+        return basis.z_weights()
+    if label is GeneratorLabel.SZ_PARTITION2:
         if not isinstance(basis, BipartiteSymmetricBasis):
             raise ValueError("SZ_PARTITION2 requires a bipartite basis")
-        diag = basis.partition2_weights()
-    else:
-        raise ValueError(f"unknown generator label {label!r}")
-    return Generator(basis, diag, label)
+        return basis.partition2_weights()
+    raise ValueError(f"unknown generator label {label!r}")

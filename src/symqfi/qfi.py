@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .collective_basis import Generator
-
 # an eigenvalue below this means spectral_qfi was not given a state
 EIGENVALUE_FLOOR = -1e-10
 # relative floor on eigenvalue-pair sums in spectral_qfi, looked up at each call
@@ -77,11 +75,11 @@ def frequency_from_phase(f_phase: float, T: float) -> float:
     return T * T * f_phase if f_phase else 0.0
 
 
-def max_qfi_bound(g: Generator) -> float:
-    """Largest phase QFI any state can reach with generator g.
+def max_qfi_bound(g: np.ndarray) -> float:
+    """Largest phase QFI any state can reach with a generator of diagonal g.
 
-    Equals the squared spectral span of g; saturated by an equal
-    superposition of the extremal eigenvectors.
+    Equals the squared span (max g - min g)^2 of the weights; saturated by
+    an equal superposition of the extremal eigenvectors.
     """
-    span = float(np.max(g.diagonal) - np.min(g.diagonal))
+    span = float(np.max(g) - np.min(g))
     return span * span

@@ -30,7 +30,6 @@ from .collective_basis import (
     ghz_state,
     plus_product_state,
     rotate_y,
-    tensor_bipartite,
 )
 from .dephasing import (NoiseParams, dephasing_kernel, phase_variance_c,
                         spin_echo_weights_variance)
@@ -158,7 +157,7 @@ def _rotatable_parts(spec: ProbeSpec) -> tuple[PureState, float]:
         parts, offset = [dicke_state(n1, spec.k1), dicke_state(n - n1, spec.k2)], math.pi / 2
     else:
         raise ValueError(f"{f.value} has no rotation parameter")
-    return (parts[0] if len(parts) == 1 else tensor_bipartite(*parts)), offset
+    return (parts[0] if len(parts) == 1 else ProductState(*parts)), offset
 
 
 def build_probe(spec: ProbeSpec) -> PureState:
@@ -330,7 +329,9 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     spaced interior angles in one call and keeps the neighbours of their
     first maximum, until the bracket is at most 1e-6 rad wide or a round
     reads one value at all 7 angles (as a fully dephased landscape does,
-    exactly 0 everywhere).  Numerical ties resolve to the smallest angle.
+    exactly 0 everywhere).  Numerical ties, within 1e-9|F| + 1e-11 n^2 of
+    the best value, resolve to the smallest angle; the result is never more
+    than that window below the best grid value.
     """
     evaluate = _rotation_qfi(spec, scheme, T)
 
@@ -343,9 +344,8 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     values = evaluate(alphas)
     f_max = float(values.max())
     best = int(np.argmax(values >= f_max - window(f_max)))  # first near-maximal point
-    lo = alphas[max(best - 1, 0)]
     a_ref, f_ref = alphas[best], values[best]
-    left, right = lo, alphas[min(best + 1, len(alphas) - 1)]
+    left, right = alphas[max(best - 1, 0)], alphas[min(best + 1, len(alphas) - 1)]
     while right - left > 1e-6:
         points = np.linspace(left, right, _ROUND_ANGLES + 2)
         inner = evaluate(points[1:-1])
@@ -354,9 +354,8 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
         if inner[i] == inner.min():
             break  # a flat round has no maximum to narrow down
 
-    candidates = sorted([(float(lo), float(values[max(best - 1, 0)])),
-                         (float(alphas[best]), float(values[best])),
-                         (float(a_ref), float(f_ref))])
+    # the grid point before best is below f_max's window, so it is no candidate
+    candidates = sorted([(float(alphas[best]), float(values[best])), (float(a_ref), float(f_ref))])
     f_best = max(v for _, v in candidates)
     # the smallest angle within the window; the one holding f_best always is
     return next((a, v) for a, v in candidates if v >= f_best - window(f_best))

@@ -139,7 +139,7 @@ def test_criterion_9_property_suites():
 
     # convexity and the generator upper bound
     basis = sq.SymmetricBasis(6)
-    g = sq.generator(basis, sq.GeneratorLabel.SZ_TOTAL)
+    g = basis.z_weights()
     bound = sq.max_qfi_bound(g)
     convex_ok = True
     for _ in range(25):
@@ -149,9 +149,9 @@ def test_criterion_9_property_suites():
         rho1, rho2 = np.outer(psi1, psi1.conj()), np.outer(psi2, psi2.conj())
         w = float(rng.uniform())
         mix = w * rho1 + (1 - w) * rho2
-        f_mix = sq.spectral_qfi(mix, g.diagonal)
-        convex_ok = convex_ok and f_mix <= (w * sq.spectral_qfi(rho1, g.diagonal)
-                                            + (1 - w) * sq.spectral_qfi(rho2, g.diagonal) + 1e-9)
+        f_mix = sq.spectral_qfi(mix, g)
+        convex_ok = convex_ok and f_mix <= (w * sq.spectral_qfi(rho1, g)
+                                            + (1 - w) * sq.spectral_qfi(rho2, g) + 1e-9)
         convex_ok = convex_ok and f_mix <= bound + 1e-9
 
     # spin-echo covariance closed form vs trapezoid double-integral oracle

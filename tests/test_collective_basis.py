@@ -14,7 +14,6 @@ from symqfi.collective_basis import (
     ghz_state,
     plus_product_state,
     rotate_y,
-    tensor_bipartite,
     wigner_d_matrix,
 )
 
@@ -182,7 +181,7 @@ class TestRotations:
     def test_bipartite_rotation_factorizes(self):
         # a ProductState rotates factor by factor; a plain state on the same
         # basis takes one Wigner-d block per partition
-        product = tensor_bipartite(ghz_state(3), plus_product_state(2))
+        product = ProductState(ghz_state(3), plus_product_state(2))
         split = rotate_y(product, 0.71)
         joint = rotate_y(PureState(product.basis, product.amplitudes), 0.71)
         assert isinstance(split, ProductState) and not isinstance(joint, ProductState)
@@ -191,7 +190,7 @@ class TestRotations:
 
 class TestTensorAndGenerator:
     def test_ghz_pair(self):
-        state = tensor_bipartite(ghz_state(4), ghz_state(4))
+        state = ProductState(ghz_state(4), ghz_state(4))
         amps = state.amplitudes.reshape(5, 5)
         expected = np.zeros((5, 5))
         for q in (0, 4):
@@ -202,27 +201,36 @@ class TestTensorAndGenerator:
     def test_bsd_amplitudes_factorize(self):
         left = rotate_y(dicke_state(4, 2), math.pi / 2)
         right = rotate_y(dicke_state(4, 2), math.pi / 2)
-        state = tensor_bipartite(left, right)
+        state = ProductState(left, right)
         assert state.parts == (left, right)
         np.testing.assert_array_equal(state.amplitudes,
                                       np.kron(left.amplitudes, right.amplitudes))
 
     def test_tensor_of_basis_vectors(self):
-        state = tensor_bipartite(dicke_state(2, 1), dicke_state(3, 0))
+        state = ProductState(dicke_state(2, 1), dicke_state(3, 0))
         assert np.count_nonzero(state.amplitudes) == 1
         assert state.amplitudes[1 * 4 + 0] == 1.0
 
+    def test_product_refuses_a_bipartite_factor(self):
+        pair = ProductState(ghz_state(1), ghz_state(1))
+        with pytest.raises(ValueError, match="ProductState expects two single-partition states"):
+            ProductState(pair, ghz_state(2))
+
     def test_generator_total(self):
-        gen = generator(SymmetricBasis(2), GeneratorLabel.SZ_TOTAL)
-        np.testing.assert_allclose(gen.diagonal, [-1, 0, 1])
+        np.testing.assert_array_equal(generator(SymmetricBasis(2), GeneratorLabel.SZ_TOTAL),
+                                      [-1, 0, 1])
 
     def test_generator_partition2(self):
-        gen = generator(BipartiteSymmetricBasis(1, 1), GeneratorLabel.SZ_PARTITION2)
-        np.testing.assert_allclose(gen.diagonal, [-0.5, 0.5, -0.5, 0.5])
+        basis = BipartiteSymmetricBasis(1, 1)
+        g = generator(basis, GeneratorLabel.SZ_PARTITION2)
+        np.testing.assert_array_equal(g, [-0.5, 0.5, -0.5, 0.5])
+        np.testing.assert_array_equal(g, basis.partition2_weights())
 
     def test_generator_total_bipartite_corner(self):
-        gen = generator(BipartiteSymmetricBasis(4, 4), GeneratorLabel.SZ_TOTAL)
-        assert gen.diagonal[0] == -4.0
+        basis = BipartiteSymmetricBasis(4, 4)
+        g = generator(basis, GeneratorLabel.SZ_TOTAL)
+        assert g[0] == -4.0
+        np.testing.assert_array_equal(g, basis.z_weights())
 
     def test_partition2_needs_bipartite(self):
         with pytest.raises(ValueError):
@@ -254,5 +262,5 @@ class TestBruteForceEquivalence:
     def test_total_generator(self, n):
         proj = oracles.sym_projector(n)
         full = proj @ np.diag(oracles.sz_full(n)) @ proj.T
-        ours = np.diag(generator(SymmetricBasis(n), GeneratorLabel.SZ_TOTAL).diagonal)
+        ours = np.diag(generator(SymmetricBasis(n), GeneratorLabel.SZ_TOTAL))
         np.testing.assert_allclose(ours, full, atol=1e-12)

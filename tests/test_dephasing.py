@@ -5,10 +5,10 @@ import pytest
 
 from symqfi.collective_basis import (
     BipartiteSymmetricBasis,
+    ProductState,
     SymmetricBasis,
     ghz_state,
     plus_product_state,
-    tensor_bipartite,
 )
 from symqfi.dephasing import (
     NoiseParams,
@@ -147,7 +147,7 @@ class TestCollectiveDephasing:
         # repeats weigh each partition's qubits with their own sample
         for n1, n2 in ((2, 1), (2, 3)):
             proj = np.kron(oracles.sym_projector(n1), oracles.sym_projector(n2))
-            psi = tensor_bipartite(plus_product_state(n1), plus_product_state(n2))
+            psi = ProductState(plus_product_state(n1), plus_product_state(n2))
             rho_full = np.outer(proj.T @ psi.amplitudes, (proj.T @ psi.amplitudes).conj())
             w1 = np.repeat(oracles.bit_weights(n1), 2 ** n2)
             w2 = np.tile(oracles.bit_weights(n2), 2 ** n1)
@@ -211,7 +211,7 @@ class TestSteadyState:
     """The collective kernel at late times is the block projection."""
 
     def test_ghz_pair_eigenvalues(self):
-        psi = tensor_bipartite(ghz_state(4), ghz_state(4))
+        psi = ProductState(ghz_state(4), ghz_state(4))
         rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
         lam = np.linalg.eigvalsh(rho * kernel_on(psi.basis, LATE))[::-1]
         np.testing.assert_allclose(lam[:3], [0.5, 0.25, 0.25], atol=1e-12)

@@ -6,10 +6,8 @@ import pytest
 from symqfi import qfi
 from symqfi.collective_basis import (
     BipartiteSymmetricBasis,
-    GeneratorLabel,
     PureState,
     SymmetricBasis,
-    generator,
     ghz_state,
 )
 from symqfi.dephasing import NoiseParams, phase_variance_c
@@ -152,11 +150,11 @@ class TestQfiPhase:
     def test_bounded_by_generator_span(self):
         rng = np.random.default_rng(41)
         for basis in (SymmetricBasis(7), BipartiteSymmetricBasis(3, 4)):
-            g = generator(basis, GeneratorLabel.SZ_TOTAL)
-            bound = max_qfi_bound(g)
+            w = basis.z_weights()
+            bound = max_qfi_bound(w)
             for _ in range(25):
                 rho = random_mixed(rng, basis, rank=2)
-                assert spectral_qfi(rho, g.diagonal) <= bound + 1e-9
+                assert spectral_qfi(rho, w) <= bound + 1e-9
 
     def test_invariant_under_signal_unitary(self):
         rng = np.random.default_rng(43)
@@ -200,12 +198,8 @@ class TestFrequencyAndBounds:
 
     def test_max_qfi_bound_values(self):
         for n in (2, 8):
-            g = generator(SymmetricBasis(n), GeneratorLabel.SZ_TOTAL)
-            assert max_qfi_bound(g) == pytest.approx(n * n)
+            assert max_qfi_bound(SymmetricBasis(n).z_weights()) == pytest.approx(n * n)
         for n1 in (2, 3, 5):
             basis = BipartiteSymmetricBasis(n1, 8 - n1)
-            g = generator(basis, GeneratorLabel.SZ_PARTITION2)
-            assert max_qfi_bound(g) == pytest.approx((8 - n1) ** 2)
-        from symqfi.collective_basis import Generator
-        flat = Generator(SymmetricBasis(3), np.full(4, 2.5), GeneratorLabel.SZ_TOTAL)
-        assert max_qfi_bound(flat) == 0.0
+            assert max_qfi_bound(basis.partition2_weights()) == pytest.approx((8 - n1) ** 2)
+        assert max_qfi_bound(np.full(4, 2.5)) == 0.0

@@ -7,12 +7,10 @@ import pytest
 from symqfi import schemes
 from symqfi.collective_basis import (
     BipartiteSymmetricBasis,
-    GeneratorLabel,
     ProductState,
     PureState,
     SymmetricBasis,
     dicke_state,
-    generator,
     ghz_state,
     rotate_y,
 )
@@ -393,16 +391,19 @@ class TestFramesAgainstDense:
             closed = bsd_steady_qfi(SplitChoice(n, n1, k1, k1 + k2))
             assert late == pytest.approx(closed, rel=1e-9, abs=1e-12 * n * n)
 
-    def test_dfs_optimal_support_frame(self):
-        # (q, r) = (0, 4) and (4, 0): one coherence, scaled by exp(-Var/2)
-        probe = build_probe(ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8))
+    @pytest.mark.parametrize("n", range(2, 81, 2))
+    def test_dfs_optimal_support_frame(self, n):
+        # (q, r) = (0, h) and (h, 0) with h = n/2: one coherence, scaled by
+        # exp(-Var/2); the per-basis-vector frame far beyond the dense oracle
+        h = n // 2
+        probe = build_probe(ProbeSpec(ProbeFamily.DFS_OPTIMAL, n))
         for T in (0.0, 1e-4, 1e-3, 0.01, 1.0, 25.0):
-            assert scheme_qfi(probe, DI_IDEAL, T)[0] == pytest.approx(16.0, abs=1e-10)
-            variances = {DI_ECHO: spin_echo_weights_variance(4.0, -4.0, T, NOISE),
-                         DI_REPEAT: 32.0 * phase_variance_c(T, NOISE)}
+            assert scheme_qfi(probe, DI_IDEAL, T)[0] == pytest.approx(h * h, abs=1e-10)
+            variances = {DI_ECHO: spin_echo_weights_variance(h, -h, T, NOISE),
+                         DI_REPEAT: 2.0 * h * h * phase_variance_c(T, NOISE)}
             for scheme, var in variances.items():
                 assert scheme_qfi(probe, scheme, T)[0] == pytest.approx(
-                    16.0 * math.exp(-var), rel=1e-12, abs=1e-12)
+                    h * h * math.exp(-var), rel=1e-12, abs=1e-12)
 
     def test_uneven_ghz_pairs_never_negative(self):
         times = [0.0, *np.logspace(-5, 1.5, 25)]
@@ -461,6 +462,19 @@ class TestOptimizeRotation:
                 brute = float(_rotation_qfi(spec, scheme, T)(alphas).max())
                 _, f = optimize_rotation(spec, scheme, T)
                 assert f >= brute - (1e-9 * abs(f) + 1e-11 * spec.n ** 2), (scheme.kind, spec, T)
+
+    def test_result_is_within_the_window_of_the_grid_maximum(self):
+        # the grid point before the first near-maximal one lies below the
+        # window of the grid maximum, and must not win as the smallest angle
+        alphas = np.linspace(0.0, math.pi / 2, 201)
+        cells = [(STANDARD, ProbeSpec(ProbeFamily.GHZ, n)) for n in (4, 8, 11, 16)]
+        cells += [(scheme, ProbeSpec(ProbeFamily.GHZ_BIPARTITE, n, n1=n // 2))
+                  for scheme in (DI_ECHO, DI_REPEAT) for n in (8, 12)]
+        for scheme, spec in cells:
+            for T in (0.019, 0.02, 0.021):
+                g_max = float(_rotation_qfi(spec, scheme, T)(alphas).max())
+                _, f = optimize_rotation(spec, scheme, T)
+                assert f >= g_max - (1e-9 * g_max + 1e-11 * spec.n ** 2), (scheme.kind, spec, T)
 
     def test_decohered_landscape_ties_to_zero(self):
         # every grid value is rounding noise below the absolute part of the
@@ -687,9 +701,8 @@ def curves():
                     cells.append((scheme, ProbeSpec(ProbeFamily.DFS_OPTIMAL, n)))
             for scheme, spec in cells:
                 probe = build_probe(spec)
-                label = (GeneratorLabel.SZ_TOTAL if scheme is STANDARD
-                         else GeneratorLabel.SZ_PARTITION2)
-                bound = max_qfi_bound(generator(probe.basis, label))
+                bound = max_qfi_bound(probe.basis.z_weights() if scheme is STANDARD
+                                      else probe.basis.partition2_weights())
                 values = [scheme_qfi(probe, scheme, float(t))[0] for t in times]
                 out.append((scheme, spec, values, bound))
     return out

@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from symqfi.collective_basis import BipartiteSymmetricBasis, SymmetricBasis
+from symqfi.collective_basis import (BipartiteSymmetricBasis, PureState, SymmetricBasis,
+                                     wigner_d_matrix)
 from symqfi.dephasing import NoiseParams
 from symqfi.qfi import spectral_qfi
 from symqfi.schemes import ProbeFamily, ProbeSpec, SchemeKind, SchemeSpec, build_probe, scheme_qfi
@@ -145,6 +146,26 @@ class TestDfsPiecewise:
     def test_high_excitation_branch(self):
         assert dfs_piecewise_qfi(8, 4, 7) == 1.0  # (n - k)^2
 
+    def test_two_entry_state_reaches_it(self):
+        # the equal superposition of the basis vectors (k - r, r) with the
+        # largest and smallest partition-2 excitation r a total of k allows,
+        # dephasing-free under DI_IDEAL; r_max = r_min gives one basis vector
+        di = SchemeSpec(SchemeKind.DI_IDEAL, NOISE)
+        for n in range(2, 9):
+            for n1 in range(1, n):
+                n2 = n - n1
+                basis = BipartiteSymmetricBasis(n1, n2)
+                for k in range(n + 1):
+                    rs = {min(k, n2), max(0, k - n1)}
+                    amps = np.zeros(basis.dimension, dtype=complex)
+                    for r in rs:
+                        amps[(k - r) * (n2 + 1) + r] = math.sqrt(1 / len(rs))
+                    probe = PureState(basis, amps)
+                    expected = dfs_piecewise_qfi(n, n1, k)
+                    for T in (0.0, 1e-3, 0.1, 50.0):
+                        assert scheme_qfi(probe, di, T)[0] == pytest.approx(
+                            expected, rel=1e-14, abs=1e-14), (n, n1, k, T)
+
     def test_every_branch_consistent(self):
         for n in (5, 8):
             for n1 in range(n + 1):
@@ -181,8 +202,12 @@ def bsd_probe(n, n1, k1, k2):
     return ProbeSpec(ProbeFamily.BSD, n, n1, k1, k2)
 
 
-# every count argument of the closed forms, the Dicke bases and the probe
-# specs follows one rule: bools, floats, strings and None are refused, and a
+def wigner_d(n):
+    return wigner_d_matrix(n, 0.3).tolist()
+
+
+# every count argument of the closed forms, the Dicke bases, the probe specs
+# and the Wigner-d matrix follows one rule: bools, floats, strings and None are refused, and a
 # numpy integer gives the same value as the Python int
 COUNT_ARGUMENTS = [
     (SplitChoice, (8, 4, 2, 4)),
@@ -193,6 +218,7 @@ COUNT_ARGUMENTS = [
     (BipartiteSymmetricBasis, (4, 4)),
     (ghz_probe, (8,)),
     (bsd_probe, (8, 4, 2, 2)),
+    (wigner_d, (8,)),
 ]
 COUNT_CALLS = [(f, args, i) for f, args in COUNT_ARGUMENTS for i in range(len(args))]
 COUNT_IDS = [f"{f.__name__}-{i}" for f, _, i in COUNT_CALLS]
