@@ -223,7 +223,8 @@ def _fmt_json(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return "NaN" if math.isnan(value) else f"{value:.17g}"
+        text = f"{value:.17g}"  # non-finite values as Python's json module writes them
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     return str(value)

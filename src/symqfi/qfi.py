@@ -46,11 +46,22 @@ def spectral_qfi(m: np.ndarray, g_bar: np.ndarray,
     m may carry leading stack axes, shape (..., d, d) with g_bar and v of
     shape (..., d); every matrix is then treated on its own and the result
     is an array of shape (...).  A single (d, d) matrix gives a float.
+
+    With v = None, a stack whose off-diagonal entries are all exactly 0 and
+    whose diagonal is finite commutes with G and reads exactly 0 without
+    eigh: its eigenvalues are its diagonal, refused below EIGENVALUE_FLOOR
+    as above.
     """
-    lam, u = np.linalg.eigh(m)
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    if v is None and np.count_nonzero(m) == np.count_nonzero(diag) and np.isfinite(diag).all():
+        lam, u = diag.real, None
+    else:
+        lam, u = np.linalg.eigh(m)
     lam_min = lam.min()  # eigh sorts ascending, so this is the first of some matrix
     if lam_min < EIGENVALUE_FLOOR:
         raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lam_min!r}")
+    if u is None:
+        return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
     lam = np.maximum(lam, 0.0)
     floor = EPS_SUM * lam[..., -1:]  # the largest eigenvalue of each matrix
     overlaps = (u.conj().swapaxes(-1, -2) * g_bar[..., None, :]) @ u

@@ -285,8 +285,10 @@ def _rotation_qfi(spec: ProbeSpec, scheme: SchemeSpec,
     all G angles go to spectral_qfi as one stack.  Every rotatable probe is
     a product state and stays one under rotation, so the set-up _cell makes
     for the unrotated probe serves every angle.  optimize_rotation calls it
-    once with its whole grid and once per refinement round with that
-    round's angles, so its fixed per-call cost is paid a few times per cell.
+    once with its whole grid and then once per refinement round with that
+    round's angles (one round where the grid's best angle is 0 or the
+    landscape is flat), so its fixed per-call cost is paid a few times per
+    cell.
     """
     probe, offset = _rotatable_parts(spec)
     state, frames = _cell(probe, scheme, T)
@@ -331,7 +333,11 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     reads one value at all 7 angles (as a fully dephased landscape does,
     exactly 0 everywhere).  Numerical ties, within 1e-9|F| + 1e-11 n^2 of
     the best value, resolve to the smallest angle; the result is never more
-    than that window below the best grid value.
+    than that window below the best grid value.  So where the first
+    near-maximal grid angle is 0, the search stops after one round unless
+    that round reads above F(0) plus its window: the round samples
+    [0, pi/400] every pi/3200, and the tests check that no narrower peak
+    beside 0 rises above that bound.
     """
     evaluate = _rotation_qfi(spec, scheme, T)
 
@@ -346,13 +352,17 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     best = int(np.argmax(values >= f_max - window(f_max)))  # first near-maximal point
     a_ref, f_ref = alphas[best], values[best]
     left, right = alphas[max(best - 1, 0)], alphas[min(best + 1, len(alphas) - 1)]
+    # alpha = 0 wins every tie, so there only a first round above F(0)'s window
+    # can move the result; later rounds would look for a narrower peak
+    settled = values[0] + window(values[0]) if best == 0 else -math.inf
     while right - left > 1e-6:
         points = np.linspace(left, right, _ROUND_ANGLES + 2)
         inner = evaluate(points[1:-1])
         i = int(np.argmax(inner))  # first maximum
         a_ref, f_ref, left, right = points[i + 1], inner[i], points[i], points[i + 2]
-        if inner[i] == inner.min():
-            break  # a flat round has no maximum to narrow down
+        if inner[i] == inner.min() or inner[i] <= settled:
+            break  # a flat round has no maximum to narrow down; 0 is settled
+        settled = -math.inf  # only the first round can settle 0
 
     # the grid point before best is below f_max's window, so it is no candidate
     candidates = sorted([(float(alphas[best]), float(values[best])), (float(a_ref), float(f_ref))])

@@ -89,6 +89,20 @@ class TestScanTime:
         assert "scheme=standard family=ghz n=4" in line and "T=-1" in line
         assert "time must be finite and nonnegative" in line
 
+    def test_jsonl_writes_an_overflowing_frequency_as_infinity(self, tmp_path):
+        # T^2 F overflows past T ~ 1.3e154; the CSV row reads "inf"
+        out = tmp_path / "scan.jsonl"
+        args = ["scan-time", "--scheme", "di_ideal", "--family", "product_plus", "--n", "4",
+                "--n1", "2", "--t-list", "1e160"]
+        assert run_cli(args + ["--format", "jsonl", "--out", str(out)]) == 0
+        [row] = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+        assert row["F_freq"] == math.inf
+        assert run_cli(args + ["--out", str(tmp_path / "scan.csv")]) == 0
+        _, [csv_row] = read_table(tmp_path / "scan.csv")
+        assert float(csv_row[9]) == math.inf
+        assert cli._fmt_json(-math.inf) == "-Infinity"
+        assert json.loads(cli._fmt_json(-math.inf)) == -math.inf
+
     def test_optimize_alpha_flag(self, tmp_path):
         out = tmp_path / "scan.csv"
         run_cli(["scan-time", "--family", "product_plus", "--n", "6",

@@ -90,6 +90,51 @@ class TestSpectralQfi:
         with pytest.raises(ValueError, match="not positive semidefinite"):
             spectral_qfi(m, np.tile(self.G_BAR, (3, 1)))
 
+    @staticmethod
+    def diagonal_frames(rng, size, d):
+        """size exactly diagonal frames, about a third of their entries 0."""
+        w = rng.uniform(size=(size, d)) * (rng.uniform(size=(size, d)) > 0.3)
+        return w[..., :, None] * np.eye(d), rng.normal(size=(size, d)), w
+
+    def test_diagonal_frame_reads_exactly_zero(self, monkeypatch):
+        # a diagonal frame commutes with the generator: with v = None, 0.0 without eigh
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        rng = np.random.default_rng(53)
+        for d in range(1, 13):
+            m, g_bar, _ = self.diagonal_frames(rng, 5, d)
+            stacked = spectral_qfi(m, g_bar)
+            assert isinstance(stacked, np.ndarray) and stacked.shape == (5,)
+            assert (stacked == 0.0).all()
+            for i in range(5):
+                single = spectral_qfi(m[i], g_bar[i])
+                assert isinstance(single, float) and single == 0.0
+
+    def test_negative_diagonal_entry_refused(self):
+        rng = np.random.default_rng(59)
+        for d in range(1, 13):
+            m, g_bar, _ = self.diagonal_frames(rng, 3, d)
+            m[1, d - 1, d - 1] = -1e-9
+            # eigh's smallest eigenvalue of a diagonal frame is its smallest entry
+            message = r"not positive semidefinite: min eigenvalue (np\.float64\()?-1e-09\b"
+            with pytest.raises(ValueError, match=message):
+                spectral_qfi(m, g_bar)
+            with pytest.raises(ValueError, match=message):
+                spectral_qfi(m[1], g_bar[1])
+
+    def test_diagonal_frame_with_variances_goes_through_eigh(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        rng = np.random.default_rng(61)
+        for d in range(1, 13):
+            m, g_bar, w = self.diagonal_frames(rng, 4, d)
+            v = rng.uniform(0.0, 2.0, size=(4, d))
+            expected = 4.0 * (w * v).sum(axis=-1)
+            assert spectral_qfi(m, g_bar, v) == pytest.approx(expected, rel=1e-15, abs=0.0)
+            assert spectral_qfi(m[0], g_bar[0], v[0]) == pytest.approx(expected[0], rel=1e-15,
+                                                                       abs=0.0)
+        assert len(calls) == 2 * 12
+
 
 class TestQfiPhase:
     def test_pure_ghz_reaches_heisenberg(self):

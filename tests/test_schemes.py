@@ -10,6 +10,7 @@ from symqfi.collective_basis import (
     ProductState,
     PureState,
     SymmetricBasis,
+    _sy_eigensystem,
     dicke_state,
     ghz_state,
     rotate_y,
@@ -513,7 +514,8 @@ class TestOptimizeRotation:
         (lambda a: 100.0 - 50.0 * (a - 0.6032) ** 2, 0.6032, 7),  # a peak between grid points
         (lambda a: 10.0 + a, math.pi / 2, 7),  # rising up to the end of the range
         (np.zeros_like, 0.0, 1),  # fully dephased: one round holds no maximum to narrow down
-    ], ids=["off-grid-peak", "rising-edge", "flat"])
+        (lambda a: 100.0 - a, 0.0, 1),  # falls from zero: one round below F(0) settles it
+    ], ids=["off-grid-peak", "rising-edge", "flat", "falls-from-zero"])
     def test_refinement_precision_and_call_budget(self, monkeypatch, landscape, target, rounds):
         # after the grid, a few stacked rounds reach the optimum within the
         # search tolerance, without one-angle calls and never past pi/2
@@ -531,6 +533,49 @@ class TestOptimizeRotation:
         assert alpha <= math.pi / 2
         assert f == landscape(np.array([alpha]))[0]
         assert sizes == [201] + [7] * rounds
+
+    def test_fully_dephased_cells_skip_eigh(self, monkeypatch):
+        # every frame of these cells is exactly diagonal, with v = None; the
+        # rotations' cached Sy eigensystems are taken before counting
+        for n in (12, 4):
+            _sy_eigensystem(n)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        assert optimize_rotation(ProbeSpec(ProbeFamily.GHZ, 12), STANDARD, 2.0) == (0.0, 0.0)
+        probe = build_probe(ProbeSpec(ProbeFamily.PRODUCT_PLUS, 8, n1=4, alpha=0.3))
+        assert scheme_qfi(probe, DI_ECHO, 2.0) == (0.0, 0.0)
+        assert calls == []
+
+    def test_no_peak_beside_zero_escapes_the_first_round(self):
+        # premise of the one-round stop at alpha = 0: where the grid's first
+        # near-maximal angle is 0, no angle of a fine grid over the first
+        # round's bracket [0, pi/400] reads above F(0) plus its tie window
+        grid = np.linspace(0.0, math.pi / 2, 201)
+        fine = np.linspace(0.0, math.pi / 400, 513)
+        cells = [(STANDARD, ProbeSpec(family, n)) for n in (8, 16, 24, 32)
+                 for family in (ProbeFamily.GHZ, ProbeFamily.DICKE_SYMMETRIC,
+                                ProbeFamily.PRODUCT_PLUS)]
+        cells += [(scheme, spec) for scheme in (DI_IDEAL, DI_ECHO, DI_REPEAT) for n in (8, 12)
+                  for spec in (ProbeSpec(ProbeFamily.GHZ_BIPARTITE, n, n1=n // 2),
+                               ProbeSpec(ProbeFamily.PRODUCT_PLUS, n, n1=n // 2),
+                               ProbeSpec(ProbeFamily.BSD, n, n1=n // 2, k1=n // 4, k2=n // 4),
+                               ProbeSpec(ProbeFamily.BSD, n, n1=n // 4, k1=1, k2=n // 2))]
+        checked = 0
+        for scheme, spec in cells:
+            def window(f):
+                return 1e-9 * abs(f) + 1e-11 * spec.n ** 2
+
+            for T in (1e-4, 1e-3, 1e-2, 0.02):
+                evaluate = _rotation_qfi(spec, scheme, T)
+                values = evaluate(grid)
+                f_max = float(values.max())
+                if values[0] < f_max - window(f_max):
+                    continue  # the first near-maximal grid angle is not 0
+                checked += 1
+                f_zero = float(values[0])
+                assert evaluate(fine).max() <= f_zero + window(f_zero), (scheme.kind, spec, T)
+        assert checked >= 90
 
     def test_refinement_beats_grid(self, monkeypatch):
         spec = ProbeSpec(ProbeFamily.GHZ, 8)
