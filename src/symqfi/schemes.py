@@ -223,32 +223,32 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float
     kernels = {}  # kernel on each set of occupied blocks; a stack's chunks share them
 
     def frames(p: np.ndarray):
-        stacked = p.size > index.size
-        idx = index + nk * np.arange(len(p))[:, None] if stacked else index
-        flat = idx.ravel()
-        w = np.bincount(flat, p.ravel())
-        occupied = w > 0
+        if index.size == nk:  # index is arange(nk): w = p, g_bar = g and v = 0
+            w, g_bar, v = p, np.where(p > 0, g, 0.0), None
+        else:
+            idx = index + nk * np.arange(len(p))[:, None] if p.size > index.size else index
+            flat = idx.ravel()
+            w = np.bincount(flat, p.ravel())
+            occupied = w > 0
 
-        def block_mean(x):
-            return np.divide(np.bincount(flat, (p * x).ravel()), w, out=np.zeros(w.shape),
-                             where=occupied)
+            def block_mean(x):
+                return np.divide(np.bincount(flat, (p * x).ravel()), w, out=np.zeros(w.shape),
+                                 where=occupied)
 
-        mu = block_mean(dg)
-        # the centered form is a sum of squares; E[g^2] - g_bar^2 can cancel below 0
-        c = dg - mu[idx]
-        v = block_mean(c * c)
-        ks = np.flatnonzero(occupied.reshape(-1, nk).any(axis=0) if stacked else occupied)
-        shape = p.shape[:-1] + (nk,)
-        root = np.sqrt(w.reshape(shape)[..., ks])
-        # g_bar stays 0 on a block that is empty in one state of a stack
-        g_bar = np.add(ref, mu.reshape(shape), out=np.zeros(shape),
-                       where=occupied.reshape(shape))[..., ks]
-        v = v.reshape(shape)[..., ks]
+            mu = block_mean(dg)
+            # the centered form is a sum of squares; E[g^2] - g_bar^2 can cancel below 0
+            c = dg - mu[idx]
+            shape = p.shape[:-1] + (nk,)
+            v, w, occupied = (x.reshape(shape) for x in (block_mean(c * c), w, occupied))
+            # g_bar stays 0 on a block that is empty in one state of a stack
+            g_bar = np.add(ref, mu.reshape(shape), out=np.zeros(shape), where=occupied)
+        ks = np.flatnonzero((w > 0).reshape(-1, nk).any(axis=0))
+        root = np.sqrt(w[..., ks])
         key = ks.tobytes()
         if key not in kernels:
             kernels[key] = dephasing_kernel(m1[ks], m2[ks], var1, var2)
-        return (root[..., :, None] * root[..., None, :] * kernels[key], g_bar,
-                v if v.any() else None)
+        return (root[..., :, None] * root[..., None, :] * kernels[key], g_bar[..., ks],
+                v[..., ks] if v is not None and v.any() else None)
 
     return state, frames
 

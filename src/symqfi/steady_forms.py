@@ -144,8 +144,9 @@ def _steady_qfi(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, counts=1.0) -> n
     the pipeline skips them; a term that cancels below 0 is clamped, as no
     variance is negative."""
     keep = s0 > 0
-    var = s2 - np.divide(s1 ** 2, s0, out=np.zeros_like(s0), where=keep)
-    return 4.0 * np.sum(counts * np.where(keep, np.maximum(var, 0.0, out=var), 0.0), axis=0)
+    var = np.divide(s1 ** 2, s0, out=np.zeros_like(s0), where=keep)
+    var = np.maximum(np.subtract(s2, var, out=var, where=keep), 0.0, out=var)
+    return 4.0 * np.sum(np.multiply(var, counts, out=var), axis=0)
 
 
 def bsd_steady_qfi(c: SplitChoice) -> float:
@@ -157,58 +158,52 @@ def bsd_steady_qfi(c: SplitChoice) -> float:
     return float(_steady_qfi(*_block_moments(c)))
 
 
-def _fold(m: int) -> np.ndarray:
-    """Index of each excitation 0..m in the half 0..m/2 that its reflection m - k shares."""
-    k = np.arange(m + 1)
-    return np.minimum(k, m - k)
+_BATCH_ENTRIES = 2 ** 15  # moments per batch, 3 (n/2 + 1) per quadrant entry; >= one split
 
 
-def _split_grid(n: int, n1: int) -> np.ndarray:
-    """bsd_steady_qfi of every (k1, k2) at split n1, as grid[k1, k2].
+def _split_quadrants(n: int):
+    """Yield bsd_steady_qfi of every split n1 <= n/2 at k1 <= n1/2, k2 <= n2/2,
+    as flat arrays (n1, k1, k2, F), one batch of splits at a time.
 
-    The moments come from one contraction over the partition-1 excitation q:
-    V[q, k', j, k2] = W2[k' - q, k2] m2^j, zero where k' - q falls outside
-    0..n2, summed against W1[q, k1].  Both weight matrices are invariant
-    under reflecting either index (see _rotation_weights), so reflecting q
-    and k' - q sends block k' to n - k' and m2 to -m2: the conditional
-    variance of block k' equals that of n - k', and the grid is invariant
-    under k1 -> n1 - k1 and k2 -> n2 - k2.  Only k1 <= n1/2, k2 <= n2/2 and
-    k' <= n/2 are contracted, each k' < n/2 counted twice, and the rest of
-    the grid is read by reflection.  At the equal split the partitions'
-    exchange (see _all_split_grids) makes the grid its own transpose; that
-    quadrant is filled from its upper triangle before the reflection, so the
-    grid keeps all three symmetries bit for bit.
-    """
-    n2, half = n - n1, n // 2
-    h1, h2 = n1 // 2, n2 // 2
-    powers = (np.arange(n2 + 1) - n2 / 2)[:, None] ** np.arange(3)
-    padded = np.zeros((n1 + n + 1, 3, h2 + 1))
-    padded[n1:n1 + n2 + 1] = _rotation_weights(n2)[:, None, :h2 + 1] * powers[:, :, None]
-    shift = np.arange(half + 1) - np.arange(n1 + 1)[:, None] + n1
-    moments = _rotation_weights(n1)[:, :h1 + 1].T @ padded[shift].reshape(n1 + 1, -1)
-    counts = np.full((half + 1, 1, 1), 2.0)
-    if n % 2 == 0:
-        counts[half] = 1.0  # the block k' = n/2 is its own reflection
-    quadrant = _steady_qfi(*moments.reshape(h1 + 1, half + 1, 3, h2 + 1).transpose(2, 1, 0, 3),
-                           counts)
-    if n1 == n2:
-        quadrant = np.triu(quadrant) + np.triu(quadrant, 1).T
-    return quadrant[_fold(n1)][:, _fold(n2)]
-
-
-def _all_split_grids(n: int) -> list[np.ndarray]:
-    """_split_grid(n, n1) for every n1 = 0..n, evaluated for n1 <= n/2 only.
-
-    Within a steady block m1 + m2 is fixed, so both partitions have the same
-    conditional variance and exchanging them leaves the QFI unchanged:
-    grid(n1)[k1, k2] = grid(n - n1)[k2, k1].  The splits n1 <= n/2 contract
-    over the smaller partition; the others are their transposes, so each
-    mirror pair reads bit-identical values and every grid keeps the
-    reflection symmetries of _split_grid.
+    A split's moments contract W1[q, k1] against W2[k' - q, k2] m2^j.  Both
+    weights are invariant under reflecting either index (_rotation_weights),
+    which maps block k' to n - k' and m2 to -m2, so the QFI is invariant
+    under k1 -> n1 - k1 and k2 -> n2 - k2: only this quadrant and the blocks
+    k' <= n/2 are contracted, each k' < n/2 counted twice.  In a block
+    m1 + m2 is fixed, so split n - n1 is split n1 transposed; the equal split
+    is filled from its upper triangle to stay its own transpose bit for bit.
+    Batches come largest first, so the later ones reuse the memory it frees.
     """
     half = n // 2
-    grids = [_split_grid(n, n1) for n1 in range(half + 1)]
-    return grids + [grids[n - n1].T for n1 in range(half + 1, n + 1)]
+    splits = np.arange(half + 1)
+    h1, h2 = splits // 2, (n - splits) // 2
+    sizes = (h1 + 1) * (h2 + 1)
+    starts = np.cumsum(sizes) - sizes
+    batches = np.split(splits, np.flatnonzero(np.diff(
+        starts // max(1, _BATCH_ENTRIES // (3 * half + 3)))) + 1)
+    # m2^j at each half-integer m2 = -n/2..n/2: every other one from row n1
+    powers = (np.arange(-n, n + 1) / 2)[:, None, None] ** np.arange(3)[:, None]
+    # row k' - q + 1 of rows; k' < q is clipped to row 0, which stays zero
+    shift = np.arange(half + 1) - np.arange(half + 1)[:, None] + 1
+    counts = np.where(2 * np.arange(half + 1) == n, 1.0, 2.0)[:, None]  # k' = n/2: its own mirror
+    rows = np.zeros((half + 2, 3, h2[0] + 1))
+    for batch in batches[::-1]:
+        first, size = starts[batch[0]], sizes[batch].sum()
+        stack = np.empty((3, half + 1, size))
+        for n1, r1, r2, at in zip(batch.tolist(), h1[batch] + 1, h2[batch] + 1,
+                                  starts[batch] - first):
+            np.multiply(_rotation_weights(n - n1)[:half + 1, None, :r2],
+                        powers[n1:n1 + 2 * half + 1:2], out=rows[1:, :, :r2])
+            g = np.take(rows[:, :, :r2], shift[:n1 + 1], axis=0, mode="clip")
+            split = _rotation_weights(n1)[:, :r1].T @ g.reshape(n1 + 1, -1)
+            stack[:, :, at:at + r1 * r2].reshape(3, half + 1, r1, r2)[...] = \
+                split.reshape(r1, half + 1, 3, r2).transpose(2, 1, 0, 3)
+        values = _steady_qfi(*stack, counts)
+        if 2 * batch[-1] == n:
+            equal = values[-sizes[-1]:].reshape(h1[-1] + 1, -1)
+            equal[...] = np.triu(equal) + np.triu(equal, 1).T
+        s = np.repeat(batch, sizes[batch])
+        yield (s, *np.divmod(np.arange(first, first + size) - starts[s], h2[s] + 1), values)
 
 
 @dataclass(frozen=True)
@@ -224,29 +219,34 @@ def optimize_bsd_split(n: int) -> list[SplitOptimum]:
     """Exhaustive scan of all splittings, one optimum record per k = 0..n.
 
     All maximizers within a 1e-9 relative tie window are kept; equivalent
-    splittings occur for odd k.  The grids' symmetries hold bit for bit, so
-    two relations are exact rather than left to the window: the mirror pairs
-    (n1, k1), (n - n1, k - k1) tie (see _all_split_grids), and reflecting
-    both partitions maps record k onto record n - k, with the same max_qfi
-    and every (n1, k1) sent to (n1, n1 - k1) (see _split_grid).
+    splittings occur for odd k.  The symmetries of _split_quadrants hold bit
+    for bit, so two relations are exact rather than left to the window: the
+    mirror pairs (n1, k1), (n - n1, k - k1) tie, and reflecting both
+    partitions maps record k onto record n - k, with the same max_qfi and
+    every (n1, k1) sent to (n1, n1 - k1).
 
-    Every splitting is placed once in a cube indexed (n1, k1, k), in the
-    grids' own (n1, k1, k2) order, with -inf where k1 or k - k1 does not fit
-    its partition; the maxima are taken over k's slice, and the winners are
-    read from the cube in (k, n1, k1) order, so no sort is needed.
+    Quadrant entry (n1, i, j) is the QFI at k1 in {i, n1 - i}, k2 in
+    {j, n2 - j}: a scatter-max over the four gives each maximum, and the
+    entries inside the final window, with their mirror splits, the argmax.
     """
     _require_integer("qubit count", n)
     if n < 2:
         raise ValueError(f"need at least two qubits to split, got n={n}")
-    r = np.arange(n + 1)
-    n1, k1, k = r[:, None, None], r[:, None], r
-    f = np.full((n + 1,) * 3, -np.inf)
-    f[(k1 <= n1) & (k1 <= k) & (k - k1 <= n - n1)] = np.concatenate(
-        [grid.ravel() for grid in _all_split_grids(n)])
-    best = f.max(axis=(0, 1))
-    tie = best - 1e-9 * np.maximum(np.abs(best), 1.0)
-    ks, n1s, k1s = np.nonzero(f.transpose(2, 0, 1) >= tie[:, None, None])
-    pairs = list(zip(n1s.tolist(), k1s.tolist()))
-    ends = np.cumsum(np.bincount(ks, minlength=n + 1)).tolist()
-    return [SplitOptimum(k, f_k, tuple(pairs[start:end]))
-            for k, (f_k, start, end) in enumerate(zip(best.tolist(), [0, *ends], ends))]
+    best, found = np.full(n + 1, -np.inf), []
+
+    def floor(f):  # lowest value inside the tie window of maxima f
+        return f - 1e-9 * np.maximum(np.abs(f), 1.0)
+
+    for s, i, j, f in _split_quadrants(n):
+        k1 = np.concatenate([i, s - i, i, s - i])
+        k2 = np.concatenate([j, j, n - s - j, n - s - j])
+        f, s = np.tile(f, 4), np.tile(s, 4)
+        np.maximum.at(best, k1 + k2, f)
+        hit = f >= floor(best)[k1 + k2]
+        found.append([x[hit] for x in (f, s, k1, k2)])
+    tie, argmax = floor(best).tolist(), [set() for _ in range(n + 1)]
+    for f, s, k1, k2 in zip(*(np.concatenate(x).tolist() for x in zip(*found))):
+        if f >= tie[k1 + k2]:
+            argmax[k1 + k2].update({(s, k1), (n - s, k2)})
+    return [SplitOptimum(k, f_k, tuple(sorted(pairs)))
+            for k, (f_k, pairs) in enumerate(zip(best.tolist(), argmax))]

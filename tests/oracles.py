@@ -104,6 +104,31 @@ def wigner_d_half_pi_mp(n, dps=50):
         return rows
 
 
+def bsd_steady_qfi_mp(n1, k1, n2, k2, dps=50):
+    """Steady-state QFI of the pi/2-rotated bipartite Dicke probe at dps digits.
+
+    The probe is D_n1^k1 (x) D_n2^k2 rotated by pi/2 about y.  Its weights
+    are w1[q] = d^{n1/2}(pi/2)[q, k1]^2 and w2[r] = d^{n2/2}(pi/2)[r, k2]^2
+    from wigner_d_half_pi_mp.  Collective dephasing keeps the blocks of
+    fixed total excitation q + r = k'.  In block k', let s_j be the sum of
+    w1[q] w2[r] (r - n2/2)^j.  The QFI is four times the sum over blocks of
+    s2 - s1^2/s0, the conditional variance of partition 2's weight, with
+    empty blocks skipped.  At dps digits the difference does not cancel.
+    """
+    with mpmath.workdps(dps):
+        d1, d2 = wigner_d_half_pi_mp(n1, dps), wigner_d_half_pi_mp(n2, dps)
+        total = mpmath.mpf(0)
+        for kp in range(n1 + n2 + 1):
+            s0 = s1 = s2 = mpmath.mpf(0)
+            for q in range(max(0, kp - n2), min(n1, kp) + 1):
+                w = d1[q][k1] ** 2 * d2[kp - q][k2] ** 2
+                m2 = mpmath.mpf(kp - q) - mpmath.mpf(n2) / 2
+                s0, s1, s2 = s0 + w, s1 + w * m2, s2 + w * m2 * m2
+            if s0 > 0:
+                total += s2 - s1 * s1 / s0
+        return 4 * total
+
+
 def dephase_full(rho_full, c, weights):
     """Elementwise Gaussian dephasing multiplier on a full-space density matrix."""
     dm = weights[:, None] - weights[None, :]
