@@ -191,12 +191,27 @@ def wigner_d_matrix(n: int, angle: float) -> np.ndarray:
     return np.ascontiguousarray(d.real)
 
 
+def _rotated(amps: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Real Dicke-basis amplitudes rotated about y by each angle of theta, shape (G, n+1).
+
+    A phase product in the Sy eigenbasis, one (1, n+1) @ (n+1, n+1) product
+    per angle, so a row's bits do not depend on the rest of the stack (one
+    (G, n+1) GEMM would tie them to G).  An angle of exactly 0 returns amps.
+    """
+    eigvals, eigvecs = _sy_eigensystem(len(amps) - 1)
+    phased = np.exp(-1j * theta[:, None] * eigvals) * (eigvecs.conj().T @ amps)
+    rotated = (phased[:, None, :] @ eigvecs.T)[:, 0, :].real
+    rotated[theta == 0.0] = amps
+    return rotated
+
+
 def rotate_y(state: PureState, angle: float) -> PureState:
     """Rotate a state about the collective y-axis.
 
-    On a bipartite basis the rotation acts collectively on every qubit, so
-    it factorizes into one Wigner-d block per partition, and a ProductState
-    stays one: each of its factors is rotated.
+    A single-partition state goes through _rotated, the rotation optimizer's
+    kernel, real and imaginary parts apart (Wigner-d is real).  On a
+    bipartite basis the rotation factorizes: a ProductState rotates each
+    factor and stays one, any other state takes a Wigner-d block per part.
     """
     if angle == 0.0:
         return state
@@ -204,7 +219,10 @@ def rotate_y(state: PureState, angle: float) -> PureState:
         return ProductState(*(rotate_y(part, angle) for part in state.parts))
     basis = state.basis
     if isinstance(basis, SymmetricBasis):
-        amps = wigner_d_matrix(basis.n, angle) @ state.amplitudes
+        theta = np.array([float(angle)])
+        amps = _rotated(state.amplitudes.real, theta)[0].astype(complex)
+        if state.amplitudes.imag.any():
+            amps.imag = _rotated(state.amplitudes.imag, theta)[0]
     else:
         d1 = wigner_d_matrix(basis.n1, angle)
         d2 = wigner_d_matrix(basis.n2, angle)
@@ -236,7 +254,7 @@ def generator(basis: Basis, label: GeneratorLabel) -> np.ndarray:
     basis.partition2_weights(), and requires a bipartite basis.  The
     pipeline reads those weights from the basis directly; GeneratorLabel,
     generator and max_qfi_bound are kept for the benchmark's QFI-bound
-    oracle until ROADMAP items 4 and 6.
+    oracle until ROADMAP item 3.
     """
     if label is GeneratorLabel.SZ_TOTAL:
         return basis.z_weights()

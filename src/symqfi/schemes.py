@@ -25,7 +25,7 @@ from .collective_basis import (
     ProductState,
     PureState,
     _require_integer,
-    _sy_eigensystem,
+    _rotated,
     dicke_state,
     ghz_state,
     plus_product_state,
@@ -243,12 +243,13 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float
             # g_bar stays 0 on a block that is empty in one state of a stack
             g_bar = np.add(ref, mu.reshape(shape), out=np.zeros(shape), where=occupied)
         ks = np.flatnonzero((w > 0).reshape(-1, nk).any(axis=0))
-        root = np.sqrt(w[..., ks])
+        # take keeps a stack C-ordered, so each frame meets BLAS as it does alone
+        root = np.sqrt(np.take(w, ks, axis=-1))
         key = ks.tobytes()
         if key not in kernels:
             kernels[key] = dephasing_kernel(m1[ks], m2[ks], var1, var2)
-        return (root[..., :, None] * root[..., None, :] * kernels[key], g_bar[..., ks],
-                v[..., ks] if v is not None and v.any() else None)
+        return (root[..., :, None] * root[..., None, :] * kernels[key], np.take(g_bar, ks, axis=-1),
+                np.take(v, ks, axis=-1) if v is not None and v.any() else None)
 
     return state, frames
 
@@ -279,32 +280,25 @@ def _rotation_qfi(spec: ProbeSpec, scheme: SchemeSpec,
                   T: float) -> Callable[[np.ndarray], np.ndarray]:
     """Phase QFI of spec's probe at every rotation angle of an array, for one cell.
 
-    Agrees with scheme_qfi(build_probe(...)) to rounding, without a probe per
-    angle: in the eigenbasis of Sy a rotation is a phase, so one (G, m+1)
-    product per factor gives the amplitudes at G angles, and the frames of
-    all G angles go to spectral_qfi as one stack.  Every rotatable probe is
-    a product state and stays one under rotation, so the set-up _cell makes
-    for the unrotated probe serves every angle.  optimize_rotation calls it
-    once with its whole grid and then once per refinement round with that
-    round's angles (one round where the grid's best angle is 0 or the
-    landscape is flat), so its fixed per-call cost is paid a few times per
-    cell.
+    Each factor goes through _rotated, as in rotate_y, and the product
+    amplitudes are squared as scheme_qfi squares them, so a value equals
+    scheme_qfi(build_probe(...)) bit for bit unless the stack pads that
+    angle's frame with blocks occupied only at other angles (alpha = 0 of a
+    GHZ probe).  Every rotatable probe is a product state and stays one, so
+    _cell's set-up for the unrotated probe serves all G angles, whose
+    frames go to spectral_qfi as one stack.
     """
     probe, offset = _rotatable_parts(spec)
     state, frames = _cell(probe, scheme, T)
     parts = state.parts if isinstance(state, ProductState) else (state,)
     # the frame of a rotatable probe holds at most its n + 1 excitation blocks
     step = max(1, _CHUNK_ENTRIES // (state.basis.n + 1) ** 2)
-    rotations = []
-    for part in parts:
-        eigvals, eigvecs = _sy_eigensystem(part.basis.n)
-        rotations.append((eigvals, eigvecs.T, eigvecs.conj().T @ part.amplitudes))
 
     def probabilities(theta: np.ndarray) -> np.ndarray:
-        probs = [((np.exp(-1j * theta[:, None] * eigvals) * coeffs) @ vt).real ** 2
-                 for eigvals, vt, coeffs in rotations]
-        return probs[0] if len(probs) == 1 else \
-            (probs[0][:, :, None] * probs[1][:, None, :]).reshape(len(theta), -1)
+        amps = [_rotated(part.amplitudes.real, theta) for part in parts]
+        if len(amps) == 2:
+            amps = [(amps[0][:, :, None] * amps[1][:, None, :]).reshape(len(theta), -1)]
+        return amps[0] * amps[0]
 
     def evaluate(alphas: np.ndarray) -> np.ndarray:
         theta = offset + np.asarray(alphas, dtype=float)

@@ -2,7 +2,7 @@
 
 Everything here works in the full 2^n computational-basis space, by
 direct numerical quadrature, on dense matrices over the bipartite Dicke
-basis, or in 40- to 50-digit arithmetic, deliberately sharing no code with the
+basis, or in 30- to 50-digit arithmetic, deliberately sharing no code with the
 package: nothing here imports symqfi.
 
 The dense Gaussian dephasing takes the noise statistics as three numbers
@@ -102,6 +102,37 @@ def wigner_d_half_pi_mp(n, dps=50):
                 row.append(total * scale)
             rows.append(row)
         return rows
+
+
+def wigner_d_mp(n, angle, dps=30):
+    """Wigner-d matrix of spin n/2 at any angle, as nested lists [k'][k] of mpf.
+
+    Entry [k', k] is the textbook d^{n/2}_{m m'}(angle) with m = k - n/2 and
+    m' = k' - n/2: in the Dicke basis <D^{k+1}| Sy |D^k> = +(i/2) sqrt((k+1)(n-k)),
+    the negative of the textbook <m+1| Jy |m>, so exp(-i angle Sy) is the
+    textbook d at -angle, the transpose of d_{m'm}.  The finite sum over s of
+
+        (-1)^(k-k'+s) cos(b/2)^(n+k'-k-2s) sin(b/2)^(k-k'+2s)
+            sqrt(k! (n-k)! k'! (n-k')!) / ((k'-s)! s! (k-k'+s)! (n-k-s)!)
+
+    has terms up to about C(n, n/2)^2 that cancel to a result of order 1, so
+    it runs at dps digits plus one per power of ten of that size.
+    """
+    f = math.factorial
+    with mpmath.workdps(dps + 2 * len(str(math.comb(n, n // 2)))):
+        cos, sin = mpmath.cos(mpmath.mpf(angle) / 2), mpmath.sin(mpmath.mpf(angle) / 2)
+        rows = []
+        for kp in range(n + 1):
+            row = []
+            for k in range(n + 1):
+                root = mpmath.sqrt(mpmath.mpf(f(k) * f(n - k) * f(kp) * f(n - kp)))
+                total = mpmath.fsum(
+                    (-1) ** (k - kp + s) * cos ** (n + kp - k - 2 * s) * sin ** (k - kp + 2 * s)
+                    / (f(kp - s) * f(s) * f(k - kp + s) * f(n - k - s))
+                    for s in range(max(0, kp - k), min(kp, n - k) + 1))
+                row.append(+(root * total))
+            rows.append(row)
+    return rows
 
 
 def bsd_steady_qfi_mp(n1, k1, n2, k2, dps=50):
