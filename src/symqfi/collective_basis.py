@@ -79,9 +79,7 @@ class BipartiteSymmetricBasis:
         return (self.n1 + 1) * (self.n2 + 1)
 
     def _qr(self) -> tuple[np.ndarray, np.ndarray]:
-        q = np.repeat(np.arange(self.n1 + 1), self.n2 + 1)
-        r = np.tile(np.arange(self.n2 + 1), self.n1 + 1)
-        return q, r
+        return np.divmod(np.arange(self.dimension), self.n2 + 1)
 
     def excitations(self) -> np.ndarray:
         """Total excitation number q + r of each flattened basis vector."""
@@ -123,7 +121,7 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.basis.dimension},)"
             )
-        norm = np.linalg.norm(amps)
+        norm = math.sqrt(np.vdot(amps, amps).real)  # np.linalg.norm costs 4x the call overhead
         if not abs(norm - 1.0) <= NORM_TOL:  # also refuses NaN and infinite amplitudes
             raise ValueError(f"state is not normalized: ||psi|| = {norm!r}")
         amps.setflags(write=False)
@@ -198,6 +196,8 @@ def _rotated(amps: np.ndarray, theta: np.ndarray) -> np.ndarray:
     per angle, so a row's bits do not depend on the rest of the stack (one
     (G, n+1) GEMM would tie them to G).  An angle of exactly 0 returns amps.
     """
+    if not np.count_nonzero(theta):  # scan's unrotated probes: nothing to rotate
+        return amps[None, :].repeat(len(theta), axis=0)
     eigvals, eigvecs = _sy_eigensystem(len(amps) - 1)
     phased = np.exp(-1j * theta[:, None] * eigvals) * (eigvecs.conj().T @ amps)
     rotated = (phased[:, None, :] @ eigvecs.T)[:, 0, :].real

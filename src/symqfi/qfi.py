@@ -7,9 +7,10 @@ for the phase is
 
 which reduces to 4*Var(G) on pure states.  :func:`spectral_qfi` evaluates
 it from the state's matrix in any orthonormal frame that holds the state's
-support.  Frequency estimation over an interrogation time T carries
-F_freq = T^2 * F, and 1/F lower-bounds the variance of any unbiased
-estimator.
+support, and :func:`parity_qfi` from the two sectors of a frame that a
+reflection taking G to -G splits.  Frequency estimation over an
+interrogation time T carries F_freq = T^2 * F, and 1/F lower-bounds the
+variance of any unbiased estimator.
 """
 
 from __future__ import annotations
@@ -51,31 +52,83 @@ def spectral_qfi(m: np.ndarray, g_bar: np.ndarray,
     whose diagonal is finite commutes with G and reads exactly 0 without
     eigh: its eigenvalues are its diagonal, refused below EIGENVALUE_FLOOR
     as above.
+
+    The arrays are read C-ordered: their layout would pick the BLAS
+    routes, and so the last bits.
     """
+    m, g_bar = np.ascontiguousarray(m), np.ascontiguousarray(g_bar)
+    if v is not None:
+        v = np.ascontiguousarray(v)
     diag = np.diagonal(m, axis1=-2, axis2=-1)
     if v is None and np.count_nonzero(m) == np.count_nonzero(diag) and np.isfinite(diag).all():
         lam, u = diag.real, None
     else:
         lam, u = np.linalg.eigh(m)
-    lam_min = lam.min()  # eigh sorts ascending, so this is the first of some matrix
-    if lam_min < EIGENVALUE_FLOOR:
-        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lam_min!r}")
+    _refuse_negative(lam.min())
     if u is None:
         return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
     lam = np.maximum(lam, 0.0)
     floor = EPS_SUM * lam[..., -1:]  # the largest eigenvalue of each matrix
     overlaps = (u.conj().swapaxes(-1, -2) * g_bar[..., None, :]) @ u
-    col, row = lam[..., :, None], lam[..., None, :]
-    sums = col + row
-    diffs = col - row
-    weights = np.zeros(sums.shape)
-    np.divide(diffs * diffs, sums, out=weights, where=sums > floor[..., None])
+    weights = _pair_weights(lam[..., :, None], lam[..., None, :], floor[..., None])
     # full double sum counts each a<b pair twice, hence the factor 2 not 4
     f = 2.0 * (weights * np.abs(overlaps) ** 2).sum(axis=(-2, -1))
     if v is not None:
         f += 4.0 * (np.where(lam > floor, lam, 0.0)
                     * (v[..., None, :] @ np.abs(u) ** 2)[..., 0, :]).sum(axis=-1)
     return float(f) if f.ndim == 0 else f
+
+
+def parity_qfi(m_even: np.ndarray, m_odd: np.ndarray, g: np.ndarray) -> float | np.ndarray:
+    """Phase QFI of a frame split into the even and odd sectors of a reflection.
+
+    The frame is one of spectral_qfi's with v = None, and the reflection
+    commutes with the state and takes G to -G.  m_even and m_odd are the
+    real state matrix on orthonormal even and odd vectors, paired so that
+    <even_i|G|odd_j> = g[j] delta_ij is the only part of G.  With
+    m_even = U diag(lambda) U^T and m_odd = V diag(mu) V^T,
+
+        F = 4 sum_ab (lambda_a - mu_b)^2 / (lambda_a + mu_b) |(U^T g V)_ab|^2,
+
+    with g on the first len(g) rows of U.  spectral_qfi's floors, stacks
+    and C-ordered reads hold, EPS_SUM relative to the largest eigenvalue of
+    either sector.  Two diagonal sectors are read without eigh: exactly 0
+    where their diagonals agree, as the frame is then diagonal.
+    """
+    m_even, m_odd = np.ascontiguousarray(m_even), np.ascontiguousarray(m_odd)
+    g = np.ascontiguousarray(g)
+    d = g.shape[-1]
+    lam, mu = np.diagonal(m_even, axis1=-2, axis2=-1), np.diagonal(m_odd, axis1=-2, axis2=-1)
+    diagonal = (np.count_nonzero(m_even) == np.count_nonzero(lam)
+                and np.count_nonzero(m_odd) == np.count_nonzero(mu)
+                and np.isfinite(lam).all() and np.isfinite(mu).all())
+    if not diagonal:
+        (lam, u), (mu, w) = np.linalg.eigh(m_even), np.linalg.eigh(m_odd)
+    _refuse_negative(min(lam.min(), mu.min(initial=0.0)))
+    if diagonal and (lam[..., :d] == mu).all():
+        return 0.0 if m_odd.ndim == 2 else np.zeros(m_odd.shape[:-2])
+    lam, mu = np.maximum(lam, 0.0), np.maximum(mu, 0.0)
+    floor = EPS_SUM * np.maximum(lam.max(axis=-1), mu.max(axis=-1, initial=0.0))[..., None]
+    if diagonal:  # U and V are the identity: each odd vector pairs with its partner
+        f = 4.0 * (_pair_weights(lam[..., :d], mu, floor) * g * g).sum(axis=-1)
+    else:
+        overlaps = u[..., :d, :].swapaxes(-1, -2) @ (g[..., :, None] * w)
+        f = 4.0 * (_pair_weights(lam[..., :, None], mu[..., None, :], floor[..., None])
+                   * overlaps * overlaps).sum(axis=(-2, -1))
+    return float(f) if f.ndim == 0 else f
+
+
+def _refuse_negative(lam_min: float) -> None:
+    if lam_min < EIGENVALUE_FLOOR:
+        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lam_min!r}")
+
+
+def _pair_weights(col: np.ndarray, row: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """(l_a - l_b)^2 / (l_a + l_b) on the eigenvalue pairs whose sum exceeds floor, else 0."""
+    sums, diffs = col + row, col - row
+    weights = np.zeros(sums.shape)
+    np.divide(diffs * diffs, sums, out=weights, where=sums > floor)
+    return weights
 
 
 def frequency_from_phase(f_phase: float, T: float) -> float:

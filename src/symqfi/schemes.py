@@ -33,7 +33,7 @@ from .collective_basis import (
 )
 from .dephasing import (NoiseParams, dephasing_kernel, phase_variance_c,
                         spin_echo_weights_variance)
-from .qfi import frequency_from_phase, spectral_qfi
+from .qfi import frequency_from_phase, parity_qfi, spectral_qfi
 
 
 class ProbeFamily(Enum):
@@ -173,9 +173,22 @@ def build_probe(spec: ProbeSpec) -> PureState:
     return rotate_y(probe, offset + spec.alpha)
 
 
-def _cell(probe: PureState, scheme: SchemeSpec, T: float
-          ) -> tuple[PureState, Callable[[np.ndarray], tuple]]:
-    """Per-cell set-up: the state whose QFI scheme measures, and its frame builder.
+def _parity_eigenstate(state: PureState) -> bool:
+    """Whether the collective pi rotation about y maps state to +-state.
+
+    It maps |D_n^k> to +-(-1)^k |D_n^(n-k)> in each partition, reversing a
+    flattened basis, so the exact test is a_(n-k) (-1)^k = +-a_k.
+    """
+    amps, basis = state.amplitudes, state.basis
+    if basis.n % 2:  # then a_k = (-1)^n a_k = -a_k: no state passes
+        return False
+    flipped = np.where(basis.excitations() % 2, -amps[::-1], amps[::-1])
+    return not np.count_nonzero(flipped - amps) or not np.count_nonzero(flipped + amps)
+
+
+def _cell(probe: PureState, scheme: SchemeSpec, T: float, rotations: bool = False
+          ) -> tuple[PureState, Callable[[np.ndarray], float | np.ndarray]]:
+    """Per-cell set-up: the state whose QFI scheme measures, and its QFI.
 
     The scheme kind picks the signal state, its generator diagonal g and
     dephasing_kernel's partition variances: var2 = C(T) always, and var1 =
@@ -189,13 +202,23 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float
     exp(-C(T)(j - k)^2 / 2) for the total-excitation projectors P_k, and
     spin echo and repeat take one block per basis vector.
 
-    frames maps squared amplitude moduli p, shape (D,) or a stack (G, D), to
-    spectral_qfi frames: the normalized blocks P_k psi / ||P_k psi||
+    qfi maps squared amplitude moduli p, shape (D,) or a stack (G, D), to
+    the QFI of spectral_qfi frames: the normalized blocks P_k psi / ||P_k psi||
     occupied in any state of the stack, the matrix sqrt(w_j w_k) kernel[j, k]
     with w_k = ||P_k psi||^2, and the mean g_bar[k] and variance v[k] of g in
     block k.  Both are taken about g at one entry of the block, so where g
     is constant on a block g_bar is exact and v is 0 (v = None if 0 on every
     block).  A block empty in one state of a stack is a zero row and column.
+
+    With rotations, p holds probabilities of probe rotated about y.  Where
+    the frames are collective blocks with v = None and probe is an
+    eigenstate of the collective pi rotation about y, so is every rotation
+    of it: w_k = w_(n-k), and each frame splits into the sectors of the
+    reflection k -> n - k, which takes G to -G (Cantoni and Butler, Linear
+    Algebra Appl. 13, 275, 1976): the even one spanned by
+    (e_k + e_(n-k)) / sqrt(2), k < n/2, and e_(n/2), the odd one by
+    (e_k - e_(n-k)) / sqrt(2).  parity_qfi takes them, the matrices
+    sqrt(w_j w_k) (K[j, k] +- K[j, n - k]) from the lower half of w.
     """
     kind, noise = scheme.kind, scheme.noise
     if kind is not SchemeKind.STANDARD and not isinstance(probe.basis, BipartiteSymmetricBasis):
@@ -220,9 +243,22 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float
     ref = np.empty(nk)
     ref[index] = g  # g at one entry of each block
     dg = g - ref[index]
+    parity = rotations and not per_vector and not dg.any() and _parity_eigenstate(state)
+    mid = nk // 2  # an eigenstate has even n: block n/2 is its own mirror image
     kernels = {}  # kernel on each set of occupied blocks; a stack's chunks share them
 
-    def frames(p: np.ndarray):
+    def sectors(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        both = np.concatenate([ks, nk - 1 - ks])  # the blocks and their mirror images
+        kernel = dephasing_kernel(m1[both], m2[both], var1, var2)
+        size, d = len(ks), np.count_nonzero(ks < mid)
+        direct, mirrored = kernel[:size, :size], kernel[:size, size:]
+        even = direct + mirrored
+        if d < size:  # the middle block, last in ks, pairs with no mirror
+            even[-1, :] = even[:, -1] = math.sqrt(2.0) * direct[:, -1]
+            even[-1, -1] = direct[-1, -1]
+        return even, direct[:d, :d] - mirrored[:d, :d]
+
+    def qfi(p: np.ndarray):
         if index.size == nk:  # index is arange(nk): w = p, g_bar = g and v = 0
             w, g_bar, v = p, np.where(p > 0, g, 0.0), None
         else:
@@ -242,16 +278,25 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float
             v, w, occupied = (x.reshape(shape) for x in (block_mean(c * c), w, occupied))
             # g_bar stays 0 on a block that is empty in one state of a stack
             g_bar = np.add(ref, mu.reshape(shape), out=np.zeros(shape), where=occupied)
-        ks = np.flatnonzero((w > 0).reshape(-1, nk).any(axis=0))
+        if parity:  # the lower half holds every block or its mirror image
+            w, g_bar = w[..., :mid + 1], g_bar[..., :mid + 1]
+        ks = np.flatnonzero((w > 0).reshape(-1, w.shape[-1]).any(axis=0))
         # take keeps a stack C-ordered, so each frame meets BLAS as it does alone
         root = np.sqrt(np.take(w, ks, axis=-1))
         key = ks.tobytes()
         if key not in kernels:
-            kernels[key] = dephasing_kernel(m1[ks], m2[ks], var1, var2)
-        return (root[..., :, None] * root[..., None, :] * kernels[key], np.take(g_bar, ks, axis=-1),
-                np.take(v, ks, axis=-1) if v is not None and v.any() else None)
+            kernels[key] = sectors(ks) if parity else dephasing_kernel(m1[ks], m2[ks], var1, var2)
+        if parity:
+            even, odd = kernels[key]
+            d = len(odd)
+            return parity_qfi(root[..., :, None] * root[..., None, :] * even,
+                              root[..., :d, None] * root[..., None, :d] * odd,
+                              np.take(g_bar, ks[:d], axis=-1))
+        return spectral_qfi(root[..., :, None] * root[..., None, :] * kernels[key],
+                            np.take(g_bar, ks, axis=-1),
+                            np.take(v, ks, axis=-1) if v is not None and v.any() else None)
 
-    return state, frames
+    return state, qfi
 
 
 def scheme_qfi(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[float, float]:
@@ -266,9 +311,9 @@ def scheme_qfi(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[float, f
     commutes with the noise and with the generator, so it cannot change
     the QFI.
     """
-    state, frames = _cell(probe, scheme, T)
+    state, qfi = _cell(probe, scheme, T)
     amps = np.abs(state.amplitudes)
-    f_phase = spectral_qfi(*frames(amps * amps))
+    f_phase = qfi(amps * amps)
     return f_phase, frequency_from_phase(f_phase, T)
 
 
@@ -281,15 +326,16 @@ def _rotation_qfi(spec: ProbeSpec, scheme: SchemeSpec,
     """Phase QFI of spec's probe at every rotation angle of an array, for one cell.
 
     Each factor goes through _rotated, as in rotate_y, and the product
-    amplitudes are squared as scheme_qfi squares them, so a value equals
-    scheme_qfi(build_probe(...)) bit for bit unless the stack pads that
-    angle's frame with blocks occupied only at other angles (alpha = 0 of a
-    GHZ probe).  Every rotatable probe is a product state and stays one, so
-    _cell's set-up for the unrotated probe serves all G angles, whose
-    frames go to spectral_qfi as one stack.
+    amplitudes are squared as scheme_qfi squares them.  Every rotatable
+    probe is a product state and stays one, so _cell's set-up for the
+    unrotated probe serves all G angles, whose frames go to spectral_qfi,
+    or in the parity sectors to parity_qfi, as one stack.  scan evaluates
+    a single angle here too, so a value is scan's bit for bit unless the
+    stack pads that angle's frame with blocks occupied only at other angles
+    (alpha = 0 of a GHZ probe).
     """
     probe, offset = _rotatable_parts(spec)
-    state, frames = _cell(probe, scheme, T)
+    state, qfi = _cell(probe, scheme, T, rotations=True)
     parts = state.parts if isinstance(state, ProductState) else (state,)
     # the frame of a rotatable probe holds at most its n + 1 excitation blocks
     step = max(1, _CHUNK_ENTRIES // (state.basis.n + 1) ** 2)
@@ -302,7 +348,7 @@ def _rotation_qfi(spec: ProbeSpec, scheme: SchemeSpec,
 
     def evaluate(alphas: np.ndarray) -> np.ndarray:
         theta = offset + np.asarray(alphas, dtype=float)
-        return np.concatenate([spectral_qfi(*frames(probabilities(theta[i:i + step])))
+        return np.concatenate([qfi(probabilities(theta[i:i + step]))
                                for i in range(0, len(theta), step)])
 
     return evaluate
@@ -370,12 +416,14 @@ def _evaluate_cell(scheme: SchemeSpec, probe: ProbeSpec, T: float,
     base = dict(scheme=scheme.kind.value, family=probe.family.value, n=probe.n,
                 n1=probe.n1, k1=probe.k1, k2=probe.k2)
     try:
+        alpha = probe.alpha
         if optimize_alpha:
             alpha, f_phase = optimize_rotation(probe, scheme, T)
-            f_freq = frequency_from_phase(f_phase, T)
-        else:
-            alpha = probe.alpha
-            f_phase, f_freq = scheme_qfi(build_probe(probe), scheme, T)
+        elif probe.family is ProbeFamily.DFS_OPTIMAL:
+            f_phase = scheme_qfi(build_probe(probe), scheme, T)[0]
+        else:  # the optimizer's evaluator, at the one angle
+            f_phase = float(_rotation_qfi(probe, scheme, T)(np.array([alpha]))[0])
+        f_freq = frequency_from_phase(f_phase, T)
         return ScanResult(**base, alpha=alpha, T=T, f_phase=f_phase, f_freq=f_freq,
                           alpha_optimized=optimize_alpha)
     except ValueError as exc:

@@ -135,6 +135,36 @@ def wigner_d_mp(n, angle, dps=30):
     return rows
 
 
+def collective_qfi_mp(amps, angle, T, gamma_delta_b, tau_c, dps=30):
+    """Phase QFI of a rotated Dicke-basis state under collective dephasing, at dps digits.
+
+    amps are the n+1 amplitudes of the unrotated state (numbers or mpf),
+    rotated by exp(-i angle Sy) through wigner_d_mp.  C(T) is the
+    Ornstein-Uhlenbeck closed form (gamma_delta_b tau_c)^2 (exp(-T/tau_c)
+    + T/tau_c - 1), the state's matrix is a_j a_k exp(-C (j-k)^2 / 2), the
+    generator is k - n/2, and the pair formula of qfi_dense_mp runs on
+    mpmath.eigsy's eigensystem with no floor on the pair sums.  angle, T
+    and the noise parameters are taken as the exact values of the floats
+    given.
+    """
+    n = len(amps) - 1
+    d = wigner_d_mp(n, angle, dps)
+    with mpmath.workdps(dps):
+        a = [mpmath.fsum(x * mpmath.mpf(y) for x, y in zip(row, amps)) for row in d]
+        x = mpmath.mpf(T) / mpmath.mpf(tau_c)
+        c = (mpmath.mpf(gamma_delta_b) * mpmath.mpf(tau_c)) ** 2 * (mpmath.exp(-x) + x - 1)
+        rho = mpmath.matrix(n + 1, n + 1)
+        for j in range(n + 1):
+            for k in range(n + 1):
+                rho[j, k] = a[j] * a[k] * mpmath.exp(-c * (j - k) ** 2 / 2)
+        lam, u = mpmath.eigsy(rho)
+        lam = [max(v, 0) for v in lam]
+        overlaps = u.T * mpmath.diag([mpmath.mpf(k) - mpmath.mpf(n) / 2 for k in range(n + 1)]) * u
+        total = mpmath.fsum((lam[i] - lam[j]) ** 2 / (lam[i] + lam[j]) * overlaps[i, j] ** 2
+                            for i in range(n + 1) for j in range(n + 1) if lam[i] + lam[j] > 0)
+        return 2 * total
+
+
 def bsd_steady_qfi_mp(n1, k1, n2, k2, dps=50):
     """Steady-state QFI of the pi/2-rotated bipartite Dicke probe at dps digits.
 

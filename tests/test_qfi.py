@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symqfi import qfi
+from symqfi import qfi, schemes
 from symqfi.collective_basis import (
     BipartiteSymmetricBasis,
     PureState,
@@ -11,7 +11,8 @@ from symqfi.collective_basis import (
     ghz_state,
 )
 from symqfi.dephasing import NoiseParams, phase_variance_c
-from symqfi.qfi import frequency_from_phase, max_qfi_bound, spectral_qfi
+from symqfi.qfi import frequency_from_phase, max_qfi_bound, parity_qfi, spectral_qfi
+from symqfi.schemes import ProbeFamily, ProbeSpec, SchemeKind, SchemeSpec, _rotation_qfi
 
 import oracles
 
@@ -134,6 +135,121 @@ class TestSpectralQfi:
             assert spectral_qfi(m[0], g_bar[0], v[0]) == pytest.approx(expected[0], rel=1e-15,
                                                                        abs=0.0)
         assert len(calls) == 2 * 12
+
+
+def parity_bases(n):
+    """Columns: the even vectors (e_k + e_(n-k)) / sqrt(2), k < n/2, and e_(n/2), and the
+    odd vectors (e_k - e_(n-k)) / sqrt(2), k < n/2, of the reflection k -> n - k (n even)."""
+    h = n // 2
+    even, odd = np.zeros((n + 1, h + 1)), np.zeros((n + 1, h))
+    for k in range(h):
+        even[k, k] = even[n - k, k] = odd[k, k] = math.sqrt(0.5)
+        odd[n - k, k] = -math.sqrt(0.5)
+    even[h, h] = 1.0
+    return even, odd
+
+
+def centrosymmetric_frames(rng, size, n):
+    """size random PSD (n+1)-frames that commute with the reflection k -> n - k,
+    some of them rank-deficient, with traces from 1 down to 1e-14."""
+    a = rng.normal(size=(size, n + 1, n + 1))
+    a[::3, :, : n // 2] = 0.0
+    m = a @ np.swapaxes(a, -1, -2)
+    m = m + m[:, ::-1, ::-1]
+    m /= np.trace(m, axis1=-2, axis2=-1)[:, None, None]
+    return m * 10.0 ** -rng.integers(0, 15, size=size)[:, None, None]
+
+
+class TestParityQfi:
+    """parity_qfi on a frame split by the reflection, against spectral_qfi on the frame."""
+
+    @staticmethod
+    def sectors(m, n):
+        even, odd = parity_bases(n)
+        return even.T @ m @ even, odd.T @ m @ odd, SymmetricBasis(n).z_weights()[: n // 2]
+
+    def test_matches_the_whole_frame(self):
+        rng = np.random.default_rng(71)
+        for n in range(2, 21, 2):
+            m = centrosymmetric_frames(rng, 6, n)
+            got = parity_qfi(*self.sectors(m, n))
+            assert isinstance(got, np.ndarray) and got.shape == (6,)
+            for i in range(6):
+                ref = spectral_qfi(m[i], SymmetricBasis(n).z_weights())
+                single = parity_qfi(*self.sectors(m[i], n))
+                assert isinstance(single, float) and single == pytest.approx(got[i], rel=1e-15)
+                assert got[i] == pytest.approx(ref, rel=1e-10, abs=1e-12 * n * n), (n, i)
+
+    def test_diagonal_sectors_skip_eigh(self, monkeypatch):
+        # diagonal sectors pair each odd vector with its even partner; equal
+        # diagonals are a diagonal frame, which commutes with G: exactly 0
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        lam, mu, g = np.array([0.5, 0.3, 0.2]), np.array([0.1, 0.3]), np.array([-2.0, -1.0])
+        expected = 4.0 * ((0.5 - 0.1) ** 2 / 0.6 * 4.0 + 0.0)
+        assert parity_qfi(np.diag(lam), np.diag(mu), g) == pytest.approx(expected, rel=1e-15)
+        same = parity_qfi(np.diag(lam)[None], np.diag(lam[:2])[None], g[None])
+        assert same.shape == (1,) and same[0] == 0.0
+        assert parity_qfi(np.diag(lam[:1]), np.zeros((0, 0)), np.zeros(0)) == 0.0
+
+    def test_negative_eigenvalue_in_either_sector_refused(self):
+        u = np.linalg.qr(np.random.default_rng(73).normal(size=(3, 3)))[0]
+        good, bad = (u * [0.5, 0.3, 0.2]) @ u.T, (u * [0.5, 0.3, -1e-9]) @ u.T
+        g = np.array([-1.5, -0.5, 0.5])
+        for m_even, m_odd in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                parity_qfi(m_even, m_odd, g)
+
+
+class TestInputLayout:
+    """A value does not depend on the memory layout of the arrays it is read from."""
+
+    @staticmethod
+    def layouts(x):
+        doubled = np.repeat(x, 2, axis=0)
+        return np.asfortranarray(x), doubled[::2], x.copy()
+
+    @staticmethod
+    def recorded(monkeypatch, name, cells, angles):
+        calls = []
+        real = getattr(schemes, name)
+        monkeypatch.setattr(schemes, name, lambda *args: calls.append(args) or real(*args))
+        for scheme, spec, T in cells:
+            _rotation_qfi(spec, scheme, T)(angles)
+        return calls
+
+    def test_spectral_qfi_reads_every_layout_alike(self, monkeypatch):
+        # four DI_IDEAL bsd stacks whose F-ordered v once took another BLAS
+        # route in the v @ |U|^2 product, with other last bits
+        ideal = SchemeSpec(SchemeKind.DI_IDEAL, DEFAULTS)
+        splits = ((14, 7, 4, 2), (14, 13, 2, 1), (18, 13, 8, 3), (26, 6, 1, 1))
+        cells = [(ideal, ProbeSpec(ProbeFamily.BSD, n, n1=n1, k1=k1, k2=k2), 3e-3)
+                 for n, n1, k1, k2 in splits]
+        angles = np.array([0.20857756992473636, 0.012437460108611484, 1.0861615200635726,
+                           2.9500969354390336, 1.3279527753641647])
+        stacks = self.recorded(monkeypatch, "spectral_qfi", cells, angles)
+        assert len(stacks) == 4
+        for m, g_bar, v in stacks:
+            base = spectral_qfi(m.copy(), g_bar.copy(), v.copy())
+            for i, arg in enumerate((m, g_bar, v)):
+                for layout in self.layouts(arg):
+                    args = [m, g_bar, v]
+                    args[i] = layout
+                    assert np.array_equal(spectral_qfi(*args), base)
+
+    def test_parity_qfi_reads_every_layout_alike(self, monkeypatch):
+        standard = SchemeSpec(SchemeKind.STANDARD, DEFAULTS)
+        cells = [(standard, ProbeSpec(family, n), T) for n in (12, 20)
+                 for family in (ProbeFamily.GHZ, ProbeFamily.DICKE_SYMMETRIC) for T in (1e-3, 1e-2)]
+        stacks = self.recorded(monkeypatch, "parity_qfi", cells,
+                               np.random.default_rng(79).uniform(0.0, math.pi, 5))
+        assert len(stacks) == 8
+        for m_even, m_odd, g in stacks:
+            base = parity_qfi(m_even.copy(), m_odd.copy(), g.copy())
+            for i, arg in enumerate((m_even, m_odd, g)):
+                for layout in self.layouts(arg):
+                    args = [m_even, m_odd, g]
+                    args[i] = layout
+                    assert np.array_equal(parity_qfi(*args), base)
 
 
 class TestQfiPhase:
