@@ -23,7 +23,7 @@ import numpy as np
 from .collective_basis import wigner_d_matrix
 from .dephasing import NoiseParams, phase_variance_c, spin_echo_weights_variance
 from .schemes import (_BIPARTITE_ONLY, ProbeFamily, ProbeSpec, ScanResult, SchemeKind, SchemeSpec,
-                      build_probe, scan, scheme_qfi)
+                      scan)
 from .steady_forms import SplitChoice, bsd_steady_qfi, ghz_qfi_analytic, optimize_bsd_split
 
 DEFAULT_GAMMA_DELTA_B = 2.0 * math.pi * 50.0
@@ -250,14 +250,21 @@ def _emit_table(cfg: RunConfig, columns: tuple[str, ...], rows: list[list]) -> i
         sys.stdout.write(text)
         return 0
     # write a sibling file and rename it over the target, so a failed write
-    # never leaves the target half-written or destroys a file already there
-    tmp = f"{cfg.out}.{os.getpid()}.tmp"
+    # never leaves the target half-written or destroys a file already there;
+    # a symlink keeps its link (its file is replaced), and a FIFO or device
+    # is written in place, as renaming over it would replace the node
+    target = os.path.realpath(cfg.out)
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
+        if os.path.exists(target) and not os.path.isfile(target):
+            with open(target, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            return 0
         handle = open(tmp, "x", encoding="utf-8")
         try:
             with handle:
                 handle.write(text)
-            os.replace(tmp, cfg.out)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise
@@ -319,16 +326,21 @@ def _check_wigner_orthogonality() -> tuple[float, str]:
     return worst / 1e-12, "max |D^T D - I| over n<=50, tol 1e-12"
 
 
-def _anchor_deviation(cases) -> float:
-    """Worst normalized deviation of the phase QFI over anchor cases.
+def _anchor_deviation(cases, detail: str) -> tuple[float, str]:
+    """Worst normalized deviation of the phase QFI scan prints over anchor cases, and detail.
 
     Each case is (scheme kind, probe spec, T, reference, rtol, atol), at the
-    default noise parameters.
+    default noise parameters.  An error row fails the check: deviation inf,
+    with the row's reason after detail.
     """
     noise = NoiseParams(DEFAULT_GAMMA_DELTA_B, DEFAULT_TAU_C)
-    return max(_norm_dev(scheme_qfi(build_probe(spec), SchemeSpec(kind, noise), T)[0],
-                         ref, rtol, atol)
-               for kind, spec, T, ref, rtol, atol in cases)
+    worst = 0.0
+    for kind, spec, T, ref, rtol, atol in cases:
+        row = scan(SchemeSpec(kind, noise), [spec], [T])[0]
+        if row.error is not None:
+            return math.inf, f"{detail}; {row.scheme} {row.family} n={row.n} T={T!r}: {row.error}"
+        worst = max(worst, _norm_dev(row.f_phase, ref, rtol, atol))
+    return worst, detail
 
 
 def _check_noiseless_anchors() -> tuple[float, str]:
@@ -341,7 +353,7 @@ def _check_noiseless_anchors() -> tuple[float, str]:
         (di, ProbeSpec(ProbeFamily.BSD, 8, n1=4, k1=2, k2=2), 0.0, 12.0, 1e-9, 0.0),
         (di, ProbeSpec(ProbeFamily.PRODUCT_PLUS, 8, n1=4), 0.0, 4.0, 1e-9, 0.0),
     ]
-    return _anchor_deviation(cases), "noiseless QFI anchors at N=8, rel tol 1e-9"
+    return _anchor_deviation(cases, "noiseless QFI anchors at N=8, rel tol 1e-9")
 
 
 def _check_ghz_decay() -> tuple[float, str]:
@@ -349,8 +361,7 @@ def _check_ghz_decay() -> tuple[float, str]:
     cases = [(SchemeKind.STANDARD, ProbeSpec(ProbeFamily.GHZ, n), T,
               ghz_qfi_analytic(n, T, noise), 1e-8, 1e-12)
              for n in (2, 4, 8) for T in np.logspace(-5, 1, 20).tolist()]
-    return (_anchor_deviation(cases),
-            "GHZ decay, pipeline vs closed form, |dF| <= 1e-12 + 1e-8 |F|")
+    return _anchor_deviation(cases, "GHZ decay, pipeline vs closed form, |dF| <= 1e-12 + 1e-8 |F|")
 
 
 def _check_steady_forms() -> tuple[float, str]:
@@ -362,8 +373,8 @@ def _check_steady_forms() -> tuple[float, str]:
         (di, ProbeSpec(ProbeFamily.BSD, 8, n1=4, k1=2, k2=2), late, 6.0, 1e-9, 0.0),
         (di, dfs, late, 16.0, 1e-9, 0.0),
     ] + [(di, dfs, T, 16.0, 0.0, 1e-10) for T in (0.0, 1e-3, 0.01, 0.1, 1.0, 10.0)]
-    return (_anchor_deviation(cases),
-            "steady-state closed forms at N=8, rel tol 1e-9 (DFS const, 1e-10)")
+    return _anchor_deviation(cases,
+                             "steady-state closed forms at N=8, rel tol 1e-9 (DFS const, 1e-10)")
 
 
 def _check_bsd_oracle() -> tuple[float, str]:
@@ -374,7 +385,7 @@ def _check_bsd_oracle() -> tuple[float, str]:
               bsd_steady_qfi(SplitChoice(n, n1, k1, k1 + k2)), 1e-9, 1e-12)
              for n in range(2, 9) for n1 in range(1, n)
              for k1 in range(n1 + 1) for k2 in range(n - n1 + 1)]
-    return _anchor_deviation(cases), "steady-state formula vs numeric pipeline, all splits n<=8"
+    return _anchor_deviation(cases, "steady-state formula vs numeric pipeline, all splits n<=8")
 
 
 def _check_spin_echo_variance() -> tuple[float, str]:

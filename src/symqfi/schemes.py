@@ -139,13 +139,20 @@ class ScanResult:
     error: str | None = None
 
 
-def _rotatable_parts(spec: ProbeSpec) -> tuple[PureState, float]:
-    """Unrotated probe of a rotatable family and the angle its rotation starts from.
+def _base_probe(spec: ProbeSpec) -> tuple[PureState, float]:
+    """Unrotated probe of spec's family and the angle its rotation starts from.
 
-    A split family's probe is a ProductState with one factor per partition;
-    spec's probe is this one rotated by offset + spec.alpha.
+    A split rotatable family's probe is a ProductState with one factor per
+    partition, and dfs_optimal's the entangled (|0, n2> + |n1, 0>) / sqrt(2),
+    offset 0; spec's probe is this one rotated by offset + spec.alpha.
     """
     f, n, n1 = spec.family, spec.n, spec.n1
+    if f is ProbeFamily.DFS_OPTIMAL:
+        n2 = n - n1
+        basis = BipartiteSymmetricBasis(n1, n2)
+        amps = np.zeros(basis.dimension, dtype=complex)
+        amps[[n2, n1 * (n2 + 1)]] = 1.0 / math.sqrt(2.0)  # (q, r) = (0, n2) and (n1, 0)
+        return PureState(basis, amps), 0.0
     sizes = (n,) if n1 is None else (n1, n - n1)
     if f is ProbeFamily.PRODUCT_PLUS:
         parts, offset = [plus_product_state(m) for m in sizes], 0.0
@@ -153,23 +160,14 @@ def _rotatable_parts(spec: ProbeSpec) -> tuple[PureState, float]:
         parts, offset = [ghz_state(m) for m in sizes], 0.0
     elif f is ProbeFamily.DICKE_SYMMETRIC:
         parts, offset = [dicke_state(n, n // 2)], math.pi / 2
-    elif f is ProbeFamily.BSD:
-        parts, offset = [dicke_state(n1, spec.k1), dicke_state(n - n1, spec.k2)], math.pi / 2
     else:
-        raise ValueError(f"{f.value} has no rotation parameter")
+        parts, offset = [dicke_state(n1, spec.k1), dicke_state(n - n1, spec.k2)], math.pi / 2
     return (parts[0] if len(parts) == 1 else ProductState(*parts)), offset
 
 
 def build_probe(spec: ProbeSpec) -> PureState:
     """Construct the probe state selected by spec."""
-    if spec.family is ProbeFamily.DFS_OPTIMAL:
-        n1, n2 = spec.n1, spec.n - spec.n1
-        basis = BipartiteSymmetricBasis(n1, n2)
-        amps = np.zeros(basis.dimension, dtype=complex)
-        amps[0 * (n2 + 1) + n2] = 1.0 / math.sqrt(2.0)  # (q, r) = (0, n2)
-        amps[n1 * (n2 + 1) + 0] = 1.0 / math.sqrt(2.0)  # (q, r) = (n1, 0)
-        return PureState(basis, amps)
-    probe, offset = _rotatable_parts(spec)
+    probe, offset = _base_probe(spec)
     return rotate_y(probe, offset + spec.alpha)
 
 
@@ -186,8 +184,7 @@ def _parity_eigenstate(state: PureState) -> bool:
     return not np.count_nonzero(flipped - amps) or not np.count_nonzero(flipped + amps)
 
 
-def _cell(probe: PureState, scheme: SchemeSpec, T: float, rotations: bool = False
-          ) -> tuple[PureState, Callable, Callable]:
+def _cell(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[PureState, Callable, Callable]:
     """Per-cell set-up: the state whose QFI scheme measures, its QFI and a bound on it.
 
     The scheme kind picks the signal state, its generator diagonal g and
@@ -216,12 +213,12 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float, rotations: bool = Fals
     042104, 2015) where the noise weight is g, so that the noise shifts the
     signal phase with variance shift = C(T), else by convexity, shift = 0.
 
-    With rotations, p holds probabilities of probe rotated about y.  Where
-    the frames are collective blocks with v = None and probe is an
-    eigenstate of the collective pi rotation about y, so is every rotation
-    of it: w_k = w_(n-k), and each frame splits into the sectors of the
-    reflection k -> n - k, which takes G to -G (Cantoni and Butler, Linear
-    Algebra Appl. 13, 275, 1976): the even one spanned by
+    p holds probabilities of the signal state or of its rotations about y.
+    Where the frames are collective blocks with v = None and the signal
+    state is an eigenstate of the collective pi rotation about y, so is
+    every rotation of it: w_k = w_(n-k), and each frame splits into the
+    sectors of the reflection k -> n - k, which takes G to -G (Cantoni and
+    Butler, Linear Algebra Appl. 13, 275, 1976): the even one spanned by
     (e_k + e_(n-k)) / sqrt(2), k < n/2, and e_(n/2), the odd one by
     (e_k - e_(n-k)) / sqrt(2).  parity_qfi takes them, the matrices
     sqrt(w_j w_k) (K[j, k] +- K[j, n - k]) from the lower half of w.
@@ -249,7 +246,7 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float, rotations: bool = Fals
     ref = np.empty(nk)
     ref[index] = g  # g at one entry of each block
     dg = g - ref[index]
-    parity = rotations and not per_vector and not dg.any() and _parity_eigenstate(state)
+    parity = not per_vector and not dg.any() and _parity_eigenstate(state)
     mid = nk // 2  # an eigenstate has even n: block n/2 is its own mirror image
     kernels = {}  # kernel on each set of occupied blocks; a stack's chunks share them
 
@@ -356,10 +353,11 @@ def _rotation_cell(spec: ProbeSpec, scheme: SchemeSpec,
     to the squared amplitudes (G, D) of the state _cell measures, each
     factor rotated by _rotated as in rotate_y, and _cell's qfi and bound
     map them to values per angle; step angles fill 2^14 frame entries.  A
-    rotatable probe stays a product state, so one set-up serves all angles.
+    rotatable probe stays a product state, so one set-up serves all angles;
+    dfs_optimal is taken at angle 0 only, where _rotated returns it as is.
     """
-    probe, offset = _rotatable_parts(spec)
-    state, qfi, bound = _cell(probe, scheme, T, rotations=True)
+    probe, offset = _base_probe(spec)
+    state, qfi, bound = _cell(probe, scheme, T)
     parts = state.parts if isinstance(state, ProductState) else (state,)
     # the frame of a rotatable probe holds at most its n + 1 excitation blocks
     step = max(1, _CHUNK_ENTRIES // (state.basis.n + 1) ** 2)
@@ -420,6 +418,8 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     skipped angle cannot be the first near-maximal one: the result is the
     whole grid's.
     """
+    if spec.family is ProbeFamily.DFS_OPTIMAL:
+        raise ValueError("dfs_optimal has no rotation parameter")
     probabilities, qfi, bound, step = _rotation_cell(spec, scheme, T)
 
     # tie window: relative part for flat optima, absolute part for landscapes
@@ -469,13 +469,9 @@ def _evaluate_cell(scheme: SchemeSpec, probe: ProbeSpec, T: float, optimize_alph
                 n1=probe.n1, k1=probe.k1, k2=probe.k2)
     try:
         alpha = probe.alpha
-        if f_phase is not None:  # evaluated with the other angles of its probe
-            pass
-        elif optimize_alpha:
+        if optimize_alpha:
             alpha, f_phase = optimize_rotation(probe, scheme, T)
-        elif probe.family is ProbeFamily.DFS_OPTIMAL:
-            f_phase = scheme_qfi(build_probe(probe), scheme, T)[0]
-        else:  # the optimizer's evaluator, at the one angle
+        elif f_phase is None:  # its stack raised: alone, for its own error row
             f_phase = float(_rotation_qfi(probe, scheme, T)(np.array([alpha]))[0])
         f_freq = frequency_from_phase(f_phase, T)
         return ScanResult(**base, alpha=alpha, T=T, f_phase=f_phase, f_freq=f_freq,
@@ -502,20 +498,11 @@ def scan(scheme: SchemeSpec, probes: list[ProbeSpec], times,
         raise ValueError(f"times must be finite, got {bad[0]!r}")
     if not probes or not times:
         raise ValueError("scan needs at least one probe and one time")
-    stacked = {} if optimize_alpha or len(probes) == 1 else _stacked_angles(scheme, probes, times)
-    return [_evaluate_cell(scheme, probe, T, optimize_alpha, stacked.get((i, j)))
-            for i, probe in enumerate(probes) for j, T in enumerate(times)]
-
-
-def _stacked_angles(scheme: SchemeSpec, probes: list[ProbeSpec], times: tuple[float, ...]
-                    ) -> dict[tuple[int, int], float]:
-    """F_phase by (probe index, time index) of probes that differ only in alpha."""
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple, list[int]] = {}  # probe indices by everything but alpha
     for i, probe in enumerate(probes):
-        if probe.family is not ProbeFamily.DFS_OPTIMAL:
-            groups.setdefault((probe.family, probe.n, probe.n1, probe.k1, probe.k2), []).append(i)
-    stacked = {}
-    for members in (m for m in groups.values() if len(m) > 1):
+        groups.setdefault((probe.family, probe.n, probe.n1, probe.k1, probe.k2), []).append(i)
+    stacked = {}  # F_phase by (probe index, time index)
+    for members in () if optimize_alpha else groups.values():
         alphas = np.array([probes[i].alpha for i in members], dtype=float)
         for j, T in enumerate(times):
             try:
@@ -523,4 +510,5 @@ def _stacked_angles(scheme: SchemeSpec, probes: list[ProbeSpec], times: tuple[fl
             except ValueError:
                 continue  # each cell goes alone
             stacked.update(((i, j), float(f)) for i, f in zip(members, values))
-    return stacked
+    return [_evaluate_cell(scheme, probe, T, optimize_alpha, stacked.get((i, j)))
+            for i, probe in enumerate(probes) for j, T in enumerate(times)]

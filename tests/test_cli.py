@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 from dataclasses import fields
 
 import pytest
@@ -10,6 +12,7 @@ from symqfi.collective_basis import GeneratorLabel, SymmetricBasis, generator
 from symqfi.qfi import max_qfi_bound
 from symqfi.steady_forms import ghz_qfi_analytic
 from symqfi.dephasing import NoiseParams
+from symqfi.schemes import ProbeFamily, ProbeSpec, SchemeKind
 
 
 def run_cli(args):
@@ -174,6 +177,30 @@ class TestSteadyMap:
         k4 = [r for r in rows if r[0] == "4"]
         assert len(k4) == 1
         assert float(k4[0][1]) == pytest.approx(6.0, rel=1e-9)
+
+
+class TestOutTarget:
+    def test_fifo_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert run_cli(["steady-map", "--n", "6", "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()  # a renamed-over FIFO never meets its writer
+        assert fifo.is_fifo()
+        assert run_cli(["steady-map", "--n", "6"]) == 0
+        assert received == [capsys.readouterr().out]
+
+    def test_symlink_keeps_its_link(self, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("earlier results\n")
+        link.symlink_to(real)
+        assert run_cli(["steady-map", "--n", "6", "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == real.resolve()
+        assert real.read_text().startswith("# units:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
 
 
 class TestErrors:
@@ -419,6 +446,16 @@ class TestVerify:
                          "(<= 1 required; forced failure)"]
         assert sum(l.startswith("PASS") for l in lines) == 5
         assert lines[-1] == "1 verification check(s) failed"
+
+
+    def test_error_row_fails_its_anchor(self):
+        # an error row is a failing deviation, which max() would drop as nan
+        cases = [(SchemeKind.STANDARD, ProbeSpec(ProbeFamily.GHZ, 4), 0.0, 16.0, 1e-9, 0.0),
+                 (SchemeKind.DI_IDEAL, ProbeSpec(ProbeFamily.GHZ, 4), 0.0, 16.0, 1e-9, 0.0)]
+        dev, detail = cli._anchor_deviation(cases[:1], "anchors")
+        assert dev <= 1.0 and detail == "anchors"
+        assert cli._anchor_deviation(cases, "anchors") == (
+            math.inf, "anchors; di_ideal ghz n=4 T=0.0: di_ideal requires a bipartite probe")
 
 
 def test_generator_bound_helper():

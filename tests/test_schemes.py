@@ -734,6 +734,22 @@ class TestRotationEvaluator:
                 assert scan(scheme, [probe], [T])[0].f_phase == f_opt, (scheme.kind, spec, T)
         assert compared == 448 and optimized >= 25
 
+    def test_scan_is_the_pipeline_bit_for_bit_where_nothing_rotates(self):
+        # parity is decided on the state _cell receives, so at alpha = 0 of
+        # a GHZ probe, and for dfs_optimal, scan's stacked route and
+        # scheme_qfi(build_probe(spec)) take the same frames
+        kinds = (STANDARD, DI_IDEAL, DI_ECHO, DI_REPEAT)
+        times = [0.0, *np.geomspace(1e-5, 10.0, 13).tolist()]
+        cells = [(STANDARD, ProbeSpec(ProbeFamily.GHZ, n)) for n in range(1, 25)]
+        cells += [(scheme, ProbeSpec(ProbeFamily.GHZ_BIPARTITE, n, n1=n1))
+                  for scheme in kinds for n in range(2, 13) for n1 in range(1, n)]
+        cells += [(scheme, ProbeSpec(ProbeFamily.DFS_OPTIMAL, n))
+                  for scheme in kinds for n in range(2, 13, 2)]
+        for scheme, spec in cells:
+            probe = build_probe(spec)
+            assert [row.f_phase for row in scan(scheme, [spec], times)] == \
+                [scheme_qfi(probe, scheme, T)[0] for T in times], (scheme.kind, spec)
+
     @pytest.mark.parametrize("scheme", [DI_IDEAL, DI_ECHO, DI_REPEAT])
     def test_unsplit_probe_is_an_error_row(self, scheme):
         probes = [ProbeSpec(ProbeFamily.GHZ, 6), ProbeSpec(ProbeFamily.PRODUCT_PLUS, 6),
@@ -810,15 +826,18 @@ class TestParitySectors:
             for alpha in (0.0, 0.7):
                 scan(scheme, [dataclasses.replace(spec, alpha=alpha)], [1e-3, 1e-2])
             optimize_rotation(spec, scheme, 3e-3)
-        for scheme in (STANDARD, DI_IDEAL, DI_ECHO, DI_REPEAT):
+        for scheme in (DI_IDEAL, DI_ECHO, DI_REPEAT):
             scan(scheme, [ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8)], [1e-3, 1e-2])
         assert calls == []
-        # and the cells beside them do take the sectors
+        # and the cells beside them do take the sectors; the standard
+        # dfs_optimal probe sits in block n/2 alone and still reads exactly 0
         for scheme, spec in ((STANDARD, ProbeSpec(ProbeFamily.GHZ, 8)),
                              (DI_ECHO, ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 8, n1=4)),
                              (DI_REPEAT, ProbeSpec(ProbeFamily.BSD, 8, n1=4, k1=1, k2=2))):
             scan(scheme, [spec], [1e-3])
         assert len(calls) == 3
+        rows = scan(STANDARD, [ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8)], [1e-3, 1e-2])
+        assert [row.f_phase for row in rows] == [0.0, 0.0] and len(calls) == 5
 
     def test_unrotated_standard_ghz_meets_the_decay_law(self, monkeypatch):
         # at alpha = 0 the sectors are 1 x 1: (1 +- exp(-C n^2 / 2)) / 2
@@ -876,10 +895,10 @@ class TestScan:
         probes += [ProbeSpec(ProbeFamily.BSD, 7, n1=3, k1=1, k2=2, alpha=float(a))
                    for a in alphas[::-3]]
         times = [0.0, 1e-3, 3e-2]
-        # one call per time for GHZ and for BSD, one per cell for the product
-        # probe; under spin echo the unsplit GHZ stack is refused, and each of
-        # its 15 cells goes alone to write its error row
-        for scheme, n_calls, n_errors in ((STANDARD, 9, 0), (DI_ECHO, 9 + 45, 48)):
+        # one call per time for each of the four probes, singletons included;
+        # under spin echo the unsplit GHZ and product stacks are refused, and
+        # each of their 15 + 1 cells goes alone to write its error row
+        for scheme, n_calls, n_errors in ((STANDARD, 12, 0), (DI_ECHO, 12 + 48, 48)):
             alone = [row for probe in probes for row in scan(scheme, [probe], times)]
             calls = count_calls(monkeypatch, "_rotation_qfi")
             rows = scan(scheme, probes, times)
