@@ -12,6 +12,7 @@ generator, so it never changes the QFI and is not applied to the state.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Callable
@@ -208,10 +209,21 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[PureState, Ca
     block).  A state that leaves a block of its stack empty takes its own
     frame, so no value depends on the rest of the stack.
 
-    bound maps p to 4V / (1 + 4V shift), V the variance of g in the pure
-    state: by extended convexity (Alipour and Rezakhani, Phys. Rev. A 91,
-    042104, 2015) where the noise weight is g, so that the noise shifts the
-    signal phase with variance shift = C(T), else by convexity, shift = 0.
+    bound maps p to the smaller of two upper bounds on the QFI.  The first
+    is 4V / (1 + 4V shift), V the variance of g in the pure state: by
+    extended convexity (Alipour and Rezakhani, Phys. Rev. A 91, 042104,
+    2015) where the noise weight is g, so that the noise shifts the signal
+    phase with variance shift = C(T), else by convexity, shift = 0.  The
+    second holds since the QFI is four times the convex roof of the
+    variance (Toth and Petz, Phys. Rev. A 87, 032324, 2013): where the
+    kernel on the blocks factors as L L^T (Cholesky), the dephased state is
+    the mixture of the unnormalized vectors L[k_i, l] psi_i over l, so
+    U_mix = 4 sum_l (s2_l - s1_l^2 / s0_l) with s_j = (p g^j) @ (L o L)[k_i].
+    Under collective dephasing it falls with C(T) where the first one
+    flattens at 1 / C(T), and with a kernel that is exactly the identity it
+    is the steady-state QFI.  The factor is taken on the first call, so qfi
+    alone never pays for it; a kernel that Cholesky refuses (numerically
+    singular at small C(T)) keeps the first bound alone.
 
     p holds probabilities of the signal state or of its rotations about y.
     Where the frames are collective blocks with v = None and the signal
@@ -315,10 +327,26 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[PureState, Ca
 
     shift = var2 if shifted else 0.0
 
+    @functools.cache  # factored on the first bound call: qfi alone never pays for it
+    def mixture_weights() -> np.ndarray | None:
+        """(L o L)[index] for the kernel's Cholesky factor L, None where it has none."""
+        try:
+            factor = np.linalg.cholesky(dephasing_kernel(m1, m2, var1, var2))
+        except np.linalg.LinAlgError:
+            return None
+        return (factor * factor)[index]
+
     def bound(p: np.ndarray) -> np.ndarray:
         mean = p @ g
         pure = 4.0 * np.maximum(p @ (g * g) - mean * mean, 0.0)  # 4 Var(g), the pure QFI
-        return pure / (1.0 + shift * pure)
+        upper = pure / (1.0 + shift * pure)
+        y = mixture_weights()
+        if y is None:
+            return upper
+        pg = p * g
+        s0, s1, s2 = p @ y, pg @ y, (pg * g) @ y
+        spread = s2 - np.divide(s1 * s1, s0, out=np.zeros(s0.shape), where=s0 > 0)
+        return np.minimum(upper, 4.0 * spread.sum(axis=-1))
 
     return state, qfi, bound
 
@@ -412,11 +440,16 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     [0, pi/400] every pi/3200, and the tests check that no narrower peak
     beside 0 rises above that bound.
 
-    Grid angles go in decreasing order of _cell's bound U, 16 first, then
-    step at a time, until U + window(U) < L - window(L) for the best L so
-    far.  No F exceeds U + window(U) and f - window(f) rises with f, so a
-    skipped angle cannot be the first near-maximal one: the result is the
-    whole grid's.
+    Grid angles go 16 at a time first, then step at a time: alpha = 0,
+    then the rest in decreasing order of _cell's bound U.  After each
+    batch, with f_max the best F so far and U_bar the larger of f_max and
+    the largest U not yet visited, the search stops once the first angle i
+    that is either visited with F >= f_max - window(f_max) or unvisited
+    with U + window(U) >= f_max - window(f_max) is visited with
+    F >= U_bar - window(U_bar).  f - window(f) rises with f, and no F
+    exceeds U + window(U), so no angle before i is near-maximal; no F
+    exceeds U beyond rounding, so the grid maximum is at most U_bar and i
+    is near-maximal.  Thus i is the whole grid's first near-maximal angle.
     """
     if spec.family is ProbeFamily.DFS_OPTIMAL:
         raise ValueError("dfs_optimal has no rotation parameter")
@@ -430,18 +463,23 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     alphas = np.linspace(0.0, math.pi / 2, _GRID_ANGLES)
     p = probabilities(alphas)
     upper = bound(p)
-    order = np.argsort(-upper, kind="stable")
-    values = np.full(len(alphas), -math.inf)  # an angle never visited cannot win
-    f_max, start, size = -math.inf, 0, _FIRST_BATCH
-    while start < len(order):
-        top = float(upper[order[start]])
-        if top + window(top) < f_max - window(f_max):
-            break
+    reach = upper + window(upper)  # no F above it
+    # alpha = 0 wins every tie, so it goes first, the rest by decreasing bound
+    order = np.concatenate([[0], 1 + np.argsort(-upper[1:], kind="stable")])
+    values = np.full(len(alphas), -math.inf)  # until visited
+    start, size = 0, _FIRST_BATCH
+    while start < len(order):  # the whole grid visited, the rule holds with t_hi = t_lo
         rows = np.sort(order[start:start + size])
         values[rows] = qfi(p[rows])
-        f_max = max(f_max, float(values[rows].max()))
         start, size = start + size, step
-    best = int(np.argmax(values >= f_max - window(f_max)))  # first near-maximal point
+        f_max = float(values.max())
+        u_bar = max(f_max, float(upper[order[start:]].max(initial=-math.inf)))
+        # an infinite bound leaves t_hi nan, which no F reaches
+        t_lo, t_hi = f_max - window(f_max), u_bar - window(u_bar)
+        # angles that may still lie within the grid maximum's window
+        best = int(np.argmax(np.where(values > -math.inf, values, reach) >= t_lo))
+        if values[best] >= t_hi:
+            break  # the first of them is near-maximal, whatever the rest hold
     a_ref, f_ref = alphas[best], values[best]
     left, right = alphas[max(best - 1, 0)], alphas[min(best + 1, len(alphas) - 1)]
     # alpha = 0 wins every tie, so there only a first round above F(0)'s window
