@@ -254,7 +254,7 @@ def generator(basis: Basis, label: GeneratorLabel) -> np.ndarray:
     basis.partition2_weights(), and requires a bipartite basis.  The
     pipeline reads those weights from the basis directly; GeneratorLabel,
     generator and max_qfi_bound are kept for the benchmark's QFI-bound
-    oracle until ROADMAP item 3.
+    oracle until ROADMAP item 1.
     """
     if label is GeneratorLabel.SZ_TOTAL:
         return basis.z_weights()

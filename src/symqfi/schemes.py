@@ -209,21 +209,16 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[PureState, Ca
     block).  A state that leaves a block of its stack empty takes its own
     frame, so no value depends on the rest of the stack.
 
-    bound maps p to the smaller of two upper bounds on the QFI.  The first
-    is 4V / (1 + 4V shift), V the variance of g in the pure state: by
-    extended convexity (Alipour and Rezakhani, Phys. Rev. A 91, 042104,
-    2015) where the noise weight is g, so that the noise shifts the signal
-    phase with variance shift = C(T), else by convexity, shift = 0.  The
-    second holds since the QFI is four times the convex roof of the
-    variance (Toth and Petz, Phys. Rev. A 87, 032324, 2013): where the
-    kernel on the blocks factors as L L^T (Cholesky), the dephased state is
-    the mixture of the unnormalized vectors L[k_i, l] psi_i over l, so
-    U_mix = 4 sum_l (s2_l - s1_l^2 / s0_l) with s_j = (p g^j) @ (L o L)[k_i].
-    Under collective dephasing it falls with C(T) where the first one
-    flattens at 1 / C(T), and with a kernel that is exactly the identity it
-    is the steady-state QFI.  The factor is taken on the first call, so qfi
-    alone never pays for it; a kernel that Cholesky refuses (numerically
-    singular at small C(T)) keeps the first bound alone.
+    bound maps p to an upper bound on the QFI.  The QFI is four times the
+    convex roof of the variance (Toth and Petz, Phys. Rev. A 87, 032324,
+    2013), so any decomposition of the dephased state bounds it.  With
+    B = K^(1/2) the symmetric root of the kernel K on the blocks, B B^T = K,
+    the dephased state is the mixture of the unnormalized vectors
+    B[k_i, l] psi_i over l, so U = 4 sum_l (s2_l - s1_l^2 / s0_l) with
+    s_j = (p g^j) @ (B o B)[k_i].  With an all-ones kernel (T = 0) it is
+    the pure QFI 4 Var(g), and with the identity kernel the steady-state
+    QFI.  The root is taken on the first call, so qfi alone never pays for
+    it.
 
     p holds probabilities of the signal state or of its rotations about y.
     Where the frames are collective blocks with v = None and the signal
@@ -243,8 +238,9 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[PureState, Ca
     if per_vector and isinstance(probe, ProductState):
         state, per_vector = probe.parts[1], False
     basis = state.basis
-    shifted = kind is SchemeKind.STANDARD or state is not probe  # noise weight = g
-    g = basis.z_weights() if shifted else basis.partition2_weights()
+    # the signal acts on all of state under STANDARD and on partition 2's factor
+    g = basis.z_weights() if kind is SchemeKind.STANDARD or state is not probe \
+        else basis.partition2_weights()
 
     # the blocks, and the partition weights and variances the kernel sees on each
     if per_vector:  # one block per basis vector; g is partition 2's weight
@@ -325,28 +321,18 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[PureState, Ca
                             np.take(g_bar, ks, axis=-1),
                             np.take(v, ks, axis=-1) if v is not None and v.any() else None)
 
-    shift = var2 if shifted else 0.0
-
-    @functools.cache  # factored on the first bound call: qfi alone never pays for it
-    def mixture_weights() -> np.ndarray | None:
-        """(L o L)[index] for the kernel's Cholesky factor L, None where it has none."""
-        try:
-            factor = np.linalg.cholesky(dephasing_kernel(m1, m2, var1, var2))
-        except np.linalg.LinAlgError:
-            return None
-        return (factor * factor)[index]
+    @functools.cache  # taken on the first bound call: qfi alone never pays for it
+    def mixture_weights() -> np.ndarray:
+        """(B o B)[index] for the kernel's symmetric root B."""
+        mu, vectors = np.linalg.eigh(dephasing_kernel(m1, m2, var1, var2))
+        root = (vectors * np.sqrt(np.maximum(mu, 0.0))) @ vectors.T
+        return (root * root)[index]
 
     def bound(p: np.ndarray) -> np.ndarray:
-        mean = p @ g
-        pure = 4.0 * np.maximum(p @ (g * g) - mean * mean, 0.0)  # 4 Var(g), the pure QFI
-        upper = pure / (1.0 + shift * pure)
-        y = mixture_weights()
-        if y is None:
-            return upper
-        pg = p * g
+        y, pg = mixture_weights(), p * g
         s0, s1, s2 = p @ y, pg @ y, (pg * g) @ y
         spread = s2 - np.divide(s1 * s1, s0, out=np.zeros(s0.shape), where=s0 > 0)
-        return np.minimum(upper, 4.0 * spread.sum(axis=-1))
+        return 4.0 * spread.sum(axis=-1)
 
     return state, qfi, bound
 
@@ -441,7 +427,8 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     beside 0 rises above that bound.
 
     Grid angles go 16 at a time first, then step at a time: alpha = 0,
-    then the rest in decreasing order of _cell's bound U.  After each
+    then the rest in decreasing order of _cell's bound U, the variance
+    bound of one mixture over the kernel's symmetric root.  After each
     batch, with f_max the best F so far and U_bar the larger of f_max and
     the largest U not yet visited, the search stops once the first angle i
     that is either visited with F >= f_max - window(f_max) or unvisited

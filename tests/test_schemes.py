@@ -555,17 +555,20 @@ class TestOptimizeRotation:
         assert sizes == [16, 185] + [7] * rounds
 
     def test_fully_dephased_cells_skip_eigh(self, monkeypatch):
-        # every frame of these cells is exactly diagonal, with v = None; the
-        # rotations' cached Sy eigensystems are taken before counting
+        # every frame of these cells is exactly diagonal, with v = None, so
+        # no frame is diagonalized: the one eigh is the optimizer bound's, of
+        # GHZ(12)'s 13 x 13 kernel, here exactly the identity; the rotations'
+        # cached Sy eigensystems are taken before counting
         for n in (12, 4):
             _sy_eigensystem(n)
         calls = []
         eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.copy()) or eigh(m))
         assert optimize_rotation(ProbeSpec(ProbeFamily.GHZ, 12), STANDARD, 2.0) == (0.0, 0.0)
         probe = build_probe(ProbeSpec(ProbeFamily.PRODUCT_PLUS, 8, n1=4, alpha=0.3))
         assert scheme_qfi(probe, DI_ECHO, 2.0) == (0.0, 0.0)
-        assert calls == []
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.eye(13))
 
     def test_no_peak_beside_zero_escapes_the_first_round(self):
         # premise of the one-round stop at alpha = 0: where the grid's first
@@ -599,10 +602,10 @@ class TestOptimizeRotation:
 
     def test_grid_bound_holds_on_every_kind_and_family(self):
         # premise of the pruned grid: no computed F exceeds _cell's bound U,
-        # the smaller of the extended-convexity and mixture bounds, plus U's
-        # tie window, on the grid and at random angles; the worst
-        # (F - U) / window(U) measured over 300 such cells was 2.2e-5, where
-        # a fully dephased frame reads rounding-level F and U
+        # the variance bound of the mixture over the kernel's symmetric
+        # root, plus U's tie window, on the grid and at random angles; the
+        # worst (F - U) / window(U) measured over 300 such cells was 3.7e-5,
+        # where a fully dephased frame reads rounding-level F and U
         rng = np.random.default_rng(29)
         classes = {}
         for n in (*range(2, 65), 100):
@@ -620,6 +623,25 @@ class TestOptimizeRotation:
                 upper = bound(p)
                 assert (qfi(p) <= upper + 1e-9 * upper + 1e-11 * spec.n ** 2).all(), \
                     (scheme.kind, spec, T)
+
+    def test_bound_is_the_pure_qfi_at_zero_time(self):
+        # at T = 0 the m x m kernel is all ones, of rank one; its symmetric
+        # root has every entry 1 / sqrt(m), so the mixture's components
+        # share one distribution and U is 4 Var(g), the pure QFI; worst
+        # measured deviation 4.8e-15 n^2
+        rng = np.random.default_rng(37)
+        classes = {}
+        for n in range(2, 25):
+            for scheme, spec in rotatable_cells(rng, [n]):
+                key = (scheme.kind, spec.family, spec.n1 is None, n)
+                classes.setdefault(key, []).append((scheme, spec))
+        assert len(classes) == 15 * 23 - 11  # dicke_symmetric at even n only
+        grid = np.linspace(0.0, math.pi / 2, 201)
+        for cells in classes.values():
+            scheme, spec = cells[rng.integers(len(cells))]
+            probabilities, qfi, bound, _ = schemes._rotation_cell(spec, scheme, 0.0)
+            p = probabilities(grid)
+            assert np.abs(bound(p) - qfi(p)).max() <= 1e-12 * spec.n ** 2, (scheme.kind, spec)
 
     def test_pruned_grid_gives_the_whole_grid_answer(self, monkeypatch):
         # the grid visited by the bound and the grid visited whole give the
@@ -660,15 +682,24 @@ class TestOptimizeRotation:
         assert alpha == 0.0
         assert sizes == [16, 7]
 
+    def test_middle_band_product_probe_visits_four_batches(self, monkeypatch):
+        # at C(T) ~ 5 the mixture over the kernel's symmetric root follows
+        # the dephased |+>^20 closely enough to rule out 74 of the 201 grid
+        # angles
+        sizes = counted_calls(monkeypatch)
+        alpha, _ = optimize_rotation(ProbeSpec(ProbeFamily.PRODUCT_PLUS, 20), STANDARD, 1e-2)
+        assert alpha == 0.0
+        assert sizes == [16, 37, 37, 37, 7]
+
     @pytest.mark.parametrize("scheme, spec, T", [
         (STANDARD, ProbeSpec(ProbeFamily.GHZ, 16), 0.03),
         (DI_IDEAL, ProbeSpec(ProbeFamily.BSD, 10, n1=5, k1=2, k2=3), 0.5),
     ], ids=["standard-ghz", "di_ideal-bsd"])
     def test_late_cells_settle_on_the_first_grid_batch(self, monkeypatch, scheme, spec, T):
-        # late in the decay the extended-convexity bound is flat near 1 / C(T),
-        # but the mixture bound falls to the steady-state QFI (di_ideal, whose
-        # kernel is here the identity) or to rounding (standard): alpha = 0,
-        # visited first, is then near-maximal whatever the other angles hold
+        # late in the decay the mixture bound falls to the steady-state QFI
+        # (di_ideal, whose kernel is here the identity) or to rounding
+        # (standard): alpha = 0, visited first, is then near-maximal whatever
+        # the other angles hold
         sizes = counted_calls(monkeypatch)
         alpha, _ = optimize_rotation(spec, scheme, T)
         assert alpha == 0.0
@@ -676,8 +707,8 @@ class TestOptimizeRotation:
 
     def test_mixture_bound_is_the_steady_qfi_under_an_identity_kernel(self):
         # at T = 50 tau_c every coherence between excitation blocks has
-        # underflowed to 0, so the Cholesky factor is the identity and the
-        # mixture is the block decomposition: U_mix is the steady-state QFI
+        # underflowed to 0, so the kernel's symmetric root is the identity
+        # and the mixture is the block decomposition: U is the steady-state QFI
         T, checked = 50.0 * NOISE.tau_c, 0
         for n in range(2, 13):
             for n1 in range(1, n):
@@ -692,11 +723,21 @@ class TestOptimizeRotation:
         assert checked == sum((n1 + 1) * (n - n1 + 1) for n in range(2, 13) for n1 in range(1, n))
 
     def test_only_the_optimizer_factors_the_kernel(self, monkeypatch):
-        # the mixture bound's Cholesky factor is taken on the first bound call;
-        # scan at given angles and scheme_qfi never call bound
-        calls = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m.shape) or cholesky(m))
+        # the bound's root of the kernel is taken on the first bound call, by
+        # an eigh of an array dephasing_kernel returned (frames and parity
+        # sectors are new arrays built from it); scan at given angles and
+        # scheme_qfi never call bound
+        kernels, calls = [], []
+        kernel, eigh = schemes.dephasing_kernel, np.linalg.eigh
+
+        def counted(m):
+            if any(m is k for k in kernels):
+                calls.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(schemes, "dephasing_kernel",
+                            lambda *args: kernels.append(kernel(*args)) or kernels[-1])
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         times = (1e-4, 1e-2, 2.0)
         for scheme in (STANDARD, DI_IDEAL, DI_ECHO, DI_REPEAT):
             probes = [ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 8, n1=4, alpha=0.3),
