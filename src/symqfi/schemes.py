@@ -355,8 +355,23 @@ def scheme_qfi(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[float, f
     return f_phase, frequency_from_phase(f_phase, T)
 
 
-# frame entries G * d^2 per stack of _rotation_qfi and per later grid batch (128 KiB an array)
+# frame entries G * d^2 per stack of _rotation_qfi and per grid batch (128 KiB an array)
 _CHUNK_ENTRIES = 2 ** 14
+# angles of the uniform grid the rotation search starts from
+_GRID_ANGLES = 201
+
+
+@functools.lru_cache(maxsize=64)
+def _grid_rotations(amps: bytes, offset: float, angles: int) -> np.ndarray:
+    """_rotated(amps, offset + grid), read-only, for the angles-point grid over [0, pi/2].
+
+    amps holds one factor's real amplitudes as float64 bytes.  The grid
+    depends on the probe alone, so every time and scheme of a probe share
+    an entry of angles * (m + 1) floats for a factor of m qubits.
+    """
+    rows = _rotated(np.frombuffer(amps), offset + np.linspace(0.0, math.pi / 2, angles))
+    rows.flags.writeable = False
+    return rows
 
 
 def _rotation_cell(spec: ProbeSpec, scheme: SchemeSpec,
@@ -365,10 +380,12 @@ def _rotation_cell(spec: ProbeSpec, scheme: SchemeSpec,
 
     Returns (probabilities, qfi, bound, step): probabilities maps G angles
     to the squared amplitudes (G, D) of the state _cell measures, each
-    factor rotated by _rotated as in rotate_y, and _cell's qfi and bound
-    map them to values per angle; step angles fill 2^14 frame entries.  A
-    rotatable probe stays a product state, so one set-up serves all angles;
-    dfs_optimal is taken at angle 0 only, where _rotated returns it as is.
+    factor rotated by _rotated as in rotate_y, and no angles to those of
+    the _GRID_ANGLES grid, whose factor rotations _grid_rotations keeps
+    across cells; _cell's qfi and bound map them to values per angle; step
+    angles fill 2^14 frame entries.  A rotatable probe stays a product
+    state, so one set-up serves all angles; dfs_optimal is taken at angle 0
+    only, where _rotated returns it as is.
     """
     probe, offset = _base_probe(spec)
     state, qfi, bound = _cell(probe, scheme, T)
@@ -376,11 +393,15 @@ def _rotation_cell(spec: ProbeSpec, scheme: SchemeSpec,
     # the frame of a rotatable probe holds at most its n + 1 excitation blocks
     step = max(1, _CHUNK_ENTRIES // (state.basis.n + 1) ** 2)
 
-    def probabilities(alphas: np.ndarray) -> np.ndarray:
-        theta = offset + np.asarray(alphas, dtype=float)
-        amps = [_rotated(part.amplitudes.real, theta) for part in parts]
+    def probabilities(alphas: np.ndarray | None = None) -> np.ndarray:
+        if alphas is None:
+            amps = [_grid_rotations(part.amplitudes.real.tobytes(), offset, _GRID_ANGLES)
+                    for part in parts]
+        else:
+            theta = offset + np.asarray(alphas, dtype=float)
+            amps = [_rotated(part.amplitudes.real, theta) for part in parts]
         if len(amps) == 2:
-            amps = [(amps[0][:, :, None] * amps[1][:, None, :]).reshape(len(theta), -1)]
+            amps = [(amps[0][:, :, None] * amps[1][:, None, :]).reshape(len(amps[0]), -1)]
         return amps[0] * amps[0]
 
     return probabilities, qfi, bound, step
@@ -399,10 +420,6 @@ def _rotation_qfi(spec: ProbeSpec, scheme: SchemeSpec,
     return evaluate
 
 
-# angles of the uniform grid the search starts from
-_GRID_ANGLES = 201
-# grid angles of largest bound evaluated first; later batches take step angles
-_FIRST_BATCH = 16
 # interior angles per refinement round: the next bracket spans two of the
 # round's eight spacings, a quarter of the current one
 _ROUND_ANGLES = 7
@@ -426,17 +443,21 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     [0, pi/400] every pi/3200, and the tests check that no narrower peak
     beside 0 rises above that bound.
 
-    Grid angles go 16 at a time first, then step at a time: alpha = 0,
-    then the rest in decreasing order of _cell's bound U, the variance
-    bound of one mixture over the kernel's symmetric root.  After each
-    batch, with f_max the best F so far and U_bar the larger of f_max and
-    the largest U not yet visited, the search stops once the first angle i
-    that is either visited with F >= f_max - window(f_max) or unvisited
-    with U + window(U) >= f_max - window(f_max) is visited with
+    Grid angles go alpha = 0 first, then in decreasing order of _cell's
+    bound U, the variance bound of one mixture over the kernel's symmetric
+    root: the first batch is alpha = 0 and the angle of largest U.  After
+    each batch, with f_max the best F so far and U_bar the larger of f_max
+    and the largest U not yet visited, the search stops once the first
+    angle i that is either visited with F >= f_max - window(f_max) or
+    unvisited with U + window(U) >= f_max - window(f_max) is visited with
     F >= U_bar - window(U_bar).  f - window(f) rises with f, and no F
     exceeds U + window(U), so no angle before i is near-maximal; no F
     exceeds U beyond rounding, so the grid maximum is at most U_bar and i
     is near-maximal.  Thus i is the whole grid's first near-maximal angle.
+    An unvisited angle with U + window(U) below f_max - window(f_max) can
+    neither be i nor raise U_bar, so the next batch holds only the others,
+    at most step of them: a prefix of the rest, as U decreases along it.
+    Once they are visited the rule holds.
     """
     if spec.family is ProbeFamily.DFS_OPTIMAL:
         raise ValueError("dfs_optimal has no rotation parameter")
@@ -448,25 +469,29 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
         return 1e-9 * abs(f) + 1e-11 * spec.n * spec.n
 
     alphas = np.linspace(0.0, math.pi / 2, _GRID_ANGLES)
-    p = probabilities(alphas)
+    p = probabilities()
     upper = bound(p)
     reach = upper + window(upper)  # no F above it
     # alpha = 0 wins every tie, so it goes first, the rest by decreasing bound
     order = np.concatenate([[0], 1 + np.argsort(-upper[1:], kind="stable")])
     values = np.full(len(alphas), -math.inf)  # until visited
-    start, size = 0, _FIRST_BATCH
+    start, size = 0, 2  # alpha = 0 and the largest bound
     while start < len(order):  # the whole grid visited, the rule holds with t_hi = t_lo
         rows = np.sort(order[start:start + size])
         values[rows] = qfi(p[rows])
-        start, size = start + size, step
+        start += size
+        rest = order[start:]
         f_max = float(values.max())
-        u_bar = max(f_max, float(upper[order[start:]].max(initial=-math.inf)))
+        u_bar = max(f_max, float(upper[rest].max(initial=-math.inf)))
         # an infinite bound leaves t_hi nan, which no F reaches
         t_lo, t_hi = f_max - window(f_max), u_bar - window(u_bar)
         # angles that may still lie within the grid maximum's window
         best = int(np.argmax(np.where(values > -math.inf, values, reach) >= t_lo))
         if values[best] >= t_hi:
             break  # the first of them is near-maximal, whatever the rest hold
+        # the angles not ruled out lead the rest; no other can be that first
+        # angle or raise U_bar (a nan t_lo rules out none)
+        size = min(step, int(np.count_nonzero(~(reach[rest] < t_lo))))
     a_ref, f_ref = alphas[best], values[best]
     left, right = alphas[max(best - 1, 0)], alphas[min(best + 1, len(alphas) - 1)]
     # alpha = 0 wins every tie, so there only a first round above F(0)'s window

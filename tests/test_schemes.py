@@ -11,6 +11,7 @@ from symqfi.collective_basis import (
     ProductState,
     PureState,
     SymmetricBasis,
+    _rotated,
     _sy_eigensystem,
     dicke_state,
     ghz_state,
@@ -422,16 +423,22 @@ class TestFramesAgainstDense:
 
 def fake_cell(landscape, sizes=None):
     """A _rotation_cell stand-in for a landscape F(alpha): its probabilities
-    are the angles themselves and its bound is +inf, so the optimizer visits
-    every grid angle; sizes records the angles per QFI call."""
+    are the angles themselves (the grid's if none are given) and its bound
+    is +inf, so the optimizer visits every grid angle; sizes records the
+    angles per QFI call."""
     def cell(spec, scheme, T):
+        def probabilities(alphas=None):
+            if alphas is None:
+                alphas = np.linspace(0.0, math.pi / 2, schemes._GRID_ANGLES)
+            return np.asarray(alphas, dtype=float)[:, None]
+
         def qfi(p):
             if sizes is not None:
                 sizes.append(len(p))
             return landscape(p[:, 0])
 
-        return (lambda alphas: np.asarray(alphas, dtype=float)[:, None], qfi,
-                lambda p: np.full(len(p), math.inf), schemes._CHUNK_ENTRIES // (spec.n + 1) ** 2)
+        return (probabilities, qfi, lambda p: np.full(len(p), math.inf),
+                schemes._CHUNK_ENTRIES // (spec.n + 1) ** 2)
     return cell
 
 
@@ -545,14 +552,15 @@ class TestOptimizeRotation:
     def test_refinement_precision_and_call_budget(self, monkeypatch, landscape, target, rounds):
         # after the grid, a few stacked rounds reach the optimum within the
         # search tolerance, without one-angle calls and never past pi/2; the
-        # grid goes in a first batch of 16 angles and one chunk of the rest
+        # grid goes in a first batch of 2 angles (alpha = 0 and the largest
+        # bound) and one chunk of the rest
         sizes = []
         monkeypatch.setattr(schemes, "_rotation_cell", fake_cell(landscape, sizes))
         alpha, f = optimize_rotation(ProbeSpec(ProbeFamily.GHZ, 8), STANDARD, 0.01)
         assert abs(alpha - target) <= 1e-6
         assert alpha <= math.pi / 2
         assert f == landscape(np.array([alpha]))[0]
-        assert sizes == [16, 185] + [7] * rounds
+        assert sizes == [2, 199] + [7] * rounds
 
     def test_fully_dephased_cells_skip_eigh(self, monkeypatch):
         # every frame of these cells is exactly diagonal, with v = None, so
@@ -672,24 +680,24 @@ class TestOptimizeRotation:
             visited[bounded] = [optimize_rotation(cells[i][1], cells[i][0], float(T))
                                 for i, T in zip(picks, times)], sum(rows)
         assert visited[True][0] == visited[False][0]
-        assert visited[True][1] < 0.35 * visited[False][1]
+        assert visited[True][1] < 0.2 * visited[False][1]
 
     def test_early_product_probe_visits_one_batch(self, monkeypatch):
         # at C(T) ~ 0.05 the dephased |+>^20 sits near its bound at alpha = 0,
-        # so the first 16 grid angles rule out the other 185
+        # so alpha = 0 and the angle of largest bound rule out the other 199
         sizes = counted_calls(monkeypatch)
         alpha, _ = optimize_rotation(ProbeSpec(ProbeFamily.PRODUCT_PLUS, 20), STANDARD, 1e-3)
         assert alpha == 0.0
-        assert sizes == [16, 7]
+        assert sizes == [2, 7]
 
     def test_middle_band_product_probe_visits_four_batches(self, monkeypatch):
         # at C(T) ~ 5 the mixture over the kernel's symmetric root follows
-        # the dephased |+>^20 closely enough to rule out 74 of the 201 grid
-        # angles
+        # the dephased |+>^20 closely enough to rule out 88 of the 201 grid
+        # angles; the first batch is alpha = 0 and the angle of largest bound
         sizes = counted_calls(monkeypatch)
         alpha, _ = optimize_rotation(ProbeSpec(ProbeFamily.PRODUCT_PLUS, 20), STANDARD, 1e-2)
         assert alpha == 0.0
-        assert sizes == [16, 37, 37, 37, 7]
+        assert sizes == [2, 37, 37, 37, 7]
 
     @pytest.mark.parametrize("scheme, spec, T", [
         (STANDARD, ProbeSpec(ProbeFamily.GHZ, 16), 0.03),
@@ -703,7 +711,7 @@ class TestOptimizeRotation:
         sizes = counted_calls(monkeypatch)
         alpha, _ = optimize_rotation(spec, scheme, T)
         assert alpha == 0.0
-        assert sizes == [16, 7]
+        assert sizes == [2, 7]
 
     def test_mixture_bound_is_the_steady_qfi_under_an_identity_kernel(self):
         # at T = 50 tau_c every coherence between excitation blocks has
@@ -763,6 +771,60 @@ class TestOptimizeRotation:
         alpha_f, f_f = optimize_rotation(spec, STANDARD, 0.001)
         assert f_c <= f_f + 1e-9 * f_f
         assert abs(alpha_c - alpha_f) < 2e-3
+
+
+class TestGridRotations:
+    """The optimizer's grid rotations, kept per factor across cells."""
+
+    def test_rows_are_the_rotation_kernel_bit_for_bit(self):
+        grid = np.linspace(0.0, math.pi / 2, schemes._GRID_ANGLES)
+        for m in (1, 2, 7, 12, 20):
+            for part, offset in ((ghz_state(m), 0.0), (dicke_state(m, m // 2), math.pi / 2),
+                                 (dicke_state(m, 0), 0.0)):
+                amps = part.amplitudes.real.copy()
+                rows = schemes._grid_rotations(amps.tobytes(), offset, schemes._GRID_ANGLES)
+                assert rows.shape == (len(grid), m + 1)
+                assert rows.tobytes() == _rotated(amps, offset + grid).tobytes(), (m, offset)
+
+    def test_entries_are_read_only_and_bounded(self):
+        schemes._grid_rotations.cache_clear()
+        amps = ghz_state(2).amplitudes.real.tobytes()
+        rows = schemes._grid_rotations(amps, 0.0, schemes._GRID_ANGLES)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+        assert schemes._grid_rotations(amps, 0.0, schemes._GRID_ANGLES) is rows
+        for offset in np.linspace(0.1, 1.0, 70):
+            schemes._grid_rotations(amps, float(offset), schemes._GRID_ANGLES)
+        info = schemes._grid_rotations.cache_info()
+        assert info.maxsize == 64 and info.currsize == 64
+        schemes._grid_rotations.cache_clear()
+
+    def test_warm_scan_equals_cold_cells_bit_for_bit(self):
+        # one optimized scan over 40 times reuses each factor's grid rows;
+        # each of its rows equals a cell optimized alone with the cache empty
+        times = np.logspace(-4.0, 0.0, 40)
+        split = [ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 8, n1=4),
+                 ProbeSpec(ProbeFamily.PRODUCT_PLUS, 8, n1=3),
+                 ProbeSpec(ProbeFamily.BSD, 8, n1=4, k1=1, k2=2)]
+        unsplit = [ProbeSpec(ProbeFamily.GHZ, 8), ProbeSpec(ProbeFamily.PRODUCT_PLUS, 8),
+                   ProbeSpec(ProbeFamily.DICKE_SYMMETRIC, 8)]
+
+        def bits(rows):
+            return [(row.alpha.hex(), row.f_phase.hex(), row.error) for row in rows]
+
+        for scheme in (STANDARD, DI_IDEAL, DI_ECHO, DI_REPEAT):
+            probes = split + unsplit if scheme is STANDARD else split
+            schemes._grid_rotations.cache_clear()
+            warm = scan(scheme, probes, times, optimize_alpha=True)
+            assert schemes._grid_rotations.cache_info().hits >= 39 * len(probes)
+            cold = []
+            for probe in probes:
+                for T in times:
+                    schemes._grid_rotations.cache_clear()
+                    cold += scan(scheme, [probe], [T], optimize_alpha=True)
+            assert bits(warm) == bits(cold), scheme.kind
+        schemes._grid_rotations.cache_clear()
 
 
 def rotatable_cells(rng, sizes):
