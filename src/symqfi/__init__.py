@@ -5,6 +5,7 @@ from .collective_basis import (
     GeneratorLabel,
     ProductState,
     PureState,
+    RotatedState,
     SymmetricBasis,
     dicke_state,
     generator,

@@ -205,30 +205,56 @@ def _rotated(amps: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return rotated
 
 
+def _rotated_amplitudes(amps: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """_rotated of any amplitudes, real and imaginary parts apart (Wigner-d is real).
+
+    Real amplitudes give a real (G, n+1) stack, others a complex one.
+    """
+    rotated = _rotated(amps.real, theta)
+    # count_nonzero: a fourth of any()'s call overhead, paid per factor per stack
+    return rotated + 1j * _rotated(amps.imag, theta) if np.count_nonzero(amps.imag) else rotated
+
+
 def rotate_y(state: PureState, angle: float) -> PureState:
     """Rotate a state about the collective y-axis.
 
-    A single-partition state goes through _rotated, the rotation optimizer's
-    kernel, real and imaginary parts apart (Wigner-d is real).  On a
-    bipartite basis the rotation factorizes: a ProductState rotates each
-    factor and stays one, any other state takes a Wigner-d block per part.
+    A single-partition state becomes a RotatedState, which keeps its
+    unrotated base and the angle; rotating one rotates its base once, by
+    the summed angle.  On a bipartite basis the rotation factorizes: a
+    ProductState rotates each factor and stays one, any other state takes a
+    Wigner-d block per part.
     """
     if angle == 0.0:
         return state
     if isinstance(state, ProductState):
         return ProductState(*(rotate_y(part, angle) for part in state.parts))
+    if isinstance(state, RotatedState):
+        return RotatedState(state.base, state.angle + angle)
     basis = state.basis
     if isinstance(basis, SymmetricBasis):
-        theta = np.array([float(angle)])
-        amps = _rotated(state.amplitudes.real, theta)[0].astype(complex)
-        if state.amplitudes.imag.any():
-            amps.imag = _rotated(state.amplitudes.imag, theta)[0]
-    else:
-        d1 = wigner_d_matrix(basis.n1, angle)
-        d2 = wigner_d_matrix(basis.n2, angle)
-        block = state.amplitudes.reshape(basis.n1 + 1, basis.n2 + 1)
-        amps = (d1 @ block @ d2.T).reshape(basis.dimension)
-    return PureState(basis, amps)
+        return RotatedState(state, angle)
+    d1 = wigner_d_matrix(basis.n1, angle)
+    d2 = wigner_d_matrix(basis.n2, angle)
+    block = state.amplitudes.reshape(basis.n1 + 1, basis.n2 + 1)
+    return PureState(basis, (d1 @ block @ d2.T).reshape(basis.dimension))
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class RotatedState(PureState):
+    """Single-partition state rotated about y that keeps its unrotated base and the angle.
+
+    Its amplitudes are _rotated_amplitudes of the base's, the kernel the
+    rotation optimizer shares, so the pipeline can decide exact properties
+    of the probe, such as its parity, on the base.
+    """
+
+    base: PureState
+    angle: float
+
+    def __init__(self, base: PureState, angle: float):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "angle", float(angle))
+        super().__init__(base.basis, _rotated_amplitudes(base.amplitudes, np.array([angle]))[0])
 
 
 @dataclass(frozen=True, eq=False, init=False)

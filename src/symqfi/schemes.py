@@ -25,8 +25,10 @@ from .collective_basis import (
     BipartiteSymmetricBasis,
     ProductState,
     PureState,
+    RotatedState,
     _require_integer,
     _rotated,
+    _rotated_amplitudes,
     dicke_state,
     ghz_state,
     plus_product_state,
@@ -67,6 +69,8 @@ class ProbeSpec:
 
     def __post_init__(self):
         f, n, n1 = self.family, self.n, self.n1
+        if not isinstance(f, ProbeFamily):
+            raise ValueError(f"family must be a ProbeFamily, got {f!r}")
         _require_integer("qubit count", n)
         for name in ("n1", "k1", "k2"):
             if getattr(self, name) is not None:
@@ -120,6 +124,12 @@ class SchemeSpec:
 
     kind: SchemeKind
     noise: NoiseParams
+
+    def __post_init__(self):
+        if not isinstance(self.kind, SchemeKind):
+            raise ValueError(f"scheme kind must be a SchemeKind, got {self.kind!r}")
+        if not isinstance(self.noise, NoiseParams):
+            raise ValueError(f"noise must be a NoiseParams, got {self.noise!r}")
 
 
 @dataclass(frozen=True)
@@ -185,8 +195,44 @@ def _parity_eigenstate(state: PureState) -> bool:
     return not np.count_nonzero(flipped - amps) or not np.count_nonzero(flipped + amps)
 
 
-def _cell(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[PureState, Callable, Callable]:
-    """Per-cell set-up: the state whose QFI scheme measures, its QFI and a bound on it.
+# frame entries G * d^2 per stack of _rotation_qfi and per grid batch (128 KiB an array)
+_CHUNK_ENTRIES = 2 ** 14
+# angles of the uniform grid the rotation search starts from
+_GRID_ANGLES = 201
+
+
+@functools.lru_cache(maxsize=64)
+def _grid_rotations(amps: bytes, offset: float, angles: int) -> np.ndarray:
+    """_rotated(amps, offset + grid), read-only, for the angles-point grid over [0, pi/2].
+
+    amps holds one factor's real amplitudes as float64 bytes.  The grid
+    depends on the probe alone, so every time and scheme of a probe share
+    an entry of angles * (m + 1) floats for a factor of m qubits.
+    """
+    rows = _rotated(np.frombuffer(amps), offset + np.linspace(0.0, math.pi / 2, angles))
+    rows.flags.writeable = False
+    return rows
+
+
+def _rotation_cell(probe: PureState, scheme: SchemeSpec, T: float,
+                   offset: float = 0.0) -> tuple[Callable, Callable, Callable, int]:
+    """Set-up of one cell: the phase QFI of probe turned about y by offset plus many angles.
+
+    The only route to a QFI: scheme_qfi takes it at angle 0, scan and
+    optimize_rotation on _base_probe's unrotated probe and offset.  Returns
+    (probabilities, qfi, bound, step): probabilities maps G angles to the
+    squared amplitude moduli p, shape (G, D), of the signal state (below),
+    and no angles to those of the _GRID_ANGLES grid over [0, pi/2], whose
+    factor rotations _grid_rotations keeps across cells (for real bases, as
+    _base_probe builds them); qfi and bound map p to values per angle; step
+    angles fill 2^14 frame entries.  Each factor of the signal state, a
+    ProductState's two or the state itself, is a base rotated by offset
+    plus the angle a RotatedState carries (0 for any other state), through
+    _rotated_amplitudes as in rotate_y, so one set-up serves all angles.  A
+    bipartite state that is no ProductState, such as dfs_optimal's, is
+    taken at angle 0 only, where _rotated returns it as is.  Amplitudes
+    enter by modulus only: a diagonal phase commutes with the noise and
+    with the generator, so it cannot change the QFI.
 
     The scheme kind picks the signal state, its generator diagonal g and
     dephasing_kernel's partition variances: var2 = C(T) always, and var1 =
@@ -220,15 +266,17 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[PureState, Ca
     QFI.  The root is taken on the first call, so qfi alone never pays for
     it.
 
-    p holds probabilities of the signal state or of its rotations about y.
-    Where the frames are collective blocks with v = None and the signal
-    state is an eigenstate of the collective pi rotation about y, so is
-    every rotation of it: w_k = w_(n-k), and each frame splits into the
-    sectors of the reflection k -> n - k, which takes G to -G (Cantoni and
-    Butler, Linear Algebra Appl. 13, 275, 1976): the even one spanned by
-    (e_k + e_(n-k)) / sqrt(2), k < n/2, and e_(n/2), the odd one by
-    (e_k - e_(n-k)) / sqrt(2).  parity_qfi takes them, the matrices
-    sqrt(w_j w_k) (K[j, k] +- K[j, n - k]) from the lower half of w.
+    p holds probabilities of the signal state at rotations about y of its
+    factors' bases.  Where the frames are collective blocks with v = None
+    and every base is an eigenstate of the collective pi rotation about y,
+    so is every such rotation of the signal state, decided on the bases,
+    whose amplitudes carry no rounding of a rotation: w_k = w_(n-k), and
+    each frame splits into the sectors of the reflection k -> n - k, which
+    takes G to -G (Cantoni and Butler, Linear Algebra Appl. 13, 275, 1976):
+    the even one spanned by (e_k + e_(n-k)) / sqrt(2), k < n/2, and
+    e_(n/2), the odd one by (e_k - e_(n-k)) / sqrt(2).  parity_qfi takes
+    them, the matrices sqrt(w_j w_k) (K[j, k] +- K[j, n - k]) from the
+    lower half of w.
     """
     kind, noise = scheme.kind, scheme.noise
     if kind is not SchemeKind.STANDARD and not isinstance(probe.basis, BipartiteSymmetricBasis):
@@ -238,6 +286,9 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[PureState, Ca
     if per_vector and isinstance(probe, ProductState):
         state, per_vector = probe.parts[1], False
     basis = state.basis
+    # each factor as its unrotated base and the angle it starts from
+    factors = [(f.base, offset + f.angle) if isinstance(f, RotatedState) else (f, offset)
+               for f in (state.parts if isinstance(state, ProductState) else (state,))]
     # the signal acts on all of state under STANDARD and on partition 2's factor
     g = basis.z_weights() if kind is SchemeKind.STANDARD or state is not probe \
         else basis.partition2_weights()
@@ -254,7 +305,7 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[PureState, Ca
     ref = np.empty(nk)
     ref[index] = g  # g at one entry of each block
     dg = g - ref[index]
-    parity = not per_vector and not dg.any() and _parity_eigenstate(state)
+    parity = not per_vector and not dg.any() and all(_parity_eigenstate(f) for f, _ in factors)
     mid = nk // 2  # an eigenstate has even n: block n/2 is its own mirror image
     kernels = {}  # kernel on each set of occupied blocks; a stack's chunks share them
 
@@ -334,83 +385,26 @@ def _cell(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[PureState, Ca
         spread = s2 - np.divide(s1 * s1, s0, out=np.zeros(s0.shape), where=s0 > 0)
         return 4.0 * spread.sum(axis=-1)
 
-    return state, qfi, bound
-
-
-def scheme_qfi(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[float, float]:
-    """Phase and frequency QFI of a probe after evolving for time T.
-
-    The dephased probe is diagonalized in the smallest orthonormal frame
-    that holds it, without building the dense density matrix: the scheme
-    kind picks the kernel, and the kernel picks the frame's blocks (see
-    _cell).  Where the generator is constant on every block, as under
-    STANDARD, a probe whose coherences between blocks have died reads
-    exactly 0.0.  Amplitudes enter by modulus only: a diagonal phase
-    commutes with the noise and with the generator, so it cannot change
-    the QFI.
-    """
-    state, qfi, _ = _cell(probe, scheme, T)
-    amps = np.abs(state.amplitudes)
-    f_phase = qfi(amps * amps)
-    return f_phase, frequency_from_phase(f_phase, T)
-
-
-# frame entries G * d^2 per stack of _rotation_qfi and per grid batch (128 KiB an array)
-_CHUNK_ENTRIES = 2 ** 14
-# angles of the uniform grid the rotation search starts from
-_GRID_ANGLES = 201
-
-
-@functools.lru_cache(maxsize=64)
-def _grid_rotations(amps: bytes, offset: float, angles: int) -> np.ndarray:
-    """_rotated(amps, offset + grid), read-only, for the angles-point grid over [0, pi/2].
-
-    amps holds one factor's real amplitudes as float64 bytes.  The grid
-    depends on the probe alone, so every time and scheme of a probe share
-    an entry of angles * (m + 1) floats for a factor of m qubits.
-    """
-    rows = _rotated(np.frombuffer(amps), offset + np.linspace(0.0, math.pi / 2, angles))
-    rows.flags.writeable = False
-    return rows
-
-
-def _rotation_cell(spec: ProbeSpec, scheme: SchemeSpec,
-                   T: float) -> tuple[Callable, Callable, Callable, int]:
-    """Set-up of one cell for the phase QFI of spec's probe at many rotation angles.
-
-    Returns (probabilities, qfi, bound, step): probabilities maps G angles
-    to the squared amplitudes (G, D) of the state _cell measures, each
-    factor rotated by _rotated as in rotate_y, and no angles to those of
-    the _GRID_ANGLES grid, whose factor rotations _grid_rotations keeps
-    across cells; _cell's qfi and bound map them to values per angle; step
-    angles fill 2^14 frame entries.  A rotatable probe stays a product
-    state, so one set-up serves all angles; dfs_optimal is taken at angle 0
-    only, where _rotated returns it as is.
-    """
-    probe, offset = _base_probe(spec)
-    state, qfi, bound = _cell(probe, scheme, T)
-    parts = state.parts if isinstance(state, ProductState) else (state,)
     # the frame of a rotatable probe holds at most its n + 1 excitation blocks
-    step = max(1, _CHUNK_ENTRIES // (state.basis.n + 1) ** 2)
+    step = max(1, _CHUNK_ENTRIES // (basis.n + 1) ** 2)
 
     def probabilities(alphas: np.ndarray | None = None) -> np.ndarray:
         if alphas is None:
-            amps = [_grid_rotations(part.amplitudes.real.tobytes(), offset, _GRID_ANGLES)
-                    for part in parts]
+            amps = [_grid_rotations(f.amplitudes.real.tobytes(), start, _GRID_ANGLES)
+                    for f, start in factors]
         else:
-            theta = offset + np.asarray(alphas, dtype=float)
-            amps = [_rotated(part.amplitudes.real, theta) for part in parts]
+            amps = [_rotated_amplitudes(f.amplitudes, start + alphas) for f, start in factors]
         if len(amps) == 2:
             amps = [(amps[0][:, :, None] * amps[1][:, None, :]).reshape(len(amps[0]), -1)]
-        return amps[0] * amps[0]
+        return np.abs(amps[0]) ** 2
 
     return probabilities, qfi, bound, step
 
 
-def _rotation_qfi(spec: ProbeSpec, scheme: SchemeSpec,
-                  T: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Phase QFI of spec's probe at every rotation angle of an array, for one cell."""
-    probabilities, qfi, _, step = _rotation_cell(spec, scheme, T)
+def _rotation_qfi(probe: PureState, scheme: SchemeSpec, T: float,
+                  offset: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
+    """Phase QFI of probe rotated by offset plus each angle of an array, for one cell."""
+    probabilities, qfi, _, step = _rotation_cell(probe, scheme, T, offset)
 
     def evaluate(alphas: np.ndarray) -> np.ndarray:
         alphas = np.asarray(alphas, dtype=float)
@@ -418,6 +412,22 @@ def _rotation_qfi(spec: ProbeSpec, scheme: SchemeSpec,
                                for i in range(0, len(alphas), step)])
 
     return evaluate
+
+
+def scheme_qfi(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[float, float]:
+    """Phase and frequency QFI of a probe after evolving for time T.
+
+    One _rotation_qfi call at angle 0, on the route scan takes: the dephased
+    probe is diagonalized in the smallest orthonormal frame that holds it,
+    without building the dense density matrix; the scheme kind picks the
+    kernel, and the kernel picks the frame's blocks (see _rotation_cell).
+    Where the generator is constant on every block, as under STANDARD, a
+    probe whose coherences between blocks have died reads exactly 0.0.  A
+    probe from build_probe keeps its unrotated factors and angle, so its
+    value is the one scan prints for its spec, bit for bit.
+    """
+    f_phase = float(_rotation_qfi(probe, scheme, T)(np.zeros(1))[0])
+    return f_phase, frequency_from_phase(f_phase, T)
 
 
 # interior angles per refinement round: the next bracket spans two of the
@@ -443,7 +453,7 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     [0, pi/400] every pi/3200, and the tests check that no narrower peak
     beside 0 rises above that bound.
 
-    Grid angles go alpha = 0 first, then in decreasing order of _cell's
+    Grid angles go alpha = 0 first, then in decreasing order of _rotation_cell's
     bound U, the variance bound of one mixture over the kernel's symmetric
     root: the first batch is alpha = 0 and the angle of largest U.  After
     each batch, with f_max the best F so far and U_bar the larger of f_max
@@ -461,7 +471,8 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     """
     if spec.family is ProbeFamily.DFS_OPTIMAL:
         raise ValueError("dfs_optimal has no rotation parameter")
-    probabilities, qfi, bound, step = _rotation_cell(spec, scheme, T)
+    probe, offset = _base_probe(spec)
+    probabilities, qfi, bound, step = _rotation_cell(probe, scheme, T, offset)
 
     # tie window: relative part for flat optima, absolute part for landscapes
     # that have fully decohered to numerical-noise level
@@ -522,7 +533,8 @@ def _evaluate_cell(scheme: SchemeSpec, probe: ProbeSpec, T: float, optimize_alph
         if optimize_alpha:
             alpha, f_phase = optimize_rotation(probe, scheme, T)
         elif f_phase is None:  # its stack raised: alone, for its own error row
-            f_phase = float(_rotation_qfi(probe, scheme, T)(np.array([alpha]))[0])
+            state, offset = _base_probe(probe)
+            f_phase = float(_rotation_qfi(state, scheme, T, offset)(np.array([alpha]))[0])
         f_freq = frequency_from_phase(f_phase, T)
         return ScanResult(**base, alpha=alpha, T=T, f_phase=f_phase, f_freq=f_freq,
                           alpha_optimized=optimize_alpha)
@@ -556,7 +568,8 @@ def scan(scheme: SchemeSpec, probes: list[ProbeSpec], times,
         alphas = np.array([probes[i].alpha for i in members], dtype=float)
         for j, T in enumerate(times):
             try:
-                values = _rotation_qfi(probes[members[0]], scheme, T)(alphas)
+                probe, offset = _base_probe(probes[members[0]])
+                values = _rotation_qfi(probe, scheme, T, offset)(alphas)
             except ValueError:
                 continue  # each cell goes alone
             stacked.update(((i, j), float(f)) for i, f in zip(members, values))

@@ -10,6 +10,7 @@ from symqfi.collective_basis import (
     BipartiteSymmetricBasis,
     ProductState,
     PureState,
+    RotatedState,
     SymmetricBasis,
     _rotated,
     _sy_eigensystem,
@@ -161,11 +162,32 @@ class TestProbeSpec:
         with pytest.raises(ValueError, match="real number"):
             ProbeSpec(ProbeFamily.GHZ, 4, alpha=bad)
 
+    @pytest.mark.parametrize("bad", ["ghz", None, SchemeKind.STANDARD])
+    def test_family_must_be_a_probe_family(self, bad):
+        # refused at construction, not later in build_probe
+        with pytest.raises(ValueError, match="ProbeFamily"):
+            ProbeSpec(bad, 8)
+
     def test_plain_families_reject_split(self):
         with pytest.raises(ValueError):
             ProbeSpec(ProbeFamily.GHZ, 8, n1=4)
         with pytest.raises(ValueError):
             ProbeSpec(ProbeFamily.GHZ, 8, k1=2)
+
+
+class TestSchemeSpec:
+    def test_kind_and_noise_must_be_their_types(self):
+        # a string kind would match no SchemeKind test and take the di_ideal
+        # frames: scheme_qfi would read 10.7685 for ghz_bipartite(8, 4) at
+        # T = 1e-3 instead of the standard 11.0740
+        with pytest.raises(ValueError, match="SchemeKind"):
+            SchemeSpec("standard", NOISE)
+        with pytest.raises(ValueError, match="SchemeKind"):
+            SchemeSpec(None, NOISE)
+        with pytest.raises(ValueError, match="NoiseParams"):
+            SchemeSpec(SchemeKind.STANDARD, (NOISE.gamma_delta_b, NOISE.tau_c))
+        with pytest.raises(ValueError, match="NoiseParams"):
+            SchemeSpec(SchemeKind.DI_IDEAL, None)
 
 
 class TestBuildProbe:
@@ -350,16 +372,43 @@ class TestFramesAgainstDense:
         assert abs(fast - ref) <= 1e-9 * abs(ref), (fast, ref)
 
     def test_complex_and_entangled_probes_match_the_dense_channels(self):
+        # plain complex and entangled states; complex single-partition states
+        # rotated by rotate_y, whose real and imaginary parts turn apart; and
+        # product states whose factors turned by different angles, complex
+        # ones and parity eigenstates (GHZ, symmetric Dicke) among them
         rng = np.random.default_rng(5)
+        kinds = (STANDARD, DI_IDEAL, DI_ECHO, DI_REPEAT)
+        times = (0.0, 3e-4, 3e-3, 1.0)
+
+        def random_state(basis):
+            psi = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+            return PureState(basis, psi / np.linalg.norm(psi))
+
+        def angle():
+            return float(rng.uniform(-math.pi, math.pi))
+
         for basis in (SymmetricBasis(5), BipartiteSymmetricBasis(2, 3),
                       BipartiteSymmetricBasis(4, 3)):
-            schemes = (STANDARD,) if isinstance(basis, SymmetricBasis) \
-                else (STANDARD, DI_IDEAL, DI_ECHO, DI_REPEAT)
+            schemes = (STANDARD,) if isinstance(basis, SymmetricBasis) else kinds
             for _ in range(5):
-                psi = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
-                probe = PureState(basis, psi / np.linalg.norm(psi))
+                probe = random_state(basis)
                 for scheme in schemes:
-                    for T in (0.0, 3e-4, 3e-3, 1.0):
+                    for T in times:
+                        assert_matches_dense(probe, scheme, T)
+        for n in (5, 6):
+            for _ in range(3):
+                probe = rotate_y(random_state(SymmetricBasis(n)), angle())
+                assert isinstance(probe, RotatedState) and probe.amplitudes.imag.any()
+                for T in times:
+                    assert_matches_dense(probe, STANDARD, T)
+        for n1, n2 in ((2, 3), (4, 3), (2, 4)):
+            pairs = [(random_state(SymmetricBasis(n1)), random_state(SymmetricBasis(n2)))
+                     for _ in range(2)]
+            pairs.append((ghz_state(n1), dicke_state(n2, n2 // 2)))
+            for a, b in pairs:
+                probe = ProductState(rotate_y(a, angle()), rotate_y(b, angle()))
+                for scheme in kinds:
+                    for T in times:
                         assert_matches_dense(probe, scheme, T)
 
     def test_phases_on_a_product_modulus_match_the_dense_channels(self):
@@ -421,12 +470,26 @@ class TestFramesAgainstDense:
                                for T in times)
 
 
+def rotation_cell(spec: ProbeSpec, scheme: SchemeSpec, T: float):
+    """_rotation_cell as scan and optimize_rotation set it up: on spec's
+    unrotated probe, from its family's offset."""
+    probe, offset = schemes._base_probe(spec)
+    return schemes._rotation_cell(probe, scheme, T, offset)
+
+
+def rotation_qfi(spec: ProbeSpec, scheme: SchemeSpec, T: float):
+    """_rotation_qfi as scan sets it up: on spec's unrotated probe, from its
+    family's offset."""
+    probe, offset = schemes._base_probe(spec)
+    return _rotation_qfi(probe, scheme, T, offset)
+
+
 def fake_cell(landscape, sizes=None):
     """A _rotation_cell stand-in for a landscape F(alpha): its probabilities
     are the angles themselves (the grid's if none are given) and its bound
     is +inf, so the optimizer visits every grid angle; sizes records the
     angles per QFI call."""
-    def cell(spec, scheme, T):
+    def cell(probe, scheme, T, offset=0.0):
         def probabilities(alphas=None):
             if alphas is None:
                 alphas = np.linspace(0.0, math.pi / 2, schemes._GRID_ANGLES)
@@ -438,7 +501,7 @@ def fake_cell(landscape, sizes=None):
             return landscape(p[:, 0])
 
         return (probabilities, qfi, lambda p: np.full(len(p), math.inf),
-                schemes._CHUNK_ENTRIES // (spec.n + 1) ** 2)
+                schemes._CHUNK_ENTRIES // (probe.basis.n + 1) ** 2)
     return cell
 
 
@@ -496,7 +559,7 @@ class TestOptimizeRotation:
                       (scheme, ProbeSpec(ProbeFamily.PRODUCT_PLUS, 5, n1=3))]
         for scheme, spec in cells:
             for T in (3e-4, 3e-3, 0.03):
-                brute = float(_rotation_qfi(spec, scheme, T)(alphas).max())
+                brute = float(rotation_qfi(spec, scheme, T)(alphas).max())
                 _, f = optimize_rotation(spec, scheme, T)
                 assert f >= brute - (1e-9 * abs(f) + 1e-11 * spec.n ** 2), (scheme.kind, spec, T)
 
@@ -509,14 +572,14 @@ class TestOptimizeRotation:
                   for scheme in (DI_ECHO, DI_REPEAT) for n in (8, 12)]
         for scheme, spec in cells:
             for T in (0.019, 0.02, 0.021):
-                g_max = float(_rotation_qfi(spec, scheme, T)(alphas).max())
+                g_max = float(rotation_qfi(spec, scheme, T)(alphas).max())
                 _, f = optimize_rotation(spec, scheme, T)
                 assert f >= g_max - (1e-9 * g_max + 1e-11 * spec.n ** 2), (scheme.kind, spec, T)
 
     def test_decohered_landscape_ties_to_zero(self):
         # every grid value is rounding noise below the absolute part of the
         # tie window, 1e-11 n^2, and the largest sits near pi/2
-        values = _rotation_qfi(ProbeSpec(ProbeFamily.PRODUCT_PLUS, 12), STANDARD, 0.05)(
+        values = rotation_qfi(ProbeSpec(ProbeFamily.PRODUCT_PLUS, 12), STANDARD, 0.05)(
             np.linspace(0.0, math.pi / 2, 201))
         assert 0.0 < values.max() < 1e-11 * 12 ** 2
         assert int(np.argmax(values)) > 100
@@ -598,7 +661,7 @@ class TestOptimizeRotation:
                 return 1e-9 * abs(f) + 1e-11 * spec.n ** 2
 
             for T in (1e-4, 1e-3, 1e-2, 0.02):
-                evaluate = _rotation_qfi(spec, scheme, T)
+                evaluate = rotation_qfi(spec, scheme, T)
                 values = evaluate(grid)
                 f_max = float(values.max())
                 if values[0] < f_max - window(f_max):
@@ -609,7 +672,7 @@ class TestOptimizeRotation:
         assert checked >= 90
 
     def test_grid_bound_holds_on_every_kind_and_family(self):
-        # premise of the pruned grid: no computed F exceeds _cell's bound U,
+        # premise of the pruned grid: no computed F exceeds _rotation_cell's bound U,
         # the variance bound of the mixture over the kernel's symmetric
         # root, plus U's tie window, on the grid and at random angles; the
         # worst (F - U) / window(U) measured over 300 such cells was 3.7e-5,
@@ -626,7 +689,7 @@ class TestOptimizeRotation:
             for pick in rng.choice(len(cells), 1 if large else 4, replace=False):
                 scheme, spec = cells[pick]
                 T = float(10.0 ** rng.uniform(-5.0, 1.0))
-                probabilities, qfi, bound, _ = schemes._rotation_cell(spec, scheme, T)
+                probabilities, qfi, bound, _ = rotation_cell(spec, scheme, T)
                 p = probabilities(np.concatenate([grid, rng.uniform(0.0, math.pi, 8)]))
                 upper = bound(p)
                 assert (qfi(p) <= upper + 1e-9 * upper + 1e-11 * spec.n ** 2).all(), \
@@ -647,7 +710,7 @@ class TestOptimizeRotation:
         grid = np.linspace(0.0, math.pi / 2, 201)
         for cells in classes.values():
             scheme, spec = cells[rng.integers(len(cells))]
-            probabilities, qfi, bound, _ = schemes._rotation_cell(spec, scheme, 0.0)
+            probabilities, qfi, bound, _ = rotation_cell(spec, scheme, 0.0)
             p = probabilities(grid)
             assert np.abs(bound(p) - qfi(p)).max() <= 1e-12 * spec.n ** 2, (scheme.kind, spec)
 
@@ -723,7 +786,7 @@ class TestOptimizeRotation:
                 for k1 in range(n1 + 1):
                     for k2 in range(n - n1 + 1):
                         spec = ProbeSpec(ProbeFamily.BSD, n, n1=n1, k1=k1, k2=k2)
-                        probabilities, _, bound, _ = schemes._rotation_cell(spec, DI_IDEAL, T)
+                        probabilities, _, bound, _ = rotation_cell(spec, DI_IDEAL, T)
                         upper = bound(probabilities(np.array([0.0])))[0]
                         closed = bsd_steady_qfi(SplitChoice(n, n1, k1, k1 + k2))
                         assert abs(upper - closed) <= 1e-12 * n * n, (spec, upper, closed)
@@ -846,7 +909,7 @@ def rotatable_cells(rng, sizes):
 
 def assert_evaluator_matches_pipeline(spec: ProbeSpec, scheme: SchemeSpec, T: float,
                                       alphas: np.ndarray):
-    stacked = _rotation_qfi(spec, scheme, T)(alphas)
+    stacked = rotation_qfi(spec, scheme, T)(alphas)
     n = spec.n
     for alpha, value in zip(alphas, stacked):
         probe = build_probe(dataclasses.replace(spec, alpha=float(alpha)))
@@ -891,7 +954,7 @@ class TestRotationEvaluator:
             for pick in rng.choice(len(cells), min(8, len(cells)), replace=False):
                 scheme, spec = cells[pick]
                 T = float(10.0 ** rng.uniform(-4.0, math.log10(3e-2)))
-                values = _rotation_qfi(spec, scheme, T)(grid)
+                values = rotation_qfi(spec, scheme, T)(grid)
                 at = rng.choice(np.arange(1, len(grid)), 4, replace=False)
                 rows = scan(scheme, [dataclasses.replace(spec, alpha=float(grid[i])) for i in at],
                             [T])
@@ -904,10 +967,11 @@ class TestRotationEvaluator:
                 assert scan(scheme, [probe], [T])[0].f_phase == f_opt, (scheme.kind, spec, T)
         assert compared == 448 and optimized >= 25
 
-    def test_scan_is_the_pipeline_bit_for_bit_where_nothing_rotates(self):
-        # parity is decided on the state _cell receives, so at alpha = 0 of
-        # a GHZ probe, and for dfs_optimal, scan's stacked route and
-        # scheme_qfi(build_probe(spec)) take the same frames
+    def test_scan_is_the_pipeline_bit_for_bit_at_every_angle(self):
+        # build_probe's probe keeps its unrotated factors and angle, so
+        # scheme_qfi runs scan's set-up on the same bases from the same angle
+        # and decides parity on them: unrotated GHZ probes and dfs_optimal,
+        # then random angles under every kind and rotatable family
         kinds = (STANDARD, DI_IDEAL, DI_ECHO, DI_REPEAT)
         times = [0.0, *np.geomspace(1e-5, 10.0, 13).tolist()]
         cells = [(STANDARD, ProbeSpec(ProbeFamily.GHZ, n)) for n in range(1, 25)]
@@ -919,6 +983,17 @@ class TestRotationEvaluator:
             probe = build_probe(spec)
             assert [row.f_phase for row in scan(scheme, [spec], times)] == \
                 [scheme_qfi(probe, scheme, T)[0] for T in times], (scheme.kind, spec)
+        rng = np.random.default_rng(43)
+        rotatable = list(rotatable_cells(rng, range(1, 17)))
+        classes = set()
+        for i in rng.choice(len(rotatable), 240, replace=False):
+            scheme, spec = rotatable[i]
+            spec = dataclasses.replace(spec, alpha=float(rng.uniform(-math.pi, math.pi)))
+            T = float(10.0 ** rng.uniform(-5.0, 0.5))
+            assert scheme_qfi(build_probe(spec), scheme, T)[0] == \
+                scan(scheme, [spec], [T])[0].f_phase, (scheme.kind, spec, T)
+            classes.add((scheme.kind, spec.family, spec.n1 is None))
+        assert len(classes) == 15  # 3 unsplit families, 3 split ones under 4 kinds
 
     @pytest.mark.parametrize("scheme", [DI_IDEAL, DI_ECHO, DI_REPEAT])
     def test_unsplit_probe_is_an_error_row(self, scheme):
@@ -961,10 +1036,11 @@ def count_calls(monkeypatch, name):
 class TestParitySectors:
     """Probes that the collective pi rotation about y maps to themselves: their
     frames split into the reflection's even and odd sectors, taken by
-    parity_qfi.  The full frame, scheme_qfi on the same rotated amplitudes,
-    is the oracle."""
+    parity_qfi.  The full frame, taken where the parity test is patched to
+    refuse every state, is the oracle."""
 
     def test_census_matches_the_full_frame(self, monkeypatch):
+        # calls counts the sector evaluations, the oracle's full frames not
         rng = np.random.default_rng(23)
         calls = count_calls(monkeypatch, "parity_qfi")
         times = np.geomspace(1e-5, 10.0, 7)
@@ -973,7 +1049,9 @@ class TestParitySectors:
             for T in times:
                 rotated = dataclasses.replace(spec, alpha=float(rng.uniform(0.0, math.pi)))
                 sector = scan(scheme, [rotated], [float(T)])[0].f_phase
-                full = scheme_qfi(build_probe(rotated), scheme, float(T))[0]
+                with monkeypatch.context() as patched:
+                    patched.setattr(schemes, "_parity_eigenstate", lambda state: False)
+                    full = scheme_qfi(build_probe(rotated), scheme, float(T))[0]
                 assert abs(sector - full) <= 1e-11 * abs(full) + 1e-13 * spec.n ** 2, \
                     (scheme.kind, rotated, T, sector, full)
                 compared += 1
@@ -1019,11 +1097,12 @@ class TestParitySectors:
                                             rel=1e-9, abs=1e-12 * n * n), (n, T)
         assert len(calls) == 28
 
-    def test_both_routes_against_the_30_digit_judge(self):
+    def test_both_frames_against_the_30_digit_judge(self, monkeypatch):
         # rotated standard GHZ and Dicke probes, the rotation, C(T), the kernel
         # and the eigensystem all at 30 digits; worst relative deviation
-        # measured: 1.1e-10 for both routes where F > 1e-6, and 6.8e-9 for the
-        # sectors against 9.5e-8 for the full frame at F ~ 1e-19 (T = 0.03)
+        # measured: 1.1e-10 for both frames where F > 1e-6, and 6.8e-9 for the
+        # sectors against 9.5e-8 for the full frame at F ~ 1e-19 (T = 0.03).
+        # The full frame is scheme_qfi's with the parity test refused
         rng = np.random.default_rng(17)
         for n in (12, 16, 20):
             ghz, dicke = [0] * (n + 1), [0] * (n + 1)
@@ -1037,8 +1116,11 @@ class TestParitySectors:
                         ref = float(oracles.collective_qfi_mp(amps, offset + float(alpha), T,
                                                               NOISE.gamma_delta_b, NOISE.tau_c))
                         rtol = 1e-9 if ref > 1e-6 else 1e-6
-                        for got in (scan(STANDARD, [spec], [T])[0].f_phase,
-                                    scheme_qfi(build_probe(spec), STANDARD, T)[0]):
+                        sector = scan(STANDARD, [spec], [T])[0].f_phase
+                        with monkeypatch.context() as patched:
+                            patched.setattr(schemes, "_parity_eigenstate", lambda state: False)
+                            full = scheme_qfi(build_probe(spec), STANDARD, T)[0]
+                        for got in (sector, full):
                             assert abs(got - ref) <= rtol * ref, (family, n, T, alpha, got, ref)
 
 
@@ -1088,8 +1170,8 @@ class TestScan:
         assert [r.f_phase for r in rows[1::2]] == [pair[1].f_phase for pair in alone]
         real = schemes._rotation_qfi
 
-        def refuse_stacks(spec, scheme, T):
-            evaluate = real(spec, scheme, T)
+        def refuse_stacks(*args):
+            evaluate = real(*args)
 
             def once(alphas):
                 if len(alphas) > 1:
