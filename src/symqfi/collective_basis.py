@@ -147,9 +147,19 @@ def ghz_state(n: int) -> PureState:
     return PureState(basis, amps)
 
 
+# the largest n whose binomials C(n, k) all convert to float: C(1030, 515) overflows
+PLUS_MAX_N = 1029
+
+
 def plus_product_state(n: int) -> PureState:
-    """Product state |+>^n, binomial amplitude sqrt(C(n,k))/2^(n/2) at index k."""
+    """Product state |+>^n, binomial amplitude sqrt(C(n,k))/2^(n/2) at index k.
+
+    Refuses n > PLUS_MAX_N, whose central binomial overflows a float.
+    """
     basis = SymmetricBasis(n)
+    if n > PLUS_MAX_N:
+        raise ValueError(f"product_plus needs n <= {PLUS_MAX_N}: C(n, n/2) overflows a float "
+                         f"at n={n}")
     amps = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
     amps = np.sqrt(amps) / 2 ** (n / 2)
     return PureState(basis, amps.astype(complex))
@@ -215,6 +225,18 @@ def _rotated_amplitudes(amps: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return rotated + 1j * _rotated(amps.imag, theta) if np.count_nonzero(amps.imag) else rotated
 
 
+def _require_finite_phases(name: str, angle: float, n: int, start: float = 0.0) -> None:
+    """Refuse an angle whose rotation phases on n qubits are not finite.
+
+    A rotation by angle plus an offset of modulus at most start multiplies
+    Sy's eigenvalues, which lie within +-n/2, so its phases are finite
+    where (|angle| + start) n/2 is.
+    """
+    if not math.isfinite((abs(angle) + start) * (n / 2)):
+        raise ValueError(f"rotation angle {name}={angle!r} gives non-finite rotation phases "
+                         f"on {n} qubits")
+
+
 def rotate_y(state: PureState, angle: float) -> PureState:
     """Rotate a state about the collective y-axis.
 
@@ -222,15 +244,17 @@ def rotate_y(state: PureState, angle: float) -> PureState:
     unrotated base and the angle; rotating one rotates its base once, by
     the summed angle.  On a bipartite basis the rotation factorizes: a
     ProductState rotates each factor and stays one, any other state takes a
-    Wigner-d block per part.
+    Wigner-d block per part.  An angle, summed with the one a RotatedState
+    carries, whose rotation phases overflow raises ValueError.
     """
     if angle == 0.0:
         return state
     if isinstance(state, ProductState):
         return ProductState(*(rotate_y(part, angle) for part in state.parts))
     if isinstance(state, RotatedState):
-        return RotatedState(state.base, state.angle + angle)
+        state, angle = state.base, state.angle + angle
     basis = state.basis
+    _require_finite_phases("angle", angle, basis.n)
     if isinstance(basis, SymmetricBasis):
         return RotatedState(state, angle)
     d1 = wigner_d_matrix(basis.n1, angle)
@@ -252,6 +276,8 @@ class RotatedState(PureState):
     angle: float
 
     def __init__(self, base: PureState, angle: float):
+        if not isinstance(base.basis, SymmetricBasis):
+            raise ValueError("RotatedState expects a single-partition base")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "angle", float(angle))
         super().__init__(base.basis, _rotated_amplitudes(base.amplitudes, np.array([angle]))[0])

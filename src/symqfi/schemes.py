@@ -26,6 +26,7 @@ from .collective_basis import (
     ProductState,
     PureState,
     RotatedState,
+    _require_finite_phases,
     _require_integer,
     _rotated,
     _rotated_amplitudes,
@@ -57,7 +58,8 @@ class ProbeSpec:
 
     n1 splits the ensemble (bipartite families; optional for PRODUCT_PLUS),
     k1/k2 are the per-partition excitation numbers (BSD only), and alpha is
-    the collective rotation applied on top of the family's base state.
+    the collective rotation applied on top of the family's base state; an
+    alpha whose rotation phases, up to (|alpha| + pi/2) n/2, overflow is refused.
     """
 
     family: ProbeFamily
@@ -81,6 +83,7 @@ class ProbeSpec:
             raise ValueError(f"rotation angle must be a real number, got alpha={self.alpha!r}")
         if not math.isfinite(self.alpha):
             raise ValueError(f"rotation angle must be finite, got alpha={self.alpha!r}")
+        _require_finite_phases("alpha", self.alpha, n, math.pi / 2)
         if f in _BIPARTITE_ONLY or (f is ProbeFamily.PRODUCT_PLUS and n1 is not None):
             if f is ProbeFamily.DFS_OPTIMAL and n1 is None:
                 if n % 2:
@@ -230,9 +233,9 @@ def _rotation_cell(probe: PureState, scheme: SchemeSpec, T: float,
     plus the angle a RotatedState carries (0 for any other state), through
     _rotated_amplitudes as in rotate_y, so one set-up serves all angles.  A
     bipartite state that is no ProductState, such as dfs_optimal's, is
-    taken at angle 0 only, where _rotated returns it as is.  Amplitudes
-    enter by modulus only: a diagonal phase commutes with the noise and
-    with the generator, so it cannot change the QFI.
+    taken at angle 0 only, where _rotated returns it as is (probabilities
+    refuses the grid and other angles).  Amplitudes enter by modulus only:
+    a diagonal phase commutes with the noise and the generator.
 
     The scheme kind picks the signal state, its generator diagonal g and
     dephasing_kernel's partition variances: var2 = C(T) always, and var1 =
@@ -286,6 +289,7 @@ def _rotation_cell(probe: PureState, scheme: SchemeSpec, T: float,
     if per_vector and isinstance(probe, ProductState):
         state, per_vector = probe.parts[1], False
     basis = state.basis
+    entangled = isinstance(basis, BipartiteSymmetricBasis) and not isinstance(state, ProductState)
     # each factor as its unrotated base and the angle it starts from
     factors = [(f.base, offset + f.angle) if isinstance(f, RotatedState) else (f, offset)
                for f in (state.parts if isinstance(state, ProductState) else (state,))]
@@ -389,6 +393,8 @@ def _rotation_cell(probe: PureState, scheme: SchemeSpec, T: float,
     step = max(1, _CHUNK_ENTRIES // (basis.n + 1) ** 2)
 
     def probabilities(alphas: np.ndarray | None = None) -> np.ndarray:
+        if entangled and (alphas is None or np.count_nonzero(offset + alphas)):
+            raise ValueError("a bipartite probe that is no ProductState rotates at angle 0 only")
         if alphas is None:
             amps = [_grid_rotations(f.amplitudes.real.tobytes(), start, _GRID_ANGLES)
                     for f, start in factors]
@@ -524,35 +530,18 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     return next((a, v) for a, v in candidates if v >= f_best - window(f_best))
 
 
-def _evaluate_cell(scheme: SchemeSpec, probe: ProbeSpec, T: float, optimize_alpha: bool,
-                   f_phase: float | None = None) -> ScanResult:
-    base = dict(scheme=scheme.kind.value, family=probe.family.value, n=probe.n,
-                n1=probe.n1, k1=probe.k1, k2=probe.k2)
-    try:
-        alpha = probe.alpha
-        if optimize_alpha:
-            alpha, f_phase = optimize_rotation(probe, scheme, T)
-        elif f_phase is None:  # its stack raised: alone, for its own error row
-            state, offset = _base_probe(probe)
-            f_phase = float(_rotation_qfi(state, scheme, T, offset)(np.array([alpha]))[0])
-        f_freq = frequency_from_phase(f_phase, T)
-        return ScanResult(**base, alpha=alpha, T=T, f_phase=f_phase, f_freq=f_freq,
-                          alpha_optimized=optimize_alpha)
-    except ValueError as exc:
-        return ScanResult(**base, alpha=probe.alpha, T=T, f_phase=math.nan,
-                          f_freq=math.nan, alpha_optimized=optimize_alpha, error=str(exc))
-
-
 def scan(scheme: SchemeSpec, probes: list[ProbeSpec], times,
          optimize_alpha: bool = False) -> list[ScanResult]:
     """Evaluate every (probe, time) pair, probe-major then time-minor.
 
-    Domain errors in single cells become flagged NaN rows instead of
-    aborting the whole scan; a non-finite time raises ValueError.  With
-    optimize_alpha, each probe's alpha is ignored and optimize_rotation
-    picks the angle per cell.  Otherwise probes that differ only in alpha
-    share one _rotation_qfi call per time, bit for bit the one-angle
-    values; if it raises, each cell goes alone.
+    Domain errors become flagged NaN rows instead of aborting the whole
+    scan; a non-finite time raises ValueError.  A group, the probes that
+    differ only in alpha, takes one call per time: a _rotation_qfi stack of
+    their angles, bit for bit the one-angle values, or, under optimize_alpha,
+    where each probe is a group and its alpha is ignored, optimize_rotation.
+    A call's error is every cell's: ProbeSpec refuses the one angle that
+    could fail alone, and every other refusal depends on the kind, T,
+    family or split, never on alpha.
     """
     times = tuple(float(t) for t in times)
     bad = [t for t in times if not math.isfinite(t)]
@@ -560,18 +549,26 @@ def scan(scheme: SchemeSpec, probes: list[ProbeSpec], times,
         raise ValueError(f"times must be finite, got {bad[0]!r}")
     if not probes or not times:
         raise ValueError("scan needs at least one probe and one time")
-    groups: dict[tuple, list[int]] = {}  # probe indices by everything but alpha
-    for i, probe in enumerate(probes):
-        groups.setdefault((probe.family, probe.n, probe.n1, probe.k1, probe.k2), []).append(i)
-    stacked = {}  # F_phase by (probe index, time index)
-    for members in () if optimize_alpha else groups.values():
-        alphas = np.array([probes[i].alpha for i in members], dtype=float)
+    groups: dict = {}  # probe indices by everything but alpha
+    for i, spec in enumerate(probes):
+        key = i if optimize_alpha else (spec.family, spec.n, spec.n1, spec.k1, spec.k2)
+        groups.setdefault(key, []).append(i)
+    rows = {}  # by (probe index, time index)
+    for members in groups.values():
+        spec, alphas = probes[members[0]], [probes[i].alpha for i in members]
+        stack = np.array(alphas, dtype=float)
         for j, T in enumerate(times):
             try:
-                probe, offset = _base_probe(probes[members[0]])
-                values = _rotation_qfi(probe, scheme, T, offset)(alphas)
-            except ValueError:
-                continue  # each cell goes alone
-            stacked.update(((i, j), float(f)) for i, f in zip(members, values))
-    return [_evaluate_cell(scheme, probe, T, optimize_alpha, stacked.get((i, j)))
-            for i, probe in enumerate(probes) for j, T in enumerate(times)]
+                if optimize_alpha:
+                    cells = [optimize_rotation(spec, scheme, T)]
+                else:
+                    probe, offset = _base_probe(spec)
+                    cells = zip(alphas, _rotation_qfi(probe, scheme, T, offset)(stack).tolist())
+                cells = [(a, f, frequency_from_phase(f, T), None) for a, f in cells]
+            except ValueError as exc:
+                cells = [(a, math.nan, math.nan, str(exc)) for a in alphas]
+            for i, (alpha, f_phase, f_freq, error) in zip(members, cells):
+                p = probes[i]  # its own counts: an int and a numpy int share a group
+                rows[i, j] = ScanResult(scheme.kind.value, p.family.value, p.n, p.n1, p.k1, p.k2,
+                                        alpha, T, f_phase, f_freq, optimize_alpha, error)
+    return [rows[i, j] for i in range(len(probes)) for j in range(len(times))]

@@ -361,6 +361,62 @@ class TestErrors:
         assert run_cli(["scan-time", "--scheme", "di_ideal", "--family", "bsd",
                         "--n", "8", "--n1", "4"]) == 1
 
+    @pytest.mark.parametrize("args, err", [
+        (["scan-time", "--family", "ghz", "--n", "2", "--t-list", "1e-3,soon"],
+         "bad t_list: '1e-3,soon'"),
+        (["scan-time", "--family", "ghz", "--n", "2", "--t-list", ", ,"], "t_list is empty"),
+        (["scan-rotation", "--family", "ghz", "--n", "2", "--t-list", "1e-3",
+          "--alpha-count", "0"], "alpha grid is empty: alpha_count=0"),
+        (["scan-time", "--family", " , ", "--n", "2"], "no probe family selected"),
+        (["scan-time", "--scheme", "di_ideal", "--family", "product_plus", "--n", "4"],
+         "product_plus under a differential scheme needs n1"),
+        (["steady-map", "--n", "1"], "steady-map needs n >= 2, got 1"),
+        (["scan-rotation", "--family", "ghz", "--n", "8", "--t-list", "1e-3",
+          "--alpha-max", "1e308", "--alpha-count", "3"],
+         "rotation angle alpha=5e+307 gives non-finite rotation phases on 8 qubits"),
+    ], ids=["bad-t-list", "empty-t-list", "empty-alpha-grid", "no-family",
+            "product-plus-needs-n1", "steady-map-n1", "overflowing-angle"])
+    def test_refusal_is_one_error_line(self, capsys, args, err):
+        # the overflowing angle is refused where it enters: no numpy warning
+        # and no nan row, as no angle of a scan can fail alone
+        assert run_cli(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {err}"]
+        assert captured.out == ""
+
+    def test_malformed_config_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family=ghz\nn 4\n")
+        assert run_cli(["scan-time", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == \
+            [f"error: {cfg}:2: expected key=value, got 'n 4'"]
+
+    def test_unreadable_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        assert run_cli(["scan-time", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot read config file {cfg}: [Errno 2] No such file or directory: "
+            f"{str(cfg)!r}"]
+
+    def test_blank_comment_lines_and_empty_family_tokens_are_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment\n\nfamily=ghz,,\n   \nn=4  # trailing\nt_list=1e-3\n")
+        plain = tmp_path / "plain.csv"
+        assert run_cli(["scan-time", "--family", "ghz", "--n", "4", "--t-list", "1e-3",
+                        "--out", str(plain)]) == 0
+        assert run_cli(["scan-time", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+        assert (tmp_path / "x.csv").read_text() == plain.read_text()
+        assert capsys.readouterr().err == ""
+
+    def test_product_plus_beyond_its_limit_is_a_nan_row(self, capsys):
+        assert run_cli(["scan-time", "--family", "product_plus", "--n", "1030",
+                        "--t-list", "10"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "nan row: scheme=standard family=product_plus n=1030 alpha=0 T=10: "
+            "product_plus needs n <= 1029: C(n, n/2) overflows a float at n=1030"]
+        assert captured.out.splitlines()[-1].split(",")[8:10] == ["nan", "nan"]
+
 
 @pytest.mark.parametrize("form", ["space", "equals"])
 @pytest.mark.parametrize("command, flag, value, code, err", [

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from symqfi.collective_basis import (
+    PLUS_MAX_N,
     BipartiteSymmetricBasis,
     GeneratorLabel,
     ProductState,
     PureState,
+    RotatedState,
     SymmetricBasis,
     _rotated,
     dicke_state,
@@ -268,6 +270,53 @@ class TestTensorAndGenerator:
     def test_partition2_needs_bipartite(self):
         with pytest.raises(ValueError):
             generator(SymmetricBasis(3), GeneratorLabel.SZ_PARTITION2)
+
+
+def assert_refused(message, f, *args):
+    with pytest.raises(ValueError) as info:
+        f(*args)
+    assert str(info.value) == message
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("message, f, args", [
+        ("amplitude vector has shape (3,), expected (5,)",
+         PureState, (SymmetricBasis(4), np.array([1.0, 0.0, 0.0]))),
+        ("partition size n1 must be a positive integer, got 0", BipartiteSymmetricBasis, (0, 2)),
+        ("partition size n2 must be a positive integer, got -1", BipartiteSymmetricBasis, (2, -1)),
+        ("need at least one qubit, got n=0", wigner_d_matrix, (0, 0.3)),
+        ("unknown generator label 'sz_total'", generator, (SymmetricBasis(2), "sz_total")),
+        ("product_plus needs n <= 1029: C(n, n/2) overflows a float at n=1030",
+         plus_product_state, (1030,)),
+    ], ids=["amplitude-shape", "partition-1", "partition-2", "wigner-d-no-qubit",
+            "generator-label", "plus-product-limit"])
+    def test_message(self, message, f, args):
+        assert_refused(message, f, *args)
+
+    def test_plus_product_state_at_its_limit(self):
+        # C(1029, 514) is the last central binomial a float holds
+        assert PLUS_MAX_N == 1029
+        state = plus_product_state(PLUS_MAX_N)
+        amps = state.amplitudes.real
+        assert np.isfinite(amps).all() and np.array_equal(amps, amps[::-1])
+        assert abs(np.linalg.norm(amps) - 1) < 1e-12
+
+    def test_overflowing_angle(self):
+        # Sy's eigenvalues lie within +-n/2, so 5e307 overflows the phases of 8 qubits
+        assert_refused("rotation angle angle=5e+307 gives non-finite rotation phases on 8 qubits",
+                       rotate_y, ghz_state(8), 5e307)
+        # a product state's factors are judged each on its own qubits
+        assert_refused("rotation angle angle=-1e+308 gives non-finite rotation phases on 4 "
+                       "qubits", rotate_y, ProductState(ghz_state(4), ghz_state(4)), -1e308)
+        # the summed angle of a rotated state is judged, not the step alone
+        once = rotate_y(dicke_state(1, 0), 1.5e308)
+        assert once.angle == 1.5e308
+        assert_refused("rotation angle angle=inf gives non-finite rotation phases on 1 qubits",
+                       rotate_y, once, 1.5e308)
+
+    def test_rotated_state_needs_a_single_partition_base(self):
+        pair = ProductState(ghz_state(2), ghz_state(2))
+        assert_refused("RotatedState expects a single-partition base", RotatedState, pair, 0.3)
 
 
 class TestBruteForceEquivalence:

@@ -174,6 +174,33 @@ class TestProbeSpec:
         with pytest.raises(ValueError):
             ProbeSpec(ProbeFamily.GHZ, 8, k1=2)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n=0), "need at least one qubit, got n=0"),
+        (dict(n=8, n1=8), "partition size n1=8 outside 1..7"),
+        (dict(n=8, n1=0), "partition size n1=0 outside 1..7"),
+        (dict(n=8, n1=3, k1=1, k2=6), "k2=6 outside 0..5"),
+        (dict(n=8, n1=3, k1=1, k2=-1), "k2=-1 outside 0..5"),
+    ], ids=["no-qubit", "n1-high", "n1-low", "k2-high", "k2-low"])
+    def test_counts_out_of_range(self, kwargs, message):
+        family = ProbeFamily.GHZ if "n1" not in kwargs else \
+            ProbeFamily.BSD if "k1" in kwargs else ProbeFamily.GHZ_BIPARTITE
+        with pytest.raises(ValueError) as info:
+            ProbeSpec(family, **kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("alpha", [5e307, -5e307, 1e308])
+    def test_overflowing_angle_rejected(self, alpha):
+        # (|alpha| + pi/2) n/2 bounds the rotation phases: at n = 8 it overflows
+        with pytest.raises(ValueError) as info:
+            ProbeSpec(ProbeFamily.GHZ, 8, alpha=alpha)
+        assert str(info.value) == \
+            f"rotation angle alpha={alpha!r} gives non-finite rotation phases on 8 qubits"
+
+    def test_large_finite_angle_still_evaluates(self):
+        spec = ProbeSpec(ProbeFamily.GHZ, 8, alpha=1e300)
+        [row] = scan(STANDARD, [spec], [1e-3])
+        assert row.error is None and math.isfinite(row.f_phase)
+
 
 class TestSchemeSpec:
     def test_kind_and_noise_must_be_their_types(self):
@@ -937,6 +964,25 @@ class TestRotationEvaluator:
             for T in (3e-4, 3e-3):
                 assert_evaluator_matches_pipeline(spec, scheme, T, alphas)
 
+    def test_entangled_bipartite_probe_is_taken_at_angle_0_only(self):
+        # dfs_optimal's probe is no ProductState: its flattened vector is no
+        # Dicke sector, so any rotation of it, the grid included, is refused
+        probe, offset = schemes._base_probe(ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8))
+        message = "a bipartite probe that is no ProductState rotates at angle 0 only"
+        for alphas, start in ((np.array([0.3]), 0.0), (np.array([0.0, 0.3]), 0.0),
+                              (np.zeros(1), 0.3)):
+            with pytest.raises(ValueError) as info:
+                _rotation_qfi(probe, DI_IDEAL, 1e-3, start)(alphas)
+            assert str(info.value) == message
+        probabilities = schemes._rotation_cell(probe, DI_IDEAL, 1e-3)[0]
+        with pytest.raises(ValueError) as info:
+            probabilities()
+        assert str(info.value) == message
+        # at angle 0 the route is scheme_qfi's, and the dense channel judges it
+        at_zero = float(_rotation_qfi(probe, DI_IDEAL, 1e-3)(np.zeros(1))[0])
+        assert at_zero == scheme_qfi(probe, DI_IDEAL, 1e-3)[0]
+        assert at_zero == pytest.approx(dense_qfi(probe, DI_IDEAL, 1e-3), rel=1e-9)
+
     def test_scan_reproduces_the_evaluator_bit_for_bit(self):
         # one rotation kernel: at every grid angle, alpha = 0 included, and at
         # the optimizer's alpha, scan's value is the stacked evaluator's exactly.
@@ -1149,8 +1195,8 @@ class TestScan:
         times = [0.0, 1e-3, 3e-2]
         # one call per time for each of the four probes, singletons included;
         # under spin echo the unsplit GHZ and product stacks are refused, and
-        # each of their 15 + 1 cells goes alone to write its error row
-        for scheme, n_calls, n_errors in ((STANDARD, 12, 0), (DI_ECHO, 12 + 48, 48)):
+        # the call's error is the error row of each of their 15 + 1 cells
+        for scheme, n_calls, n_errors in ((STANDARD, 12, 0), (DI_ECHO, 12, 48)):
             alone = [row for probe in probes for row in scan(scheme, [probe], times)]
             calls = count_calls(monkeypatch, "_rotation_qfi")
             rows = scan(scheme, probes, times)
@@ -1162,11 +1208,12 @@ class TestScan:
                 [r.f_phase for r in alone if r.error is None]
             assert sum(r.error is not None for r in rows) == n_errors
 
-    def test_a_stack_that_raises_leaves_its_cells_alone(self, monkeypatch):
+    def test_a_stack_that_raises_writes_its_error_into_every_cell(self, monkeypatch):
         probes = [ProbeSpec(ProbeFamily.GHZ, 6, alpha=a) for a in (0.0, 0.4, 1.0)]
         alone = [scan(STANDARD, [probe], [-1.0, 0.01]) for probe in probes]
         rows = scan(STANDARD, probes, [-1.0, 0.01])  # C(-1) is refused for the whole stack
         assert [r.error is None for r in rows] == [False, True] * 3
+        assert [r.error for r in rows[::2]] == [pair[0].error for pair in alone]
         assert [r.f_phase for r in rows[1::2]] == [pair[1].f_phase for pair in alone]
         real = schemes._rotation_qfi
 
@@ -1179,8 +1226,13 @@ class TestScan:
                 return evaluate(alphas)
             return once
 
+        # no cell goes alone: the stack's error is each of its cells' error row
         monkeypatch.setattr(schemes, "_rotation_qfi", refuse_stacks)
-        assert scan(STANDARD, probes, [-1.0, 0.01]) == [r for pair in alone for r in pair]
+        rows = scan(STANDARD, probes, [-1.0, 0.01])
+        assert [(r.alpha, r.T, r.error) for r in rows] == \
+            [(p.alpha, T, error) for p in probes
+             for T, error in ((-1.0, alone[0][0].error), (0.01, "refused stack"))]
+        assert all(math.isnan(r.f_phase) and math.isnan(r.f_freq) for r in rows)
 
     def test_cell_errors_flagged_not_raised(self):
         probes = [ProbeSpec(ProbeFamily.GHZ, 4), ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 4, n1=2)]

@@ -216,6 +216,20 @@ class TestSplitChoice:
             SplitChoice(8, 6, 0, 4)   # k2 > n2
 
 
+@pytest.mark.parametrize("message, f, args", [
+    ("partition size n1=9 outside 0..8", SplitChoice, (8, 9, 0, 0)),
+    ("partition size n1=-1 outside 0..8", SplitChoice, (8, -1, 0, 0)),
+    ("partition size n1=9 outside 0..8", dfs_piecewise_qfi, (8, 9, 2)),
+    ("k=9 outside 0..8", dfs_piecewise_qfi, (8, 4, 9)),
+    ("k=-1 outside 0..8", dfs_piecewise_qfi, (8, 4, -1)),
+    ("need at least two qubits to split, got n=1", optimize_bsd_split, (1,)),
+], ids=["split-n1-high", "split-n1-low", "dfs-n1", "dfs-k-high", "dfs-k-low", "map-n1"])
+def test_out_of_range_message(message, f, args):
+    with pytest.raises(ValueError) as info:
+        f(*args)
+    assert str(info.value) == message
+
+
 def ghz_probe(n):
     return ProbeSpec(ProbeFamily.GHZ, n)
 
