@@ -24,6 +24,15 @@ import numpy as np
 NORM_TOL = 1e-12
 
 
+def _require_angle(name: str, angle) -> None:
+    """Refuse a bool, a non-real or a non-finite rotation angle; numpy reals are accepted."""
+    if type(angle) is not float and (isinstance(angle, bool)
+                                     or not isinstance(angle, numbers.Real)):
+        raise ValueError(f"rotation angle must be a real number, got {name}={angle!r}")
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle must be finite, got {name}={angle!r}")
+
+
 def _require_integer(name: str, value) -> None:
     """Refuse a bool or a non-integer count; numpy integers are accepted."""
     # a plain int skips the abstract-base-class test (0.07 against 0.57 us a
@@ -180,6 +189,28 @@ def _sy_eigensystem(n: int) -> tuple[np.ndarray, np.ndarray]:
     return eigvals, eigvecs
 
 
+# a period of every rotation exp(-i theta Sy): Sy's eigenvalues are all
+# integers (even n) or all half-integers (odd n)
+_PERIOD = 4.0 * math.pi
+
+
+def _rotation_phases(theta: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
+    """exp(-i theta lambda) for each finite angle of theta and eigenvalue of Sy, shape (G, n+1).
+
+    An angle with |theta| >= 4 pi is first reduced to
+    2 atan2(sin(theta/2), cos(theta/2)), theta modulo 4 pi to within an ulp
+    of 2 pi, as libm reduces the arguments of sin and cos exactly.  Taken
+    as it is, the product theta lambda would round to ulp(theta n/2), 1e-8
+    rad at theta = 1e8, and lose every digit of the rotation from about
+    theta = 1e16.  Smaller angles enter as they are, bit for bit.
+    """
+    angles = theta.tolist()  # tested in Python: below numpy's call overhead at a few angles
+    if any(abs(t) >= _PERIOD for t in angles):
+        theta = np.array([2.0 * math.atan2(math.sin(t / 2), math.cos(t / 2))
+                          if abs(t) >= _PERIOD else t for t in angles], dtype=float)
+    return np.exp(-1j * theta[:, None] * eigvals)
+
+
 def wigner_d_matrix(n: int, angle: float) -> np.ndarray:
     """Collective y-rotation matrix between Dicke states.
 
@@ -189,27 +220,30 @@ def wigner_d_matrix(n: int, angle: float) -> np.ndarray:
 
     Evaluated through the eigendecomposition of the tridiagonal Sy block,
     which stays numerically stable for large n (the textbook alternating
-    binomial sum does not).
+    binomial sum does not), with the phases of _rotation_phases, so any
+    finite angle gives an orthogonal matrix.
     """
     _require_integer("particle count", n)
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
+    _require_angle("angle", angle)
     eigvals, eigvecs = _sy_eigensystem(n)
-    d = (eigvecs * np.exp(-1j * angle * eigvals)) @ eigvecs.conj().T
-    return np.ascontiguousarray(d.real)
+    phases = _rotation_phases(np.array([angle], dtype=float), eigvals)[0]
+    return np.ascontiguousarray(((eigvecs * phases) @ eigvecs.conj().T).real)
 
 
 def _rotated(amps: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Real Dicke-basis amplitudes rotated about y by each angle of theta, shape (G, n+1).
 
-    A phase product in the Sy eigenbasis, one (1, n+1) @ (n+1, n+1) product
-    per angle, so a row's bits do not depend on the rest of the stack (one
-    (G, n+1) GEMM would tie them to G).  An angle of exactly 0 returns amps.
+    A phase product in the Sy eigenbasis (_rotation_phases), one
+    (1, n+1) @ (n+1, n+1) product per angle, so a row's bits do not depend
+    on the rest of the stack (one (G, n+1) GEMM would tie them to G).  An
+    angle of exactly 0 returns amps.
     """
     if not np.count_nonzero(theta):  # scan's unrotated probes: nothing to rotate
         return amps[None, :].repeat(len(theta), axis=0)
     eigvals, eigvecs = _sy_eigensystem(len(amps) - 1)
-    phased = np.exp(-1j * theta[:, None] * eigvals) * (eigvecs.conj().T @ amps)
+    phased = _rotation_phases(theta, eigvals) * (eigvecs.conj().T @ amps)
     rotated = (phased[:, None, :] @ eigvecs.T)[:, 0, :].real
     rotated[theta == 0.0] = amps
     return rotated
@@ -225,18 +259,6 @@ def _rotated_amplitudes(amps: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return rotated + 1j * _rotated(amps.imag, theta) if np.count_nonzero(amps.imag) else rotated
 
 
-def _require_finite_phases(name: str, angle: float, n: int, start: float = 0.0) -> None:
-    """Refuse an angle whose rotation phases on n qubits are not finite.
-
-    A rotation by angle plus an offset of modulus at most start multiplies
-    Sy's eigenvalues, which lie within +-n/2, so its phases are finite
-    where (|angle| + start) n/2 is.
-    """
-    if not math.isfinite((abs(angle) + start) * (n / 2)):
-        raise ValueError(f"rotation angle {name}={angle!r} gives non-finite rotation phases "
-                         f"on {n} qubits")
-
-
 def rotate_y(state: PureState, angle: float) -> PureState:
     """Rotate a state about the collective y-axis.
 
@@ -244,9 +266,9 @@ def rotate_y(state: PureState, angle: float) -> PureState:
     unrotated base and the angle; rotating one rotates its base once, by
     the summed angle.  On a bipartite basis the rotation factorizes: a
     ProductState rotates each factor and stays one, any other state takes a
-    Wigner-d block per part.  An angle, summed with the one a RotatedState
-    carries, whose rotation phases overflow raises ValueError.
+    Wigner-d block per part.
     """
+    _require_angle("angle", angle)
     if angle == 0.0:
         return state
     if isinstance(state, ProductState):
@@ -254,7 +276,6 @@ def rotate_y(state: PureState, angle: float) -> PureState:
     if isinstance(state, RotatedState):
         state, angle = state.base, state.angle + angle
     basis = state.basis
-    _require_finite_phases("angle", angle, basis.n)
     if isinstance(basis, SymmetricBasis):
         return RotatedState(state, angle)
     d1 = wigner_d_matrix(basis.n1, angle)
@@ -278,9 +299,11 @@ class RotatedState(PureState):
     def __init__(self, base: PureState, angle: float):
         if not isinstance(base.basis, SymmetricBasis):
             raise ValueError("RotatedState expects a single-partition base")
+        _require_angle("angle", angle)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "angle", float(angle))
-        super().__init__(base.basis, _rotated_amplitudes(base.amplitudes, np.array([angle]))[0])
+        super().__init__(base.basis,
+                         _rotated_amplitudes(base.amplitudes, np.array([self.angle]))[0])
 
 
 @dataclass(frozen=True, eq=False, init=False)

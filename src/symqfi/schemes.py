@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -26,7 +25,7 @@ from .collective_basis import (
     ProductState,
     PureState,
     RotatedState,
-    _require_finite_phases,
+    _require_angle,
     _require_integer,
     _rotated,
     _rotated_amplitudes,
@@ -58,8 +57,8 @@ class ProbeSpec:
 
     n1 splits the ensemble (bipartite families; optional for PRODUCT_PLUS),
     k1/k2 are the per-partition excitation numbers (BSD only), and alpha is
-    the collective rotation applied on top of the family's base state; an
-    alpha whose rotation phases, up to (|alpha| + pi/2) n/2, overflow is refused.
+    the collective rotation applied on top of the family's base state, any
+    finite real number.
     """
 
     family: ProbeFamily
@@ -79,11 +78,7 @@ class ProbeSpec:
                 _require_integer(name, getattr(self, name))
         if n < 1:
             raise ValueError(f"need at least one qubit, got n={n}")
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
-            raise ValueError(f"rotation angle must be a real number, got alpha={self.alpha!r}")
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"rotation angle must be finite, got alpha={self.alpha!r}")
-        _require_finite_phases("alpha", self.alpha, n, math.pi / 2)
+        _require_angle("alpha", self.alpha)
         if f in _BIPARTITE_ONLY or (f is ProbeFamily.PRODUCT_PLUS and n1 is not None):
             if f is ProbeFamily.DFS_OPTIMAL and n1 is None:
                 if n % 2:
@@ -200,19 +195,20 @@ def _parity_eigenstate(state: PureState) -> bool:
 
 # frame entries G * d^2 per stack of _rotation_qfi and per grid batch (128 KiB an array)
 _CHUNK_ENTRIES = 2 ** 14
-# angles of the uniform grid the rotation search starts from
-_GRID_ANGLES = 201
+# the uniform grid of angles the rotation search starts from
+_GRID = np.linspace(0.0, math.pi / 2, 201)
+_GRID.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=64)
-def _grid_rotations(amps: bytes, offset: float, angles: int) -> np.ndarray:
-    """_rotated(amps, offset + grid), read-only, for the angles-point grid over [0, pi/2].
+def _grid_rotations(amps: bytes, offset: float) -> np.ndarray:
+    """_rotated(amps, offset + _GRID), read-only.
 
     amps holds one factor's real amplitudes as float64 bytes.  The grid
     depends on the probe alone, so every time and scheme of a probe share
-    an entry of angles * (m + 1) floats for a factor of m qubits.
+    an entry of len(_GRID) * (m + 1) floats for a factor of m qubits.
     """
-    rows = _rotated(np.frombuffer(amps), offset + np.linspace(0.0, math.pi / 2, angles))
+    rows = _rotated(np.frombuffer(amps), offset + _GRID)
     rows.flags.writeable = False
     return rows
 
@@ -225,7 +221,7 @@ def _rotation_cell(probe: PureState, scheme: SchemeSpec, T: float,
     optimize_rotation on _base_probe's unrotated probe and offset.  Returns
     (probabilities, qfi, bound, step): probabilities maps G angles to the
     squared amplitude moduli p, shape (G, D), of the signal state (below),
-    and no angles to those of the _GRID_ANGLES grid over [0, pi/2], whose
+    and no angles to those of the _GRID angles over [0, pi/2], whose
     factor rotations _grid_rotations keeps across cells (for real bases, as
     _base_probe builds them); qfi and bound map p to values per angle; step
     angles fill 2^14 frame entries.  Each factor of the signal state, a
@@ -396,8 +392,7 @@ def _rotation_cell(probe: PureState, scheme: SchemeSpec, T: float,
         if entangled and (alphas is None or np.count_nonzero(offset + alphas)):
             raise ValueError("a bipartite probe that is no ProductState rotates at angle 0 only")
         if alphas is None:
-            amps = [_grid_rotations(f.amplitudes.real.tobytes(), start, _GRID_ANGLES)
-                    for f, start in factors]
+            amps = [_grid_rotations(f.amplitudes.real.tobytes(), start) for f, start in factors]
         else:
             amps = [_rotated_amplitudes(f.amplitudes, start + alphas) for f, start in factors]
         if len(amps) == 2:
@@ -485,13 +480,12 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     def window(f: float) -> float:
         return 1e-9 * abs(f) + 1e-11 * spec.n * spec.n
 
-    alphas = np.linspace(0.0, math.pi / 2, _GRID_ANGLES)
     p = probabilities()
     upper = bound(p)
     reach = upper + window(upper)  # no F above it
     # alpha = 0 wins every tie, so it goes first, the rest by decreasing bound
     order = np.concatenate([[0], 1 + np.argsort(-upper[1:], kind="stable")])
-    values = np.full(len(alphas), -math.inf)  # until visited
+    values = np.full(len(_GRID), -math.inf)  # until visited
     start, size = 0, 2  # alpha = 0 and the largest bound
     while start < len(order):  # the whole grid visited, the rule holds with t_hi = t_lo
         rows = np.sort(order[start:start + size])
@@ -509,8 +503,8 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
         # the angles not ruled out lead the rest; no other can be that first
         # angle or raise U_bar (a nan t_lo rules out none)
         size = min(step, int(np.count_nonzero(~(reach[rest] < t_lo))))
-    a_ref, f_ref = alphas[best], values[best]
-    left, right = alphas[max(best - 1, 0)], alphas[min(best + 1, len(alphas) - 1)]
+    a_ref, f_ref = _GRID[best], values[best]
+    left, right = _GRID[max(best - 1, 0)], _GRID[min(best + 1, len(_GRID) - 1)]
     # alpha = 0 wins every tie, so there only a first round above F(0)'s window
     # can move the result; later rounds would look for a narrower peak
     settled = values[0] + window(values[0]) if best == 0 else -math.inf
@@ -524,7 +518,7 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
         settled = -math.inf  # only the first round can settle 0
 
     # the grid point before best is below f_max's window, so it is no candidate
-    candidates = sorted([(float(alphas[best]), float(values[best])), (float(a_ref), float(f_ref))])
+    candidates = sorted([(float(_GRID[best]), float(values[best])), (float(a_ref), float(f_ref))])
     f_best = max(v for _, v in candidates)
     # the smallest angle within the window; the one holding f_best always is
     return next((a, v) for a, v in candidates if v >= f_best - window(f_best))
@@ -539,9 +533,8 @@ def scan(scheme: SchemeSpec, probes: list[ProbeSpec], times,
     differ only in alpha, takes one call per time: a _rotation_qfi stack of
     their angles, bit for bit the one-angle values, or, under optimize_alpha,
     where each probe is a group and its alpha is ignored, optimize_rotation.
-    A call's error is every cell's: ProbeSpec refuses the one angle that
-    could fail alone, and every other refusal depends on the kind, T,
-    family or split, never on alpha.
+    A call's error is every cell's: no refusal depends on alpha, only on the
+    kind, T, family or split.
     """
     times = tuple(float(t) for t in times)
     bad = [t for t in times if not math.isfinite(t)]

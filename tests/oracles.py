@@ -135,6 +135,18 @@ def wigner_d_mp(n, angle, dps=30):
     return rows
 
 
+def reduced_angle_mp(angle):
+    """The float nearest angle modulo 4 pi, taken in [-2 pi, 2 pi].
+
+    4 pi is a period of every collective rotation exp(-i angle Sy).  angle
+    is taken as the exact value of the float given, against 360 digits of
+    pi, enough for the quotient of any finite float.
+    """
+    with mpmath.workdps(360):
+        period, x = 4 * mpmath.pi, mpmath.mpf(angle)
+        return float(x - period * mpmath.nint(x / period))
+
+
 def collective_qfi_mp(amps, angle, T, gamma_delta_b, tau_c, dps=30):
     """Phase QFI of a rotated Dicke-basis state under collective dephasing, at dps digits.
 

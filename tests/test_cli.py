@@ -14,6 +14,8 @@ from symqfi.steady_forms import ghz_qfi_analytic
 from symqfi.dephasing import NoiseParams
 from symqfi.schemes import ProbeFamily, ProbeSpec, SchemeKind
 
+import oracles
+
 
 def run_cli(args):
     return main(list(args))
@@ -155,6 +157,24 @@ class TestScanRotation:
                 mirrored = by_key[(alphas[-1] - alpha, T)]
                 assert by_key[(alpha, T)] == pytest.approx(mirrored,
                                                            rel=1e-9, abs=1e-9)
+
+    def test_overflowing_angle_reads_its_reduced_angle(self, tmp_path, capsys):
+        # no finite angle is refused, though the rotation phases of 5e307 and
+        # 1e308 overflow at n = 8: each row reads the F_phase that scan-time
+        # prints at the angle's exact reduction modulo 4 pi
+        out, again = tmp_path / "rot.csv", tmp_path / "again.csv"
+        assert run_cli(["scan-rotation", "--family", "ghz", "--n", "8", "--t-list", "1e-3",
+                        "--alpha-max", "1e308", "--alpha-count", "3", "--out", str(out)]) == 0
+        header, rows = read_table(out)
+        alpha, f_phase = header.index("alpha"), header.index("F_phase")
+        assert [float(row[alpha]) for row in rows] == [0.0, 5e307, 1e308]
+        for row in rows:
+            assert math.isfinite(float(row[f_phase]))
+            reduced = oracles.reduced_angle_mp(float(row[alpha]))
+            assert run_cli(["scan-time", "--family", "ghz", "--n", "8", "--t-list", "1e-3",
+                            f"--alpha={reduced!r}", "--out", str(again)]) == 0
+            assert read_table(again)[1][0][f_phase] == row[f_phase], row
+        assert capsys.readouterr().err == ""
 
 
 class TestSteadyMap:
@@ -371,14 +391,9 @@ class TestErrors:
         (["scan-time", "--scheme", "di_ideal", "--family", "product_plus", "--n", "4"],
          "product_plus under a differential scheme needs n1"),
         (["steady-map", "--n", "1"], "steady-map needs n >= 2, got 1"),
-        (["scan-rotation", "--family", "ghz", "--n", "8", "--t-list", "1e-3",
-          "--alpha-max", "1e308", "--alpha-count", "3"],
-         "rotation angle alpha=5e+307 gives non-finite rotation phases on 8 qubits"),
     ], ids=["bad-t-list", "empty-t-list", "empty-alpha-grid", "no-family",
-            "product-plus-needs-n1", "steady-map-n1", "overflowing-angle"])
+            "product-plus-needs-n1", "steady-map-n1"])
     def test_refusal_is_one_error_line(self, capsys, args, err):
-        # the overflowing angle is refused where it enters: no numpy warning
-        # and no nan row, as no angle of a scan can fail alone
         assert run_cli(args) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: {err}"]

@@ -13,6 +13,7 @@ from symqfi.collective_basis import (
     RotatedState,
     SymmetricBasis,
     _rotated,
+    _rotation_phases,
     dicke_state,
     generator,
     ghz_state,
@@ -20,6 +21,8 @@ from symqfi.collective_basis import (
     rotate_y,
     wigner_d_matrix,
 )
+from symqfi.dephasing import NoiseParams
+from symqfi.schemes import SchemeKind, SchemeSpec, scheme_qfi
 
 import oracles
 
@@ -222,6 +225,35 @@ class TestRotations:
                     np.testing.assert_allclose(_rotated(amps, np.array([theta]))[0], exact,
                                                rtol=0, atol=1e-14, err_msg=f"n={n} theta={theta}")
 
+    def test_huge_angles_match_the_mp_wigner_d(self):
+        # past 4 pi both routes reduce the angle by that period first; the
+        # unreduced phase product of 1e300 would be off by 0.54
+        for n in (8, 9, 16):
+            states = (ghz_state(n), dicke_state(n, n // 2), plus_product_state(n))
+            for theta in (13.0, 1e6, 1e10, 1e300, -5e307, 1.7e308):
+                d = oracles.wigner_d_mp(n, theta)
+                np.testing.assert_allclose(wigner_d_matrix(n, theta), np.array(d, dtype=float),
+                                           rtol=0, atol=1e-14, err_msg=f"n={n} theta={theta}")
+                for state in states:
+                    amps = state.amplitudes.real
+                    exact = [float(mpmath.fsum(x * a for x, a in zip(row, amps))) for row in d]
+                    np.testing.assert_allclose(_rotated(amps, np.array([theta]))[0], exact,
+                                               rtol=0, atol=1e-14, err_msg=f"n={n} theta={theta}")
+
+    def test_angles_below_the_period_are_not_reduced(self):
+        # the phases of |theta| < 4 pi are exp(-i theta lambda) bit for bit, and
+        # a stack's reduced angles leave its other rows as they are alone
+        eigvals = np.linspace(-4.0, 4.0, 9)
+        below = np.nextafter(4 * math.pi, 0.0)
+        theta = np.array([0.3, -below, below, 4 * math.pi, -1e300, 2.0])
+        phases = _rotation_phases(theta, eigvals)
+        for i in (0, 1, 2, 5):
+            assert phases[i].tobytes() == np.exp(-1j * theta[i] * eigvals).tobytes()
+        amps = plus_product_state(8).amplitudes.real
+        stack = _rotated(amps, theta)
+        for i, angle in enumerate(theta):
+            assert stack[i].tobytes() == _rotated(amps, np.array([angle]))[0].tobytes()
+
 
 class TestTensorAndGenerator:
     def test_ghz_pair(self):
@@ -288,8 +320,15 @@ class TestRefusals:
         ("unknown generator label 'sz_total'", generator, (SymmetricBasis(2), "sz_total")),
         ("product_plus needs n <= 1029: C(n, n/2) overflows a float at n=1030",
          plus_product_state, (1030,)),
+        # every entry point checks its angle as ProbeSpec does
+        ("rotation angle must be a real number, got angle=True", rotate_y, (ghz_state(8), True)),
+        ("rotation angle must be a real number, got angle='x'", rotate_y, (ghz_state(8), "x")),
+        ("rotation angle must be finite, got angle=inf", RotatedState, (ghz_state(8), math.inf)),
+        ("rotation angle must be finite, got angle=nan", wigner_d_matrix, (8, math.nan)),
+        ("rotation angle must be a real number, got angle=True", wigner_d_matrix, (8, True)),
     ], ids=["amplitude-shape", "partition-1", "partition-2", "wigner-d-no-qubit",
-            "generator-label", "plus-product-limit"])
+            "generator-label", "plus-product-limit", "rotate-bool-angle", "rotate-str-angle",
+            "rotated-infinite-angle", "wigner-d-nan-angle", "wigner-d-bool-angle"])
     def test_message(self, message, f, args):
         assert_refused(message, f, *args)
 
@@ -302,17 +341,20 @@ class TestRefusals:
         assert abs(np.linalg.norm(amps) - 1) < 1e-12
 
     def test_overflowing_angle(self):
-        # Sy's eigenvalues lie within +-n/2, so 5e307 overflows the phases of 8 qubits
-        assert_refused("rotation angle angle=5e+307 gives non-finite rotation phases on 8 qubits",
-                       rotate_y, ghz_state(8), 5e307)
-        # a product state's factors are judged each on its own qubits
-        assert_refused("rotation angle angle=-1e+308 gives non-finite rotation phases on 4 "
-                       "qubits", rotate_y, ProductState(ghz_state(4), ghz_state(4)), -1e308)
+        # an angle whose phases angle * n/2 overflow a float rotates as its
+        # exact reduction modulo 4 pi: the same amplitudes and the same F
+        noise = NoiseParams(2 * math.pi * 50, 1.0)
+        for state, angle, kind in ((ghz_state(8), 5e307, SchemeKind.STANDARD),
+                                   (ProductState(ghz_state(4), ghz_state(4)), -1e308,
+                                    SchemeKind.DI_REPEAT)):
+            huge, reduced = rotate_y(state, angle), rotate_y(state, oracles.reduced_angle_mp(angle))
+            assert huge.amplitudes.tobytes() == reduced.amplitudes.tobytes()
+            scheme = SchemeSpec(kind, noise)
+            assert scheme_qfi(huge, scheme, 1e-3) == scheme_qfi(reduced, scheme, 1e-3)
         # the summed angle of a rotated state is judged, not the step alone
         once = rotate_y(dicke_state(1, 0), 1.5e308)
         assert once.angle == 1.5e308
-        assert_refused("rotation angle angle=inf gives non-finite rotation phases on 1 qubits",
-                       rotate_y, once, 1.5e308)
+        assert_refused("rotation angle must be finite, got angle=inf", rotate_y, once, 1.5e308)
 
     def test_rotated_state_needs_a_single_partition_base(self):
         pair = ProductState(ghz_state(2), ghz_state(2))

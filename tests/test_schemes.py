@@ -189,17 +189,23 @@ class TestProbeSpec:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("alpha", [5e307, -5e307, 1e308])
-    def test_overflowing_angle_rejected(self, alpha):
-        # (|alpha| + pi/2) n/2 bounds the rotation phases: at n = 8 it overflows
-        with pytest.raises(ValueError) as info:
-            ProbeSpec(ProbeFamily.GHZ, 8, alpha=alpha)
-        assert str(info.value) == \
-            f"rotation angle alpha={alpha!r} gives non-finite rotation phases on 8 qubits"
+    def test_huge_angle_reads_its_reduced_angle(self, alpha):
+        # no finite angle is refused: its rotation phases, up to alpha n/2,
+        # overflow at n = 8, and the angle reads the F of its exact reduction
+        # modulo 4 pi, the rotation's period
+        [row] = scan(STANDARD, [ProbeSpec(ProbeFamily.GHZ, 8, alpha=alpha)], [1e-3])
+        reduced = ProbeSpec(ProbeFamily.GHZ, 8, alpha=oracles.reduced_angle_mp(alpha))
+        assert row.error is None and row.f_phase == scan(STANDARD, [reduced], [1e-3])[0].f_phase
 
     def test_large_finite_angle_still_evaluates(self):
-        spec = ProbeSpec(ProbeFamily.GHZ, 8, alpha=1e300)
-        [row] = scan(STANDARD, [spec], [1e-3])
-        assert row.error is None and math.isfinite(row.f_phase)
+        # 1e300 is -2.1838724841522326 modulo 4 pi, where F reads 10.143663338893411
+        for alpha in (1e8, 1e10, 1e300):
+            spec = ProbeSpec(ProbeFamily.GHZ, 8, alpha=alpha)
+            [row] = scan(STANDARD, [spec], [1e-3])
+            f_phase, _ = scheme_qfi(build_probe(spec), STANDARD, 1e-3)
+            assert row.error is None and row.f_phase == f_phase
+        assert oracles.reduced_angle_mp(1e300) == -2.1838724841522326
+        assert row.f_phase == 10.143663338893411
 
 
 class TestSchemeSpec:
@@ -519,7 +525,7 @@ def fake_cell(landscape, sizes=None):
     def cell(probe, scheme, T, offset=0.0):
         def probabilities(alphas=None):
             if alphas is None:
-                alphas = np.linspace(0.0, math.pi / 2, schemes._GRID_ANGLES)
+                alphas = schemes._GRID
             return np.asarray(alphas, dtype=float)[:, None]
 
         def qfi(p):
@@ -855,10 +861,18 @@ class TestOptimizeRotation:
 
     def test_refinement_beats_grid(self, monkeypatch):
         spec = ProbeSpec(ProbeFamily.GHZ, 8)
-        monkeypatch.setattr(schemes, "_GRID_ANGLES", 41)
-        alpha_c, f_c = optimize_rotation(spec, STANDARD, 0.001)
-        monkeypatch.setattr(schemes, "_GRID_ANGLES", 401)
-        alpha_f, f_f = optimize_rotation(spec, STANDARD, 0.001)
+
+        def optimize_on_grid(angles):
+            # the cached grid rotations belong to the grid they were taken on
+            monkeypatch.setattr(schemes, "_GRID", np.linspace(0.0, math.pi / 2, angles))
+            schemes._grid_rotations.cache_clear()
+            try:
+                return optimize_rotation(spec, STANDARD, 0.001)
+            finally:
+                schemes._grid_rotations.cache_clear()
+
+        alpha_c, f_c = optimize_on_grid(41)
+        alpha_f, f_f = optimize_on_grid(401)
         assert f_c <= f_f + 1e-9 * f_f
         assert abs(alpha_c - alpha_f) < 2e-3
 
@@ -867,25 +881,25 @@ class TestGridRotations:
     """The optimizer's grid rotations, kept per factor across cells."""
 
     def test_rows_are_the_rotation_kernel_bit_for_bit(self):
-        grid = np.linspace(0.0, math.pi / 2, schemes._GRID_ANGLES)
+        grid = np.linspace(0.0, math.pi / 2, 201)
         for m in (1, 2, 7, 12, 20):
             for part, offset in ((ghz_state(m), 0.0), (dicke_state(m, m // 2), math.pi / 2),
                                  (dicke_state(m, 0), 0.0)):
                 amps = part.amplitudes.real.copy()
-                rows = schemes._grid_rotations(amps.tobytes(), offset, schemes._GRID_ANGLES)
+                rows = schemes._grid_rotations(amps.tobytes(), offset)
                 assert rows.shape == (len(grid), m + 1)
                 assert rows.tobytes() == _rotated(amps, offset + grid).tobytes(), (m, offset)
 
     def test_entries_are_read_only_and_bounded(self):
         schemes._grid_rotations.cache_clear()
         amps = ghz_state(2).amplitudes.real.tobytes()
-        rows = schemes._grid_rotations(amps, 0.0, schemes._GRID_ANGLES)
+        rows = schemes._grid_rotations(amps, 0.0)
         assert not rows.flags.writeable
         with pytest.raises(ValueError):
             rows[0, 0] = 1.0
-        assert schemes._grid_rotations(amps, 0.0, schemes._GRID_ANGLES) is rows
+        assert schemes._grid_rotations(amps, 0.0) is rows
         for offset in np.linspace(0.1, 1.0, 70):
-            schemes._grid_rotations(amps, float(offset), schemes._GRID_ANGLES)
+            schemes._grid_rotations(amps, float(offset))
         info = schemes._grid_rotations.cache_info()
         assert info.maxsize == 64 and info.currsize == 64
         schemes._grid_rotations.cache_clear()
@@ -1034,7 +1048,9 @@ class TestRotationEvaluator:
         classes = set()
         for i in rng.choice(len(rotatable), 240, replace=False):
             scheme, spec = rotatable[i]
-            spec = dataclasses.replace(spec, alpha=float(rng.uniform(-math.pi, math.pi)))
+            # |alpha| log-uniform up to 1e308, reduced modulo 4 pi past 4 pi
+            alpha = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 308.0))
+            spec = dataclasses.replace(spec, alpha=alpha)
             T = float(10.0 ** rng.uniform(-5.0, 0.5))
             assert scheme_qfi(build_probe(spec), scheme, T)[0] == \
                 scan(scheme, [spec], [T])[0].f_phase, (scheme.kind, spec, T)
