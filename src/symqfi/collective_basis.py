@@ -24,13 +24,28 @@ import numpy as np
 NORM_TOL = 1e-12
 
 
+def _require_real(name: str, x, finite: str = "finite", label: str = "") -> float:
+    """x as a float, refusing a bool, a non-real x and a non-finite one with ValueError.
+
+    The messages read "<name> must be a real number, got <label><x!r>" and
+    "<name> must be <finite>, got <label><x!r>", the latter also for an int
+    beyond the float range; numpy reals are accepted.
+    """
+    # a plain float skips the abstract-base-class test
+    if type(x) is not float and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {label}{x!r}")
+    try:
+        value = float(x)
+    except OverflowError:  # an int, or a ratio of ints, beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be {finite}, got {label}{x!r}")
+    return value
+
+
 def _require_angle(name: str, angle) -> None:
     """Refuse a bool, a non-real or a non-finite rotation angle; numpy reals are accepted."""
-    if type(angle) is not float and (isinstance(angle, bool)
-                                     or not isinstance(angle, numbers.Real)):
-        raise ValueError(f"rotation angle must be a real number, got {name}={angle!r}")
-    if not math.isfinite(angle):
-        raise ValueError(f"rotation angle must be finite, got {name}={angle!r}")
+    _require_real("rotation angle", angle, label=f"{name}=")
 
 
 def _require_integer(name: str, value) -> None:

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .collective_basis import _require_real
+
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -39,9 +41,12 @@ class NoiseParams:
     tau_c: float
 
     def __post_init__(self):
-        for name, value in (("gamma_delta_b", self.gamma_delta_b), ("tau_c", self.tau_c)):
-            if not (math.isfinite(value) and value > 0):
+        for name in ("gamma_delta_b", "tau_c"):
+            value = getattr(self, name)
+            real = _require_real(name, value, "strictly positive and finite")
+            if not real > 0:
                 raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
+            object.__setattr__(self, name, real)
         scale = self.gamma_delta_b * self.tau_c
         if not math.isfinite(scale * scale):
             raise ValueError(f"(gamma_delta_b * tau_c)^2 overflows: gamma_delta_b="
@@ -57,7 +62,7 @@ def _exp_decay_remainder(x: float) -> float:
 
 
 def _check_time(T: float) -> None:
-    if not (math.isfinite(T) and T >= 0):
+    if not _require_real("time", T, "finite and nonnegative") >= 0:
         raise ValueError(f"time must be finite and nonnegative, got {T!r}")
 
 
@@ -112,12 +117,31 @@ def dephasing_kernel(m1, m2, var1: float, var2: float) -> np.ndarray:
     is real, symmetric, positive semidefinite and has a unit diagonal, so
     the Hadamard product with a state is again a state of the same trace.
     """
-    for name, var in (("var1", var1), ("var2", var2)):
-        if not (math.isfinite(var) and var >= 0):
-            raise ValueError(f"{name} must be finite and nonnegative, got {var!r}")
+    _check_variance("var1", var1)
+    _check_variance("var2", var2)
     d1 = np.subtract.outer(m1, m1)
     d2 = np.subtract.outer(m2, m2)
     # a sum of two nonnegative terms can overflow only to +inf, and
     # exp(-inf) = 0 is the exact kernel value there
     with np.errstate(over="ignore"):
         return np.exp(-0.5 * (var1 * (d1 * d1) + var2 * (d2 * d2)))
+
+
+def _collective_row(var: float, n: int) -> np.ndarray:
+    """exp(-var d^2 / 2) at d = 0..n, read-only: the collective kernel by distance.
+
+    Entry [i, j] of dephasing_kernel(zeros, m2, 0.0, var) for integer
+    weights m2 is entry |m2[i] - m2[j]| of this row, bit for bit: the
+    partition-1 term adds an exact 0.
+    """
+    _check_variance("var2", var)
+    d = np.arange(n + 1)
+    with np.errstate(over="ignore"):  # var d^2 overflows only to +inf, whose exp is 0
+        row = np.exp(-0.5 * (var * (d * d)))
+    row.flags.writeable = False
+    return row
+
+
+def _check_variance(name: str, var: float) -> None:
+    if not (math.isfinite(var) and var >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {var!r}")

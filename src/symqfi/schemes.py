@@ -27,6 +27,7 @@ from .collective_basis import (
     RotatedState,
     _require_angle,
     _require_integer,
+    _require_real,
     _rotated,
     _rotated_amplitudes,
     dicke_state,
@@ -34,7 +35,7 @@ from .collective_basis import (
     plus_product_state,
     rotate_y,
 )
-from .dephasing import (NoiseParams, dephasing_kernel, phase_variance_c,
+from .dephasing import (NoiseParams, _collective_row, dephasing_kernel, phase_variance_c,
                         spin_echo_weights_variance)
 from .qfi import frequency_from_phase, parity_qfi, spectral_qfi
 
@@ -213,46 +214,217 @@ def _grid_rotations(amps: bytes, offset: float) -> np.ndarray:
     return rows
 
 
-def _rotation_cell(probe: PureState, scheme: SchemeSpec, T: float,
-                   offset: float = 0.0) -> tuple[Callable, Callable, Callable, int]:
-    """Set-up of one cell: the phase QFI of probe turned about y by offset plus many angles.
+@functools.lru_cache(maxsize=64)
+def _spec_probe(family: ProbeFamily, n: int, n1: int | None, k1: int | None,
+                k2: int | None) -> tuple[PureState, float, dict]:
+    """_base_probe of the specs with these counts, and their _ProbeSetups by kind.
 
-    The only route to a QFI: scheme_qfi takes it at angle 0, scan and
-    optimize_rotation on _base_probe's unrotated probe and offset.  Returns
-    (probabilities, qfi, bound, step): probabilities maps G angles to the
-    squared amplitude moduli p, shape (G, D), of the signal state (below),
-    and no angles to those of the _GRID angles over [0, pi/2], whose
-    factor rotations _grid_rotations keeps across cells (for real bases, as
-    _base_probe builds them); qfi and bound map p to values per angle; step
-    angles fill 2^14 frame entries.  Each factor of the signal state, a
-    ProductState's two or the state itself, is a base rotated by offset
-    plus the angle a RotatedState carries (0 for any other state), through
-    _rotated_amplitudes as in rotate_y, so one set-up serves all angles.  A
-    bipartite state that is no ProductState, such as dfs_optimal's, is
-    taken at angle 0 only, where _rotated returns it as is (probabilities
-    refuses the grid and other angles).  Amplitudes enter by modulus only:
-    a diagonal phase commutes with the noise and the generator.
+    The key holds neither alpha nor the scheme kind, so every angle, time
+    and kind of a probe share one entry; _spec_setup fills its dict.
+    """
+    probe, offset = _base_probe(ProbeSpec(family, n, n1, k1, k2))
+    return probe, offset, {}
 
-    The scheme kind picks the signal state, its generator diagonal g and
-    dephasing_kernel's partition variances: var2 = C(T) always, and var1 =
-    C(T) under repeat, spin_echo_weights_variance(1, 0) under spin echo
-    (its dm1 dm2 term cancels) and 0 under collective noise, whose kernel
-    takes the total excitation number as partition 2's weight.  Spin echo
-    and repeat kernels thus factorize per partition with partition 2's
+
+def _spec_setup(spec: ProbeSpec, kind: SchemeKind) -> _ProbeSetup:
+    """The set-up scan and optimize_rotation take for spec: its unrotated probe under kind."""
+    probe, offset, setups = _spec_probe(spec.family, spec.n, spec.n1, spec.k1, spec.k2)
+    if kind not in setups:
+        setups[kind] = _ProbeSetup(probe, kind, offset)
+    return setups[kind]
+
+
+class _ProbeSetup:
+    """The time-free half of a cell: probe turned about y by offset plus many angles, under kind.
+
+    _rotation_cell adds the time.  scheme_qfi builds one for the probe it
+    is given, at angle 0; scan and optimize_rotation take theirs from
+    _spec_setup, on _base_probe's unrotated probe and offset, so a scan
+    builds one per group for all its times, and later cells of the same
+    counts reuse it.  Its arrays are read-only.
+
+    The kind picks the signal state and its generator diagonal g.  Spin
+    echo and repeat kernels factorize per partition with partition 2's
     factor exp(-C(T) dm2^2 / 2), so a ProductState carries the QFI of its
-    partition-2 factor, with its total z-spin, under collective dephasing.
-    The kernel picks the blocks: collective dephasing scales P_j rho P_k by
-    exp(-C(T)(j - k)^2 / 2) for the total-excitation projectors P_k, and
-    spin echo and repeat take one block per basis vector.
+    partition-2 factor, with its total z-spin, under collective dephasing;
+    the other kinds take the whole probe.  The kernel picks the blocks:
+    collective dephasing scales P_j rho P_k by exp(-C(T)(j - k)^2 / 2) for
+    the total-excitation projectors P_k (index maps each basis vector to
+    its k), and spin echo and repeat on any other state take one block per
+    basis vector, whose partition weights m1 and g the kernel reads.  ref
+    holds g at one entry of each block and dg = g - ref[index].
 
-    qfi maps squared amplitude moduli p, shape (D,) or a stack (G, D), to
-    the QFI of spectral_qfi frames: the normalized blocks P_k psi / ||P_k psi||
-    occupied in any state of the stack, the matrix sqrt(w_j w_k) kernel[j, k]
-    with w_k = ||P_k psi||^2, and the mean g_bar[k] and variance v[k] of g in
-    block k.  Both are taken about g at one entry of the block, so where g
-    is constant on a block g_bar is exact and v is 0 (v = None if 0 on every
-    block).  A state that leaves a block of its stack empty takes its own
-    frame, so no value depends on the rest of the stack.
+    Each factor of the signal state, a ProductState's two or the state
+    itself, is a base rotated by offset plus the angle a RotatedState
+    carries (0 for any other state), through _rotated_amplitudes as in
+    rotate_y.  A bipartite state that is no ProductState, such as
+    dfs_optimal's, is taken at angle 0 only, where _rotated returns it as
+    is.  p0 holds the probabilities at the start angles, the all-zero
+    stacks scan's unrotated probes pass.  Amplitudes enter by modulus
+    only: a diagonal phase commutes with the noise and the generator.
+
+    parity: the frames are collective blocks with v = None and every base
+    is an eigenstate of the collective pi rotation about y, so is every
+    such rotation of the signal state, decided on the bases, whose
+    amplitudes carry no rounding of a rotation: w_k = w_(n-k), and each
+    frame splits into the sectors of the reflection k -> n - k, which takes
+    G to -G (Cantoni and Butler, Linear Algebra Appl. 13, 275, 1976): the
+    even one spanned by (e_k + e_(n-k)) / sqrt(2), k < n/2, and e_(n/2),
+    the odd one by (e_k - e_(n-k)) / sqrt(2).  parity_qfi takes them, the
+    matrices sqrt(w_j w_k) (K[j, k] +- K[j, n - k]) from the lower half of
+    w (sectors).  step angles fill 2^14 frame entries.
+    """
+
+    def __init__(self, probe: PureState, kind: SchemeKind, offset: float = 0.0):
+        if kind is not SchemeKind.STANDARD and not isinstance(probe.basis, BipartiteSymmetricBasis):
+            raise ValueError(f"{kind.value} requires a bipartite probe")
+        state = probe
+        per_vector = kind in (SchemeKind.DI_SPIN_ECHO, SchemeKind.DI_REPEAT)
+        if per_vector and isinstance(probe, ProductState):
+            state, per_vector = probe.parts[1], False
+        basis = state.basis
+        self.kind, self.per_vector, self.offset = kind, per_vector, offset
+        self.entangled = (isinstance(basis, BipartiteSymmetricBasis)
+                          and not isinstance(state, ProductState))
+        # each factor as its unrotated base and the angle it starts from
+        self.factors = [(f.base, offset + f.angle) if isinstance(f, RotatedState) else (f, offset)
+                        for f in (state.parts if isinstance(state, ProductState) else (state,))]
+        # the signal acts on all of state under STANDARD and on partition 2's factor
+        g = basis.z_weights() if kind is SchemeKind.STANDARD or state is not probe \
+            else basis.partition2_weights()
+        if per_vector:  # one block per basis vector; g is partition 2's weight
+            index, self.m1 = np.arange(basis.dimension), basis.partition1_weights()
+        else:  # one block per total excitation number k, collective noise on k
+            index, self.m1 = basis.excitations(), None
+        self.nk = nk = len(g) if per_vector else basis.n + 1
+        ref = np.empty(nk)
+        ref[index] = g  # g at one entry of each block
+        dg = g - ref[index]
+        self.parity = (not per_vector and not dg.any()
+                       and all(_parity_eigenstate(f) for f, _ in self.factors))
+        self.mid = nk // 2  # an eigenstate has even n: block n/2 is its own mirror image
+        # the frame of a rotatable probe holds at most its n + 1 excitation blocks
+        self.step = max(1, _CHUNK_ENTRIES // (basis.n + 1) ** 2)
+        self.index, self.g, self.ref, self.dg = index, g, ref, dg
+        self.p0 = None if self.entangled and offset else self._rotate(np.zeros(1))
+        for x in (index, g, ref, dg, self.m1, self.p0):
+            if x is not None:
+                x.flags.writeable = False
+
+    def probabilities(self, alphas: np.ndarray | None = None) -> np.ndarray:
+        """Squared amplitude moduli p, shape (G, D), of the signal state at G angles.
+
+        No angles means the _GRID angles over [0, pi/2], whose factor
+        rotations _grid_rotations keeps across cells (for real bases, as
+        _base_probe builds them).
+        """
+        if self.entangled and (alphas is None or np.count_nonzero(self.offset + alphas)):
+            raise ValueError("a bipartite probe that is no ProductState rotates at angle 0 only")
+        if alphas is not None and not np.count_nonzero(alphas):
+            return self.p0.repeat(len(alphas), axis=0)
+        return self._rotate(alphas)
+
+    def _rotate(self, alphas: np.ndarray | None) -> np.ndarray:
+        if alphas is None:
+            amps = [_grid_rotations(f.amplitudes.real.tobytes(), start)
+                    for f, start in self.factors]
+        else:
+            amps = [_rotated_amplitudes(f.amplitudes, start + alphas) for f, start in self.factors]
+        if len(amps) == 2:
+            amps = [(amps[0][:, :, None] * amps[1][:, None, :]).reshape(len(amps[0]), -1)]
+        return np.abs(amps[0]) ** 2
+
+    def qfi(self, p: np.ndarray, kernel: Callable) -> np.ndarray:
+        """QFI per state of a stack p, shape (G, D), with kernel(ks) on the occupied blocks ks.
+
+        The frames are spectral_qfi's: the normalized blocks P_k psi / ||P_k psi||
+        occupied in any state of the stack, the matrix sqrt(w_j w_k) kernel[j, k]
+        with w_k = ||P_k psi||^2, and the mean g_bar[k] and variance v[k] of g
+        in block k.  Both are taken about ref, so where g is constant on a
+        block g_bar is exact and v is 0 (v = None if 0 on every block).  A
+        state that leaves a block of its stack empty takes its own frame, so
+        no value depends on the rest of the stack.  With parity, kernel(ks)
+        is the pair of sector matrices parity_qfi takes.
+        """
+        index, nk, mid = self.index, self.nk, self.mid
+        if index.size == nk:  # index is arange(nk): w = p, g_bar = g and v = 0
+            w, g_bar, v = p, np.where(p > 0, self.g, 0.0), None
+        else:
+            idx = index + nk * np.arange(len(p))[:, None] if p.size > index.size else index
+            flat = idx.ravel()
+            w = np.bincount(flat, p.ravel())
+            occupied = w > 0
+
+            def block_mean(x):
+                return np.divide(np.bincount(flat, (p * x).ravel()), w, out=np.zeros(w.shape),
+                                 where=occupied)
+
+            mu = block_mean(self.dg)
+            # the centered form is a sum of squares; E[g^2] - g_bar^2 can cancel below 0
+            c = self.dg - mu[idx]
+            shape = p.shape[:-1] + (nk,)
+            v, w = (x.reshape(shape) for x in (block_mean(c * c), w))
+            g_bar = self.ref + mu.reshape(shape)  # no frame takes an empty block
+        if self.parity:  # the lower half holds every block or its mirror image
+            w, g_bar = w[..., :mid + 1], g_bar[..., :mid + 1]
+        occupied = (w > 0).reshape(-1, w.shape[-1])
+        union = occupied.any(axis=0)
+        if len(occupied) == 1 or occupied[:, union].all():
+            return self._frames(w, g_bar, v, union, kernel)
+        # a state on fewer blocks, as at theta = 0, takes its own frame
+        full = occupied[:, union].all(axis=1)
+        out = np.empty(len(full))
+        for r in np.flatnonzero(~full):
+            rows = slice(r, r + 1)
+            out[r] = self._frames(w[rows], g_bar[rows], v if v is None else v[rows],
+                                  occupied[r], kernel)[0]
+        if full.any():
+            out[full] = self._frames(w[full], g_bar[full], v if v is None else v[full], union,
+                                     kernel)
+        return out
+
+    def _frames(self, w, g_bar, v, blocks, kernel):
+        ks = np.flatnonzero(blocks)
+        # take keeps a stack C-ordered, so each frame meets BLAS as it does alone
+        root = np.sqrt(np.take(w, ks, axis=-1))
+        if self.parity:
+            even, odd = kernel(ks)
+            d = len(odd)
+            return parity_qfi(root[..., :, None] * root[..., None, :] * even,
+                              root[..., :d, None] * root[..., None, :d] * odd,
+                              np.take(g_bar, ks[:d], axis=-1))
+        return spectral_qfi(root[..., :, None] * root[..., None, :] * kernel(ks),
+                            np.take(g_bar, ks, axis=-1),
+                            np.take(v, ks, axis=-1) if v is not None and v.any() else None)
+
+    def sectors(self, ks: np.ndarray, kernel: Callable) -> tuple[np.ndarray, np.ndarray]:
+        """The even and odd sector kernels on the lower-half blocks ks, from kernel(blocks)."""
+        both = np.concatenate([ks, self.nk - 1 - ks])  # the blocks and their mirror images
+        full = kernel(both)
+        size, d = len(ks), np.count_nonzero(ks < self.mid)
+        direct, mirrored = full[:size, :size], full[:size, size:]
+        even = direct + mirrored
+        if d < size:  # the middle block, last in ks, pairs with no mirror
+            even[-1, :] = even[:, -1] = math.sqrt(2.0) * direct[:, -1]
+            even[-1, -1] = direct[-1, -1]
+        return even, direct[:d, :d] - mirrored[:d, :d]
+
+
+def _rotation_cell(setup: _ProbeSetup, noise: NoiseParams,
+                   T: float) -> tuple[Callable, Callable, Callable, int]:
+    """The per-time half of a cell: the phase QFI of setup's probe at time T, at many angles.
+
+    The only route to a QFI.  Returns (probabilities, qfi, bound, step):
+    setup's probabilities and step, and qfi and bound mapping p to values
+    per angle.  The time enters only through dephasing_kernel's partition
+    variances: var2 = C(T) always, and var1 = C(T) under repeat,
+    spin_echo_weights_variance(1, 0) under spin echo (its dm1 dm2 term
+    cancels) and 0 under collective noise, whose kernel takes the total
+    excitation number as partition 2's weight.  The collective kernel on
+    any blocks is gathered by distance from _collective_row, the same
+    floats; a per-vector kernel is dephasing_kernel of the blocks'
+    weights.  The kernel on each set of occupied blocks is taken once per
+    cell, and a stack's chunks share it.
 
     bound maps p to an upper bound on the QFI.  The QFI is four times the
     convex roof of the variance (Toth and Petz, Phys. Rev. A 87, 032324,
@@ -264,148 +436,51 @@ def _rotation_cell(probe: PureState, scheme: SchemeSpec, T: float,
     the pure QFI 4 Var(g), and with the identity kernel the steady-state
     QFI.  The root is taken on the first call, so qfi alone never pays for
     it.
-
-    p holds probabilities of the signal state at rotations about y of its
-    factors' bases.  Where the frames are collective blocks with v = None
-    and every base is an eigenstate of the collective pi rotation about y,
-    so is every such rotation of the signal state, decided on the bases,
-    whose amplitudes carry no rounding of a rotation: w_k = w_(n-k), and
-    each frame splits into the sectors of the reflection k -> n - k, which
-    takes G to -G (Cantoni and Butler, Linear Algebra Appl. 13, 275, 1976):
-    the even one spanned by (e_k + e_(n-k)) / sqrt(2), k < n/2, and
-    e_(n/2), the odd one by (e_k - e_(n-k)) / sqrt(2).  parity_qfi takes
-    them, the matrices sqrt(w_j w_k) (K[j, k] +- K[j, n - k]) from the
-    lower half of w.
     """
-    kind, noise = scheme.kind, scheme.noise
-    if kind is not SchemeKind.STANDARD and not isinstance(probe.basis, BipartiteSymmetricBasis):
-        raise ValueError(f"{kind.value} requires a bipartite probe")
-    state, var2 = probe, phase_variance_c(T, noise)
-    per_vector = kind in (SchemeKind.DI_SPIN_ECHO, SchemeKind.DI_REPEAT)
-    if per_vector and isinstance(probe, ProductState):
-        state, per_vector = probe.parts[1], False
-    basis = state.basis
-    entangled = isinstance(basis, BipartiteSymmetricBasis) and not isinstance(state, ProductState)
-    # each factor as its unrotated base and the angle it starts from
-    factors = [(f.base, offset + f.angle) if isinstance(f, RotatedState) else (f, offset)
-               for f in (state.parts if isinstance(state, ProductState) else (state,))]
-    # the signal acts on all of state under STANDARD and on partition 2's factor
-    g = basis.z_weights() if kind is SchemeKind.STANDARD or state is not probe \
-        else basis.partition2_weights()
-
-    # the blocks, and the partition weights and variances the kernel sees on each
-    if per_vector:  # one block per basis vector; g is partition 2's weight
-        index, m1, m2 = np.arange(basis.dimension), basis.partition1_weights(), g
-        var1 = var2 if kind is SchemeKind.DI_REPEAT \
+    var2 = phase_variance_c(T, noise)
+    if setup.per_vector:
+        var1 = var2 if setup.kind is SchemeKind.DI_REPEAT \
             else spin_echo_weights_variance(1.0, 0.0, T, noise)
-    else:  # one block per total excitation number k, collective noise on k
-        index, m1, m2 = basis.excitations(), np.zeros(basis.n + 1), np.arange(basis.n + 1)
-        var1 = 0.0
-    nk = len(m2)
-    ref = np.empty(nk)
-    ref[index] = g  # g at one entry of each block
-    dg = g - ref[index]
-    parity = not per_vector and not dg.any() and all(_parity_eigenstate(f) for f, _ in factors)
-    mid = nk // 2  # an eigenstate has even n: block n/2 is its own mirror image
-    kernels = {}  # kernel on each set of occupied blocks; a stack's chunks share them
 
-    def sectors(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        both = np.concatenate([ks, nk - 1 - ks])  # the blocks and their mirror images
-        kernel = dephasing_kernel(m1[both], m2[both], var1, var2)
-        size, d = len(ks), np.count_nonzero(ks < mid)
-        direct, mirrored = kernel[:size, :size], kernel[:size, size:]
-        even = direct + mirrored
-        if d < size:  # the middle block, last in ks, pairs with no mirror
-            even[-1, :] = even[:, -1] = math.sqrt(2.0) * direct[:, -1]
-            even[-1, -1] = direct[-1, -1]
-        return even, direct[:d, :d] - mirrored[:d, :d]
+        def kernel(ks: np.ndarray) -> np.ndarray:
+            return dephasing_kernel(setup.m1[ks], setup.g[ks], var1, var2)
+    else:
+        row = _collective_row(var2, setup.nk - 1)
 
-    def qfi(p: np.ndarray):
-        if index.size == nk:  # index is arange(nk): w = p, g_bar = g and v = 0
-            w, g_bar, v = p, np.where(p > 0, g, 0.0), None
-        else:
-            idx = index + nk * np.arange(len(p))[:, None] if p.size > index.size else index
-            flat = idx.ravel()
-            w = np.bincount(flat, p.ravel())
-            occupied = w > 0
+        def kernel(ks: np.ndarray) -> np.ndarray:
+            return row[np.abs(np.subtract.outer(ks, ks))]
 
-            def block_mean(x):
-                return np.divide(np.bincount(flat, (p * x).ravel()), w, out=np.zeros(w.shape),
-                                 where=occupied)
+    kernels = {}  # by set of occupied blocks
 
-            mu = block_mean(dg)
-            # the centered form is a sum of squares; E[g^2] - g_bar^2 can cancel below 0
-            c = dg - mu[idx]
-            shape = p.shape[:-1] + (nk,)
-            v, w = (x.reshape(shape) for x in (block_mean(c * c), w))
-            g_bar = ref + mu.reshape(shape)  # no frame takes an empty block
-        if parity:  # the lower half holds every block or its mirror image
-            w, g_bar = w[..., :mid + 1], g_bar[..., :mid + 1]
-        occupied = (w > 0).reshape(-1, w.shape[-1])
-        union = occupied.any(axis=0)
-        if len(occupied) == 1 or occupied[:, union].all():
-            return frames(w, g_bar, v, union)
-        # a state on fewer blocks, as at theta = 0, takes its own frame
-        full = occupied[:, union].all(axis=1)
-        out = np.empty(len(full))
-        for r in np.flatnonzero(~full):
-            rows = slice(r, r + 1)
-            out[r] = frames(w[rows], g_bar[rows], v if v is None else v[rows], occupied[r])[0]
-        if full.any():
-            out[full] = frames(w[full], g_bar[full], v if v is None else v[full], union)
-        return out
-
-    def frames(w, g_bar, v, blocks):
-        ks = np.flatnonzero(blocks)
-        # take keeps a stack C-ordered, so each frame meets BLAS as it does alone
-        root = np.sqrt(np.take(w, ks, axis=-1))
+    def frame_kernel(ks: np.ndarray):
         key = ks.tobytes()
         if key not in kernels:
-            kernels[key] = sectors(ks) if parity else dephasing_kernel(m1[ks], m2[ks], var1, var2)
-        if parity:
-            even, odd = kernels[key]
-            d = len(odd)
-            return parity_qfi(root[..., :, None] * root[..., None, :] * even,
-                              root[..., :d, None] * root[..., None, :d] * odd,
-                              np.take(g_bar, ks[:d], axis=-1))
-        return spectral_qfi(root[..., :, None] * root[..., None, :] * kernels[key],
-                            np.take(g_bar, ks, axis=-1),
-                            np.take(v, ks, axis=-1) if v is not None and v.any() else None)
+            kernels[key] = setup.sectors(ks, kernel) if setup.parity else kernel(ks)
+        return kernels[key]
 
-    @functools.cache  # taken on the first bound call: qfi alone never pays for it
-    def mixture_weights() -> np.ndarray:
-        """(B o B)[index] for the kernel's symmetric root B."""
-        mu, vectors = np.linalg.eigh(dephasing_kernel(m1, m2, var1, var2))
-        root = (vectors * np.sqrt(np.maximum(mu, 0.0))) @ vectors.T
-        return (root * root)[index]
+    def qfi(p: np.ndarray) -> np.ndarray:
+        return setup.qfi(p, frame_kernel)
+
+    mixture = []  # (B o B)[index], taken on the first bound call
 
     def bound(p: np.ndarray) -> np.ndarray:
-        y, pg = mixture_weights(), p * g
+        if not mixture:
+            mu, vectors = np.linalg.eigh(kernel(np.arange(setup.nk)))
+            root = (vectors * np.sqrt(np.maximum(mu, 0.0))) @ vectors.T
+            mixture.append((root * root)[setup.index])
+        y, g = mixture[0], setup.g
+        pg = p * g
         s0, s1, s2 = p @ y, pg @ y, (pg * g) @ y
         spread = s2 - np.divide(s1 * s1, s0, out=np.zeros(s0.shape), where=s0 > 0)
         return 4.0 * spread.sum(axis=-1)
 
-    # the frame of a rotatable probe holds at most its n + 1 excitation blocks
-    step = max(1, _CHUNK_ENTRIES // (basis.n + 1) ** 2)
-
-    def probabilities(alphas: np.ndarray | None = None) -> np.ndarray:
-        if entangled and (alphas is None or np.count_nonzero(offset + alphas)):
-            raise ValueError("a bipartite probe that is no ProductState rotates at angle 0 only")
-        if alphas is None:
-            amps = [_grid_rotations(f.amplitudes.real.tobytes(), start) for f, start in factors]
-        else:
-            amps = [_rotated_amplitudes(f.amplitudes, start + alphas) for f, start in factors]
-        if len(amps) == 2:
-            amps = [(amps[0][:, :, None] * amps[1][:, None, :]).reshape(len(amps[0]), -1)]
-        return np.abs(amps[0]) ** 2
-
-    return probabilities, qfi, bound, step
+    return setup.probabilities, qfi, bound, setup.step
 
 
-def _rotation_qfi(probe: PureState, scheme: SchemeSpec, T: float,
-                  offset: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
-    """Phase QFI of probe rotated by offset plus each angle of an array, for one cell."""
-    probabilities, qfi, _, step = _rotation_cell(probe, scheme, T, offset)
+def _rotation_qfi(setup: _ProbeSetup, noise: NoiseParams,
+                  T: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Phase QFI of setup's probe rotated by its offset plus each angle of an array, at time T."""
+    probabilities, qfi, _, step = _rotation_cell(setup, noise, T)
 
     def evaluate(alphas: np.ndarray) -> np.ndarray:
         alphas = np.asarray(alphas, dtype=float)
@@ -421,13 +496,14 @@ def scheme_qfi(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[float, f
     One _rotation_qfi call at angle 0, on the route scan takes: the dephased
     probe is diagonalized in the smallest orthonormal frame that holds it,
     without building the dense density matrix; the scheme kind picks the
-    kernel, and the kernel picks the frame's blocks (see _rotation_cell).
+    kernel, and the kernel picks the frame's blocks (see _ProbeSetup).
     Where the generator is constant on every block, as under STANDARD, a
     probe whose coherences between blocks have died reads exactly 0.0.  A
     probe from build_probe keeps its unrotated factors and angle, so its
     value is the one scan prints for its spec, bit for bit.
     """
-    f_phase = float(_rotation_qfi(probe, scheme, T)(np.zeros(1))[0])
+    evaluate = _rotation_qfi(_ProbeSetup(probe, scheme.kind), scheme.noise, T)
+    f_phase = float(evaluate(np.zeros(1))[0])
     return f_phase, frequency_from_phase(f_phase, T)
 
 
@@ -472,8 +548,8 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     """
     if spec.family is ProbeFamily.DFS_OPTIMAL:
         raise ValueError("dfs_optimal has no rotation parameter")
-    probe, offset = _base_probe(spec)
-    probabilities, qfi, bound, step = _rotation_cell(probe, scheme, T, offset)
+    probabilities, qfi, bound, step = _rotation_cell(_spec_setup(spec, scheme.kind),
+                                                     scheme.noise, T)
 
     # tie window: relative part for flat optima, absolute part for landscapes
     # that have fully decohered to numerical-noise level
@@ -529,17 +605,16 @@ def scan(scheme: SchemeSpec, probes: list[ProbeSpec], times,
     """Evaluate every (probe, time) pair, probe-major then time-minor.
 
     Domain errors become flagged NaN rows instead of aborting the whole
-    scan; a non-finite time raises ValueError.  A group, the probes that
-    differ only in alpha, takes one call per time: a _rotation_qfi stack of
-    their angles, bit for bit the one-angle values, or, under optimize_alpha,
-    where each probe is a group and its alpha is ignored, optimize_rotation.
-    A call's error is every cell's: no refusal depends on alpha, only on the
+    scan; a time that is no finite real number raises ValueError.  A
+    group, the probes that differ only in alpha, takes one set-up
+    (_spec_setup) and one call per time: a _rotation_qfi stack of their
+    angles, bit for bit the one-angle values, or, under optimize_alpha,
+    where each probe is a group and its alpha is ignored,
+    optimize_rotation.  A call's error is every cell's, and a set-up's
+    every cell's at every time: no refusal depends on alpha, only on the
     kind, T, family or split.
     """
-    times = tuple(float(t) for t in times)
-    bad = [t for t in times if not math.isfinite(t)]
-    if bad:
-        raise ValueError(f"times must be finite, got {bad[0]!r}")
+    times = tuple(_require_real("times", t) for t in times)
     if not probes or not times:
         raise ValueError("scan needs at least one probe and one time")
     groups: dict = {}  # probe indices by everything but alpha
@@ -550,16 +625,25 @@ def scan(scheme: SchemeSpec, probes: list[ProbeSpec], times,
     for members in groups.values():
         spec, alphas = probes[members[0]], [probes[i].alpha for i in members]
         stack = np.array(alphas, dtype=float)
-        for j, T in enumerate(times):
-            try:
-                if optimize_alpha:
-                    cells = [optimize_rotation(spec, scheme, T)]
-                else:
-                    probe, offset = _base_probe(spec)
-                    cells = zip(alphas, _rotation_qfi(probe, scheme, T, offset)(stack).tolist())
-                cells = [(a, f, frequency_from_phase(f, T), None) for a, f in cells]
+        setup = refused = None
+        if not optimize_alpha:
+            try:  # one set-up for all times; its error is every cell's
+                setup = _spec_setup(spec, scheme.kind)
             except ValueError as exc:
-                cells = [(a, math.nan, math.nan, str(exc)) for a in alphas]
+                refused = str(exc)
+        for j, T in enumerate(times):
+            error = refused
+            if error is None:
+                try:
+                    if optimize_alpha:
+                        cells = [optimize_rotation(spec, scheme, T)]
+                    else:
+                        cells = zip(alphas, _rotation_qfi(setup, scheme.noise, T)(stack).tolist())
+                    cells = [(a, f, frequency_from_phase(f, T), None) for a, f in cells]
+                except ValueError as exc:
+                    error = str(exc)
+            if error is not None:
+                cells = [(a, math.nan, math.nan, error) for a in alphas]
             for i, (alpha, f_phase, f_freq, error) in zip(members, cells):
                 p = probes[i]  # its own counts: an int and a numpy int share a group
                 rows[i, j] = ScanResult(scheme.kind.value, p.family.value, p.n, p.n1, p.k1, p.k2,

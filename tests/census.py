@@ -1,0 +1,136 @@
+"""Seeded census of scan and optimize_rotation values, for comparing two trees bit for bit.
+
+    PYTHONPATH=src python tests/census.py --seed 1 --cells 2000 > before.jsonl
+    PYTHONPATH=other/src python tests/census.py --seed 1 --cells 2000 --against before.jsonl
+
+The seed draws each cell: a scheme kind, a family that kind takes (every
+rotatable family, split or not, and dfs_optimal), n <= 40, T log-uniform
+over 1e-5..10 s and alpha, exactly 0, uniform over -20..20 rad or
+log-uniform up to 1e308 with either sign (dfs_optimal at 0 only).  Each
+cell is one JSON line with the inputs, scan's F_phase as float.hex and
+its error; about one rotatable cell in ten also holds optimize_rotation's
+(alpha, F) as float.hex.  With --against FILE the lines are not written:
+the cells are compared with FILE's, and the count of identical cells and
+the worst relative move of a value are printed; the exit status is 1 if
+any cell moved.  Bits depend on BLAS and numpy, so compare two trees on
+one machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import random
+import sys
+
+from symqfi import (NoiseParams, ProbeFamily, ProbeSpec, SchemeKind, SchemeSpec, optimize_rotation,
+                    scan)
+
+NOISE = NoiseParams(2.0 * math.pi * 50.0, 1.0)
+MAX_N = 40
+SPLIT_FAMILIES = ("ghz_bipartite", "bsd", "product_plus", "dfs_optimal")
+UNSPLIT_FAMILIES = ("ghz", "dicke_symmetric", "product_plus")
+
+
+def _alpha(rng: random.Random) -> float:
+    u = rng.random()
+    if u < 0.2:
+        return 0.0
+    if u < 0.85:
+        return rng.uniform(-20.0, 20.0)
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 308.0)
+
+
+def cells(seed: int, count: int):
+    """count cells drawn from seed, each a dict of the census line's inputs."""
+    rng = random.Random(f"census:{seed}")
+    for _ in range(count):
+        kind = rng.choice([k.value for k in SchemeKind])
+        split = kind != "standard" or rng.random() < 0.5
+        family = rng.choice(SPLIT_FAMILIES if split else UNSPLIT_FAMILIES)
+        n = rng.randint(2, MAX_N)
+        if family in ("dicke_symmetric", "dfs_optimal"):
+            n -= n % 2
+        n1 = k1 = k2 = None
+        if split:
+            n1 = n // 2 if family == "dfs_optimal" else rng.randint(1, n - 1)
+        if family == "bsd":
+            k1, k2 = rng.randint(0, n1), rng.randint(0, n - n1)
+        alpha = 0.0 if family == "dfs_optimal" else _alpha(rng)
+        T = 10.0 ** rng.uniform(-5.0, 1.0)
+        optimize = family != "dfs_optimal" and rng.random() < 0.1
+        yield dict(kind=kind, family=family, n=n, n1=n1, k1=k1, k2=k2, alpha=alpha.hex(),
+                   T=T.hex(), optimize=optimize)
+
+
+def spec_of(cell: dict) -> tuple[SchemeSpec, ProbeSpec, float]:
+    spec = ProbeSpec(ProbeFamily(cell["family"]), cell["n"], n1=cell["n1"], k1=cell["k1"],
+                     k2=cell["k2"], alpha=float.fromhex(cell["alpha"]))
+    return SchemeSpec(SchemeKind(cell["kind"]), NOISE), spec, float.fromhex(cell["T"])
+
+
+def record(cell: dict) -> dict:
+    """The census line of a cell: its inputs, scan's F and error and, if asked, the optimum."""
+    scheme, spec, T = spec_of(cell)
+    row = scan(scheme, [spec], [T])[0]
+    line = dict(cell, F=row.f_phase.hex(), error=row.error)
+    if cell["optimize"]:
+        line["opt"] = [x.hex() for x in optimize_rotation(spec, scheme, T)]
+    return line
+
+
+def _values(line: dict) -> list[float]:
+    return [float.fromhex(x) for x in [line["F"], *line.get("opt", [])]]
+
+
+def _move(a: float, b: float) -> float:
+    """Relative move from a to b: 0 where the bits agree, inf where one is nan."""
+    if a.hex() == b.hex():
+        return 0.0
+    if math.isnan(a) or math.isnan(b):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare(lines: list[dict], reference: list[dict]) -> tuple[int, float, dict | None]:
+    """(identical cells, worst relative move, the cell that moved most) against reference."""
+    if len(lines) != len(reference):
+        raise ValueError(f"{len(lines)} cells against {len(reference)} in the reference")
+    identical, worst, where = 0, 0.0, None
+    for line, ref in zip(lines, reference):
+        inputs = {key: value for key, value in line.items() if key not in ("F", "error", "opt")}
+        if any(ref.get(key) != value for key, value in inputs.items()):
+            raise ValueError(f"cell {inputs} differs from the reference's: another seed?")
+        if line == ref:
+            identical += 1
+            continue
+        moves = [_move(a, b) for a, b in zip(_values(ref), _values(line))]
+        if max(moves, default=0.0) >= worst:
+            worst, where = max(moves, default=0.0), line
+    return identical, worst, where
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--cells", type=int, required=True)
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare with a census of the same seed and count")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        for cell in cells(args.seed, args.cells):
+            print(json.dumps(record(cell)), flush=True)
+        return 0
+    with open(args.against, encoding="utf-8") as handle:
+        reference = [json.loads(line) for line in handle if line.strip()]
+    lines = [record(cell) for cell in cells(args.seed, args.cells)]
+    identical, worst, where = compare(lines, reference)
+    print(f"identical: {identical} of {len(lines)} cells")
+    print(f"worst relative move: {worst!r}" + (f" at {json.dumps(where)}" if where else ""))
+    return 0 if identical == len(lines) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,7 +12,7 @@ from symqfi.collective_basis import (
 )
 from symqfi.dephasing import NoiseParams, phase_variance_c
 from symqfi.qfi import frequency_from_phase, max_qfi_bound, parity_qfi, spectral_qfi
-from symqfi.schemes import (ProbeFamily, ProbeSpec, SchemeKind, SchemeSpec, _base_probe,
+from symqfi.schemes import (ProbeFamily, ProbeSpec, SchemeKind, SchemeSpec,
                             _rotation_qfi)
 
 import oracles
@@ -215,8 +215,7 @@ class TestInputLayout:
         real = getattr(schemes, name)
         monkeypatch.setattr(schemes, name, lambda *args: calls.append(args) or real(*args))
         for scheme, spec, T in cells:
-            probe, offset = _base_probe(spec)
-            _rotation_qfi(probe, scheme, T, offset)(angles)
+            _rotation_qfi(schemes._spec_setup(spec, scheme.kind), scheme.noise, T)(angles)
         return calls
 
     def test_spectral_qfi_reads_every_layout_alike(self, monkeypatch):

@@ -17,8 +17,10 @@ from symqfi.collective_basis import (
     dicke_state,
     ghz_state,
     rotate_y,
+    wigner_d_matrix,
 )
-from symqfi.dephasing import NoiseParams, phase_variance_c, spin_echo_weights_variance
+from symqfi.dephasing import (NoiseParams, _collective_row, dephasing_kernel, phase_variance_c,
+                              spin_echo_weights_variance)
 from symqfi.qfi import frequency_from_phase, max_qfi_bound, spectral_qfi
 from symqfi.schemes import (
     ProbeFamily,
@@ -506,15 +508,13 @@ class TestFramesAgainstDense:
 def rotation_cell(spec: ProbeSpec, scheme: SchemeSpec, T: float):
     """_rotation_cell as scan and optimize_rotation set it up: on spec's
     unrotated probe, from its family's offset."""
-    probe, offset = schemes._base_probe(spec)
-    return schemes._rotation_cell(probe, scheme, T, offset)
+    return schemes._rotation_cell(schemes._spec_setup(spec, scheme.kind), scheme.noise, T)
 
 
 def rotation_qfi(spec: ProbeSpec, scheme: SchemeSpec, T: float):
     """_rotation_qfi as scan sets it up: on spec's unrotated probe, from its
     family's offset."""
-    probe, offset = schemes._base_probe(spec)
-    return _rotation_qfi(probe, scheme, T, offset)
+    return _rotation_qfi(schemes._spec_setup(spec, scheme.kind), scheme.noise, T)
 
 
 def fake_cell(landscape, sizes=None):
@@ -522,7 +522,7 @@ def fake_cell(landscape, sizes=None):
     are the angles themselves (the grid's if none are given) and its bound
     is +inf, so the optimizer visits every grid angle; sizes records the
     angles per QFI call."""
-    def cell(probe, scheme, T, offset=0.0):
+    def cell(setup, noise, T):
         def probabilities(alphas=None):
             if alphas is None:
                 alphas = schemes._GRID
@@ -533,8 +533,7 @@ def fake_cell(landscape, sizes=None):
                 sizes.append(len(p))
             return landscape(p[:, 0])
 
-        return (probabilities, qfi, lambda p: np.full(len(p), math.inf),
-                schemes._CHUNK_ENTRIES // (probe.basis.n + 1) ** 2)
+        return probabilities, qfi, lambda p: np.full(len(p), math.inf), setup.step
     return cell
 
 
@@ -828,19 +827,18 @@ class TestOptimizeRotation:
 
     def test_only_the_optimizer_factors_the_kernel(self, monkeypatch):
         # the bound's root of the kernel is taken on the first bound call, by
-        # an eigh of an array dephasing_kernel returned (frames and parity
-        # sectors are new arrays built from it); scan at given angles and
+        # an eigh of the kernel on every block, whose diagonal is all ones (a
+        # frame's or a parity sector's holds block weights, which sum to at
+        # most 1 over at least two blocks); scan at given angles and
         # scheme_qfi never call bound
-        kernels, calls = [], []
-        kernel, eigh = schemes.dephasing_kernel, np.linalg.eigh
+        calls = []
+        eigh = np.linalg.eigh
 
         def counted(m):
-            if any(m is k for k in kernels):
+            if m.ndim == 2 and len(m) > 1 and (np.diagonal(m) == 1.0).all():
                 calls.append(m.shape)
             return eigh(m)
 
-        monkeypatch.setattr(schemes, "dephasing_kernel",
-                            lambda *args: kernels.append(kernel(*args)) or kernels[-1])
         monkeypatch.setattr(np.linalg, "eigh", counted)
         times = (1e-4, 1e-2, 2.0)
         for scheme in (STANDARD, DI_IDEAL, DI_ECHO, DI_REPEAT):
@@ -986,14 +984,16 @@ class TestRotationEvaluator:
         for alphas, start in ((np.array([0.3]), 0.0), (np.array([0.0, 0.3]), 0.0),
                               (np.zeros(1), 0.3)):
             with pytest.raises(ValueError) as info:
-                _rotation_qfi(probe, DI_IDEAL, 1e-3, start)(alphas)
+                _rotation_qfi(schemes._ProbeSetup(probe, DI_IDEAL.kind, start), DI_IDEAL.noise,
+                              1e-3)(alphas)
             assert str(info.value) == message
-        probabilities = schemes._rotation_cell(probe, DI_IDEAL, 1e-3)[0]
+        probabilities = schemes._ProbeSetup(probe, DI_IDEAL.kind).probabilities
         with pytest.raises(ValueError) as info:
             probabilities()
         assert str(info.value) == message
         # at angle 0 the route is scheme_qfi's, and the dense channel judges it
-        at_zero = float(_rotation_qfi(probe, DI_IDEAL, 1e-3)(np.zeros(1))[0])
+        at_zero = float(_rotation_qfi(schemes._ProbeSetup(probe, DI_IDEAL.kind), DI_IDEAL.noise,
+                                      1e-3)(np.zeros(1))[0])
         assert at_zero == scheme_qfi(probe, DI_IDEAL, 1e-3)[0]
         assert at_zero == pytest.approx(dense_qfi(probe, DI_IDEAL, 1e-3), rel=1e-9)
 
@@ -1209,13 +1209,16 @@ class TestScan:
         probes += [ProbeSpec(ProbeFamily.BSD, 7, n1=3, k1=1, k2=2, alpha=float(a))
                    for a in alphas[::-3]]
         times = [0.0, 1e-3, 3e-2]
-        # one call per time for each of the four probes, singletons included;
-        # under spin echo the unsplit GHZ and product stacks are refused, and
-        # the call's error is the error row of each of their 15 + 1 cells
-        for scheme, n_calls, n_errors in ((STANDARD, 12, 0), (DI_ECHO, 12, 48)):
+        # one set-up for each of the four probes, singletons included, and one
+        # call per time for each set-up that holds; under spin echo the set-up
+        # of the unsplit GHZ and product stacks is refused, and its error is
+        # the error row of each of their 15 + 1 cells at every time
+        for scheme, n_calls, n_errors in ((STANDARD, 12, 0), (DI_ECHO, 6, 48)):
             alone = [row for probe in probes for row in scan(scheme, [probe], times)]
+            setups = count_calls(monkeypatch, "_spec_setup")
             calls = count_calls(monkeypatch, "_rotation_qfi")
             rows = scan(scheme, probes, times)
+            assert len(setups) == 4
             assert len(calls) == n_calls
             monkeypatch.undo()
             assert [(r.family, r.alpha, r.T, r.error) for r in rows] == \
@@ -1429,3 +1432,124 @@ class TestSchemeProperties:
         probe = build_probe(ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8))
         for T in (0.0, 0.01, 1.0, 25.0):
             assert scheme_qfi(probe, DI_IDEAL, T)[0] == pytest.approx(16.0, abs=1e-10)
+
+
+# an int beyond the float range
+HUGE = 10 ** 400
+GHZ_4 = [ProbeSpec(ProbeFamily.GHZ, 4)]
+
+
+class TestRealInputs:
+    """One boundary for real inputs: a bool, a non-real value, a non-finite one
+    or an int beyond the float range is a ValueError in each caller's wording."""
+
+    @pytest.mark.parametrize("message, f, args", [
+        (f"rotation angle must be finite, got alpha={HUGE!r}",
+         ProbeSpec, (ProbeFamily.GHZ, 8, None, None, None, HUGE)),
+        (f"rotation angle must be finite, got angle={HUGE!r}", rotate_y, (ghz_state(8), HUGE)),
+        (f"rotation angle must be finite, got angle={-HUGE!r}", wigner_d_matrix, (8, -HUGE)),
+        (f"gamma_delta_b must be strictly positive and finite, got {HUGE!r}",
+         NoiseParams, (HUGE, 1.0)),
+        (f"times must be finite, got {HUGE!r}", scan, (STANDARD, GHZ_4, [0.1, HUGE])),
+        (f"time must be finite and nonnegative, got {HUGE!r}", phase_variance_c, (HUGE, NOISE)),
+        (f"time must be finite and nonnegative, got {HUGE!r}",
+         scheme_qfi, (ghz_state(4), STANDARD, HUGE)),
+        ("times must be a real number, got True", scan, (STANDARD, GHZ_4, [True])),
+        ("times must be a real number, got '0.1'", scan, (STANDARD, GHZ_4, ["0.1"])),
+        ("times must be a real number, got (0.1+0j)", scan, (STANDARD, GHZ_4, [0.1 + 0j])),
+        ("gamma_delta_b must be a real number, got True", NoiseParams, (True, 1.0)),
+        ("tau_c must be a real number, got '1'", NoiseParams, (1.0, "1")),
+        ("time must be a real number, got True", phase_variance_c, (True, NOISE)),
+    ], ids=["spec-alpha-huge", "rotate-huge", "wigner-d-huge", "noise-huge", "scan-time-huge",
+            "variance-time-huge", "scheme-qfi-time-huge", "scan-time-bool", "scan-time-str",
+            "scan-time-complex", "noise-bool", "noise-str", "variance-time-bool"])
+    def test_message(self, message, f, args):
+        with pytest.raises(ValueError) as info:
+            f(*args)
+        assert str(info.value) == message
+
+    def test_numpy_reals_enter_as_floats(self):
+        noise = NoiseParams(np.float64(2.0), np.int64(3))
+        assert (type(noise.gamma_delta_b), type(noise.tau_c)) == (float, float)
+        assert noise == NoiseParams(2.0, 3.0)
+        rows = scan(STANDARD, GHZ_4, [np.float32(0.5), np.int64(0), 10 ** 300])
+        assert [(type(r.T), r.T) for r in rows] == [(float, 0.5), (float, 0.0), (float, 1e300)]
+
+
+class TestProbeSetup:
+    """scan and optimize_rotation take each spec's time-free set-up from a
+    64-entry cache keyed by its counts, and add the time per cell."""
+
+    @staticmethod
+    def bits(rows):
+        return [(r.family, r.alpha, r.T, r.f_phase.hex(), r.error) for r in rows]
+
+    def test_multi_time_scan_equals_one_time_scans(self):
+        times = [0.0, 1e-5, 1e-3, 1.3e-2, 0.3, 10.0]
+        alphas = (0.0, 0.7, -13.0)
+        split = [ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 8, n1=3, alpha=a) for a in alphas]
+        split += [ProbeSpec(ProbeFamily.BSD, 8, n1=4, k1=1, k2=3, alpha=a) for a in alphas]
+        split += [ProbeSpec(ProbeFamily.PRODUCT_PLUS, 7, n1=3, alpha=a) for a in alphas]
+        split += [ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8)]
+        unsplit = [ProbeSpec(family, n, alpha=a) for family, n in (
+            (ProbeFamily.GHZ, 7), (ProbeFamily.DICKE_SYMMETRIC, 8), (ProbeFamily.PRODUCT_PLUS, 6))
+            for a in alphas]
+        for scheme in (STANDARD, DI_IDEAL, DI_ECHO, DI_REPEAT):
+            probes = split + unsplit  # the DI kinds refuse the unsplit ones at set-up
+            alone = []
+            for spec in probes:
+                for T in times:
+                    schemes._spec_probe.cache_clear()
+                    alone += scan(scheme, [spec], [T])
+            schemes._spec_probe.cache_clear()
+            cold = scan(scheme, probes, times)
+            warm = scan(scheme, probes, times)
+            assert self.bits(cold) == self.bits(alone), scheme.kind
+            assert self.bits(warm) == self.bits(alone), scheme.kind
+            assert sum(r.error is not None for r in alone) == \
+                (0 if scheme is STANDARD else len(unsplit) * len(times))
+        schemes._spec_probe.cache_clear()
+
+    def test_probe_cache_is_bounded_and_read_only(self):
+        schemes._spec_probe.cache_clear()
+        for n in range(2, 72):
+            scan(STANDARD, [ProbeSpec(ProbeFamily.GHZ, n)], [1e-3])
+        info = schemes._spec_probe.cache_info()
+        assert info.maxsize == 64 and info.currsize == 64
+        for spec, kind in ((ProbeSpec(ProbeFamily.BSD, 8, n1=3, k1=1, k2=2, alpha=0.4),
+                            SchemeKind.DI_IDEAL),
+                           (ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8), SchemeKind.DI_SPIN_ECHO)):
+            setup = schemes._spec_setup(spec, kind)
+            # no alpha in the key: every angle of the spec shares the entry
+            assert schemes._spec_setup(dataclasses.replace(spec, alpha=0.0), kind) is setup
+            arrays = [setup.index, setup.g, setup.ref, setup.dg, setup.p0]
+            arrays += [setup.m1] if setup.per_vector else []
+            for x in arrays:
+                assert not x.flags.writeable
+                with pytest.raises(ValueError):
+                    x.flat[0] = 1.0
+        schemes._spec_probe.cache_clear()
+
+    def test_collective_row_is_the_kernel_bit_for_bit(self):
+        # C from 0 through the window where exp(-C d^2 / 2) is subnormal at
+        # some d <= 40 to where C d^2 overflows and the entry is exactly 0
+        n, tiny = 40, np.finfo(float).tiny
+        ks = np.arange(n + 1)
+        rng = np.random.default_rng(3)
+        found = set()
+        for C in (0.0, 5e-324, 1e-12, 0.3, 2 * 700 / n ** 2, 2 * 720 / n ** 2, 2 * 740 / n ** 2,
+                  2 * 746 / n ** 2, 1.0, 1e3, 1e306, np.finfo(float).max):
+            row = _collective_row(C, n)
+            assert not row.flags.writeable
+            found.update(("subnormal" if 0 < x < tiny else "zero" if x == 0 else "normal")
+                         for x in row)
+            for blocks in (ks, np.sort(rng.choice(ks, 9, replace=False)),
+                           np.concatenate([ks[:5], n - ks[:5]])):  # a parity sector's
+                gathered = row[np.abs(np.subtract.outer(blocks, blocks))]
+                kernel = dephasing_kernel(np.zeros(len(blocks)), blocks, 0.0, C)
+                assert gathered.tobytes() == kernel.tobytes(), C
+        assert found == {"normal", "subnormal", "zero"}
+        for bad in (-1e-300, math.inf, math.nan):
+            with pytest.raises(ValueError) as info:
+                _collective_row(bad, n)
+            assert str(info.value) == f"var2 must be finite and nonnegative, got {bad!r}"
