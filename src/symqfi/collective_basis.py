@@ -29,18 +29,30 @@ def _require_real(name: str, x, finite: str = "finite", label: str = "") -> floa
 
     The messages read "<name> must be a real number, got <label><x!r>" and
     "<name> must be <finite>, got <label><x!r>", the latter also for an int
-    beyond the float range; numpy reals are accepted.
+    beyond the float range; numpy reals are accepted.  Where repr(x) raises,
+    as for an int past the interpreter's digit limit, x shows as
+    "<int of B bits>".
     """
     # a plain float skips the abstract-base-class test
     if type(x) is not float and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
-        raise ValueError(f"{name} must be a real number, got {label}{x!r}")
+        raise ValueError(f"{name} must be a real number, got {label}{_shown(x)}")
     try:
         value = float(x)
     except OverflowError:  # an int, or a ratio of ints, beyond the float range
         value = math.inf
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be {finite}, got {label}{x!r}")
+        raise ValueError(f"{name} must be {finite}, got {label}{_shown(x)}")
     return value
+
+
+def _shown(x) -> str:
+    """repr(x), or a bounded form where repr raises (an int past the digit limit)."""
+    try:
+        return repr(x)
+    except ValueError:
+        if isinstance(x, int):
+            return f"{'-' if x < 0 else ''}<int of {x.bit_length()} bits>"
+        return f"<{type(x).__name__}>"
 
 
 def _require_angle(name: str, angle) -> None:

@@ -4,8 +4,9 @@
     PYTHONPATH=other/src python tests/census.py --seed 1 --cells 2000 --against before.jsonl
 
 The seed draws each cell: a scheme kind, a family that kind takes (every
-rotatable family, split or not, and dfs_optimal), n <= 40, T log-uniform
-over 1e-5..10 s and alpha, exactly 0, uniform over -20..20 rad or
+rotatable family, split or not, and dfs_optimal), n <= 40 or, in a sparse
+tier of about one cell in twenty, n from 41..100, T log-uniform over
+1e-5..10 s and alpha, exactly 0, uniform over -20..20 rad or
 log-uniform up to 1e308 with either sign (dfs_optimal at 0 only).  Each
 cell is one JSON line with the inputs, scan's F_phase as float.hex and
 its error; about one rotatable cell in ten also holds optimize_rotation's
@@ -29,6 +30,9 @@ from symqfi import (NoiseParams, ProbeFamily, ProbeSpec, SchemeKind, SchemeSpec,
 
 NOISE = NoiseParams(2.0 * math.pi * 50.0, 1.0)
 MAX_N = 40
+# the sparse tier: about one cell in twenty draws n from here instead
+SPARSE_N = (41, 100)
+SPARSE_SHARE = 0.05
 SPLIT_FAMILIES = ("ghz_bipartite", "bsd", "product_plus", "dfs_optimal")
 UNSPLIT_FAMILIES = ("ghz", "dicke_symmetric", "product_plus")
 
@@ -49,7 +53,7 @@ def cells(seed: int, count: int):
         kind = rng.choice([k.value for k in SchemeKind])
         split = kind != "standard" or rng.random() < 0.5
         family = rng.choice(SPLIT_FAMILIES if split else UNSPLIT_FAMILIES)
-        n = rng.randint(2, MAX_N)
+        n = rng.randint(*SPARSE_N) if rng.random() < SPARSE_SHARE else rng.randint(2, MAX_N)
         if family in ("dicke_symmetric", "dfs_optimal"):
             n -= n % 2
         n1 = k1 = k2 = None

@@ -9,6 +9,7 @@ def test_twenty_cells_read_as_scheme_qfi_and_compare_identical(tmp_path, capsys)
     lines = [census.record(cell) for cell in census.cells(5, 20)]
     kinds = {line["kind"] for line in lines}
     assert len(kinds) == 4 and any("opt" in line for line in lines)
+    assert any(line["n"] > census.MAX_N for line in lines)  # the sparse tier
     for line in lines:
         scheme, spec, T = census.spec_of(line)
         assert line["error"] is None, line

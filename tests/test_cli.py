@@ -295,6 +295,7 @@ class TestErrors:
         ["--t-max", "0"], ["--t-max", "-1"], ["--t-min=-1e-3"], ["--t-max", "inf"],
         ["--t-min", "nan"], ["--t-scale", "lin", "--t-max", "inf"],
         ["--t-scale", "lin", "--t-min=-inf"], ["--t-scale", "lin", "--t-max", "nan"],
+        ["--t-min", "-inf"],
     ])
     def test_bad_time_grid_bounds(self, tmp_path, capsys, flags):
         out = tmp_path / "x.csv"
@@ -442,17 +443,22 @@ class TestErrors:
     ("scan-time", "--t-min", "-inf", 1, "error: time grid bounds must be finite, got -inf"),
     ("scan-rotation", "--alpha-min", "-inf", 1,
      "error: alpha grid bounds must be finite, got -inf"),
-], ids=["t-min-exponent", "t-list", "t-min-inf", "alpha-min-inf"])
+    ("scan-rotation", "--alpha-min", "-1e-1", 0, ""),
+], ids=["t-min-exponent", "t-list", "t-min-inf", "alpha-min-inf", "alpha-min-exponent"])
 def test_negative_flag_value_is_the_flags_value(capsys, form, command, flag, value, code, err):
-    # argparse alone takes -1e-3 or -inf for an option: --x v must act as --x=v
+    # argparse alone takes -1e-3 or -inf for an option: --x v must act as --x=v;
+    # err is the start of the one stderr line, or "" for an empty stderr
     given = [flag, value] if form == "space" else [f"{flag}={value}"]
     assert run_cli([command, "--family", "ghz", "--n", "2", "--t-scale", "lin",
                     "--t-count", "2", "--alpha-count", "2", *given]) == code
     captured = capsys.readouterr()
-    [line] = captured.err.splitlines()
-    assert line.startswith(err)
+    lines = captured.err.splitlines()
+    assert len(lines) == (1 if err else 0) and all(line.startswith(err) for line in lines)
     if code == 0:
-        assert float(captured.out.splitlines()[2].split(",")[7]) == float(value.split(",")[0])
+        header, first = captured.out.splitlines()[1:3]
+        row = dict(zip(header.split(","), first.split(",")))
+        column = "alpha" if flag.startswith("--alpha") else "T"
+        assert float(row[column]) == float(value.split(",")[0])
 
 
 COMMANDS = ["scan-time", "scan-rotation", "steady-map", "verify"]
@@ -497,6 +503,14 @@ class TestOptionTable:
             captured = capsys.readouterr()
             assert captured.err.splitlines() == [message]
             assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_exits_zero_with_an_empty_stderr(capsys, command):
+    assert run_cli([command, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(f"usage: symqfi {command} ")
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -1434,8 +1435,12 @@ class TestSchemeProperties:
             assert scheme_qfi(probe, DI_IDEAL, T)[0] == pytest.approx(16.0, abs=1e-10)
 
 
-# an int beyond the float range
+# an int beyond the float range, and one whose repr passes the digit limit
+# int-to-str conversion has by default (4300 digits, Python 3.11 and later)
 HUGE = 10 ** 400
+HUGER = 10 ** 5000
+HUGER_SHOWN = ("<int of 16610 bits>" if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)()
+               <= 5000 else repr(HUGER))
 GHZ_4 = [ProbeSpec(ProbeFamily.GHZ, 4)]
 
 
@@ -1464,6 +1469,19 @@ class TestRealInputs:
             "variance-time-huge", "scheme-qfi-time-huge", "scan-time-bool", "scan-time-str",
             "scan-time-complex", "noise-bool", "noise-str", "variance-time-bool"])
     def test_message(self, message, f, args):
+        with pytest.raises(ValueError) as info:
+            f(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("message, f, args", [
+        (f"rotation angle must be finite, got alpha={HUGER_SHOWN}",
+         ProbeSpec, (ProbeFamily.GHZ, 4, None, None, None, HUGER)),
+        (f"gamma_delta_b must be strictly positive and finite, got {HUGER_SHOWN}",
+         NoiseParams, (HUGER, 1.0)),
+        (f"times must be finite, got {HUGER_SHOWN}", scan, (STANDARD, GHZ_4, [0.1, HUGER])),
+    ], ids=["spec-alpha", "noise", "scan-time"])
+    def test_message_past_the_digit_limit(self, message, f, args):
+        # repr of an int past the limit raises; the message shows its size instead
         with pytest.raises(ValueError) as info:
             f(*args)
         assert str(info.value) == message

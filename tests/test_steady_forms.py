@@ -373,7 +373,7 @@ class TestOptimizeSplit:
             assert record.argmax == argmax, k
             assert abs(record.max_qfi - best) <= 4e-15 * max(abs(best), 1.0), k
 
-    @pytest.mark.parametrize("n", [64, 100, 160])
+    @pytest.mark.parametrize("n", [64, 100, 160, 200])
     def test_paper_optimum_at_large_n(self, n):
         # the best splitting of a symmetric Dicke state: n(n+4)/16 at (n/2, n/4)
         table = optimize_bsd_split(n)
@@ -470,10 +470,11 @@ class TestOptimizeSplit:
             if 2 * n1 == n:
                 assert np.array_equal(grid, grid.T)
 
-    @pytest.mark.parametrize("n", [*range(2, 65), 100])
+    @pytest.mark.parametrize("n", [*range(2, 65), 100, 200])
     def test_map_reflects_in_total_excitation(self, n):
         # reflecting both partitions maps (n1, k1) at k to (n1, n1 - k1) at n - k
         table = optimize_bsd_split(n)
+        assert [record.k for record in table] == list(range(n + 1))
         for record in table:
             mirror = table[n - record.k]
             assert record.max_qfi == mirror.max_qfi, record.k
