@@ -214,13 +214,30 @@ def _grid_rotations(amps: bytes, offset: float) -> np.ndarray:
     return rows
 
 
+@functools.lru_cache(maxsize=1024)
+def _start_rotation(amps: bytes, start: float) -> np.ndarray:
+    """_rotated(amps, np.array([start])), read-only: one factor at its start angle.
+
+    amps holds a factor's d real amplitudes as float64 bytes; every probe
+    with this factor shares the row.  An entry takes at most 16 d + 512
+    bytes (key, row and objects), so the cache at most 1024 times that:
+    2.2 MB for factors of n <= 100, 43 MB for plain bipartite states of
+    n = 100 (d = 2601).
+    """
+    row = _rotated(np.frombuffer(amps), np.array([start]))
+    row.flags.writeable = False
+    return row
+
+
 @functools.lru_cache(maxsize=64)
 def _spec_probe(family: ProbeFamily, n: int, n1: int | None, k1: int | None,
                 k2: int | None) -> tuple[PureState, float, dict]:
     """_base_probe of the specs with these counts, and their _ProbeSetups by kind.
 
     The key holds neither alpha nor the scheme kind, so every angle, time
-    and kind of a probe share one entry; _spec_setup fills its dict.
+    and kind of a probe share one entry; _spec_setup fills its dict.  A
+    set-up keeps the spec's factors, parity and p0, and takes its blocks
+    and factor rows from _block_layout and _start_rotation.
     """
     probe, offset = _base_probe(ProbeSpec(family, n, n1, k1, k2))
     return probe, offset, {}
@@ -234,6 +251,49 @@ def _spec_setup(spec: ProbeSpec, kind: SchemeKind) -> _ProbeSetup:
     return setups[kind]
 
 
+_PER_VECTOR_KINDS = (SchemeKind.DI_SPIN_ECHO, SchemeKind.DI_REPEAT)
+
+
+@functools.lru_cache(maxsize=64)
+def _block_layout(basis, kind: SchemeKind, product: bool) -> tuple:
+    """The blocks of a signal state on basis under kind, read-only (see _ProbeSetup).
+
+    product: the probe is a ProductState, whose signal state under spin
+    echo and repeat is its partition-2 factor.  Returns (per_vector, index,
+    m1, g, ref, dg, dg.any(), nk, mid, step), shared by every probe of the
+    same shape.  An entry holds at most five arrays of d = basis.dimension
+    entries, 40 d bytes and about 1 KB of objects: at most 1.2 MB over the
+    64 entries at n <= 40, 6.7 MB at n <= 100.
+    """
+    per_vector = kind in _PER_VECTOR_KINDS
+    # the signal acts on all of the state under STANDARD and on partition 2's factor
+    g = basis.z_weights() if kind is SchemeKind.STANDARD or (per_vector and product) \
+        else basis.partition2_weights()
+    per_vector = per_vector and not product
+    if per_vector:  # one block per basis vector; g is partition 2's weight
+        index, m1 = np.arange(basis.dimension), basis.partition1_weights()
+    else:  # one block per total excitation number k, collective noise on k
+        index, m1 = basis.excitations(), None
+    nk = len(g) if per_vector else basis.n + 1
+    ref = np.empty(nk)
+    ref[index] = g  # g at one entry of each block
+    dg = g - ref[index]
+    for x in (index, g, ref, dg, m1):
+        if x is not None:
+            x.flags.writeable = False
+    # an eigenstate has even n: block n/2 is its own mirror image; the frame
+    # of a rotatable probe holds at most its n + 1 excitation blocks
+    return (per_vector, index, m1, g, ref, dg, bool(dg.any()), nk, nk // 2,
+            max(1, _CHUNK_ENTRIES // (basis.n + 1) ** 2))
+
+
+def _moduli(rows: list[np.ndarray]) -> np.ndarray:
+    """Squared moduli of the states whose factors' (G, d) amplitude stacks are rows."""
+    if len(rows) == 2:
+        rows = [(rows[0][:, :, None] * rows[1][:, None, :]).reshape(len(rows[0]), -1)]
+    return np.abs(rows[0]) ** 2
+
+
 class _ProbeSetup:
     """The time-free half of a cell: probe turned about y by offset plus many angles, under kind.
 
@@ -241,7 +301,11 @@ class _ProbeSetup:
     is given, at angle 0; scan and optimize_rotation take theirs from
     _spec_setup, on _base_probe's unrotated probe and offset, so a scan
     builds one per group for all its times, and later cells of the same
-    counts reuse it.  Its arrays are read-only.
+    counts reuse it.  Its arrays are read-only.  Three levels build it:
+    the blocks depend only on the signal state's basis, the kind and
+    whether the probe is a ProductState (_block_layout, 64 entries), a
+    real factor at its start angle only on the factor (_start_rotation,
+    1024 entries), and the factors, parity and p0 on the probe.
 
     The kind picks the signal state and its generator diagonal g.  Spin
     echo and repeat kernels factorize per partition with partition 2's
@@ -260,8 +324,9 @@ class _ProbeSetup:
     rotate_y.  A bipartite state that is no ProductState, such as
     dfs_optimal's, is taken at angle 0 only, where _rotated returns it as
     is.  p0 holds the probabilities at the start angles, the all-zero
-    stacks scan's unrotated probes pass.  Amplitudes enter by modulus
-    only: a diagonal phase commutes with the noise and the generator.
+    stacks scan's unrotated probes pass, from _start_rotation's rows where
+    a factor's amplitudes are real.  Amplitudes enter by modulus only: a
+    diagonal phase commutes with the noise and the generator.
 
     parity: the frames are collective blocks with v = None and every base
     is an eigenstate of the collective pi rotation about y, so is every
@@ -278,38 +343,24 @@ class _ProbeSetup:
     def __init__(self, probe: PureState, kind: SchemeKind, offset: float = 0.0):
         if kind is not SchemeKind.STANDARD and not isinstance(probe.basis, BipartiteSymmetricBasis):
             raise ValueError(f"{kind.value} requires a bipartite probe")
-        state = probe
-        per_vector = kind in (SchemeKind.DI_SPIN_ECHO, SchemeKind.DI_REPEAT)
-        if per_vector and isinstance(probe, ProductState):
-            state, per_vector = probe.parts[1], False
-        basis = state.basis
-        self.kind, self.per_vector, self.offset = kind, per_vector, offset
-        self.entangled = (isinstance(basis, BipartiteSymmetricBasis)
-                          and not isinstance(state, ProductState))
+        product = isinstance(probe, ProductState)
+        state = probe.parts[1] if product and kind in _PER_VECTOR_KINDS else probe
+        self.kind, self.offset = kind, offset
+        (self.per_vector, self.index, self.m1, self.g, self.ref, self.dg, varies, self.nk,
+         self.mid, self.step) = _block_layout(state.basis, kind, product)
+        self.entangled = isinstance(state.basis, BipartiteSymmetricBasis) and not product
         # each factor as its unrotated base and the angle it starts from
         self.factors = [(f.base, offset + f.angle) if isinstance(f, RotatedState) else (f, offset)
                         for f in (state.parts if isinstance(state, ProductState) else (state,))]
-        # the signal acts on all of state under STANDARD and on partition 2's factor
-        g = basis.z_weights() if kind is SchemeKind.STANDARD or state is not probe \
-            else basis.partition2_weights()
-        if per_vector:  # one block per basis vector; g is partition 2's weight
-            index, self.m1 = np.arange(basis.dimension), basis.partition1_weights()
-        else:  # one block per total excitation number k, collective noise on k
-            index, self.m1 = basis.excitations(), None
-        self.nk = nk = len(g) if per_vector else basis.n + 1
-        ref = np.empty(nk)
-        ref[index] = g  # g at one entry of each block
-        dg = g - ref[index]
-        self.parity = (not per_vector and not dg.any()
+        self.parity = (not self.per_vector and not varies
                        and all(_parity_eigenstate(f) for f, _ in self.factors))
-        self.mid = nk // 2  # an eigenstate has even n: block n/2 is its own mirror image
-        # the frame of a rotatable probe holds at most its n + 1 excitation blocks
-        self.step = max(1, _CHUNK_ENTRIES // (basis.n + 1) ** 2)
-        self.index, self.g, self.ref, self.dg = index, g, ref, dg
-        self.p0 = None if self.entangled and offset else self._rotate(np.zeros(1))
-        for x in (index, g, ref, dg, self.m1, self.p0):
-            if x is not None:
-                x.flags.writeable = False
+        self.p0 = None
+        if not (self.entangled and offset):
+            self.p0 = _moduli([_rotated_amplitudes(f.amplitudes, start + np.zeros(1))
+                               if np.count_nonzero(f.amplitudes.imag)
+                               else _start_rotation(f.amplitudes.real.tobytes(), start)
+                               for f, start in self.factors])
+            self.p0.flags.writeable = False
 
     def probabilities(self, alphas: np.ndarray | None = None) -> np.ndarray:
         """Squared amplitude moduli p, shape (G, D), of the signal state at G angles.
@@ -330,9 +381,7 @@ class _ProbeSetup:
                     for f, start in self.factors]
         else:
             amps = [_rotated_amplitudes(f.amplitudes, start + alphas) for f, start in self.factors]
-        if len(amps) == 2:
-            amps = [(amps[0][:, :, None] * amps[1][:, None, :]).reshape(len(amps[0]), -1)]
-        return np.abs(amps[0]) ** 2
+        return _moduli(amps)
 
     def qfi(self, p: np.ndarray, kernel: Callable) -> np.ndarray:
         """QFI per state of a stack p, shape (G, D), with kernel(ks) on the occupied blocks ks.

@@ -1,0 +1,10 @@
+"""Test tooling: empty the caches a scan fills, so the next run reads them as a fresh process does."""
+
+from symqfi import schemes
+
+
+def cold_caches():
+    """Clear every functools cache in schemes, found by its cache_clear attribute."""
+    for value in vars(schemes).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()

@@ -10,11 +10,12 @@ tier of about one cell in twenty, n from 41..100, T log-uniform over
 log-uniform up to 1e308 with either sign (dfs_optimal at 0 only).  Each
 cell is one JSON line with the inputs, scan's F_phase as float.hex and
 its error; about one rotatable cell in ten also holds optimize_rotation's
-(alpha, F) as float.hex.  With --against FILE the lines are not written:
-the cells are compared with FILE's, and the count of identical cells and
-the worst relative move of a value are printed; the exit status is 1 if
-any cell moved.  Bits depend on BLAS and numpy, so compare two trees on
-one machine.
+(alpha, F) and the first maximum (alpha, F) over the optimizer's whole
+201-angle grid, every angle evaluated, as float.hex.  With --against FILE
+the lines are not written: the cells are compared with FILE's, and the
+count of identical cells and the worst relative move of a value are
+printed; the exit status is 1 if any cell moved.  Bits depend on BLAS and
+numpy, so compare two trees on one machine.
 """
 
 from __future__ import annotations
@@ -25,14 +26,17 @@ import math
 import random
 import sys
 
+import numpy as np
+
 from symqfi import (NoiseParams, ProbeFamily, ProbeSpec, SchemeKind, SchemeSpec, optimize_rotation,
-                    scan)
+                    scan, schemes)
 
 NOISE = NoiseParams(2.0 * math.pi * 50.0, 1.0)
 MAX_N = 40
 # the sparse tier: about one cell in twenty draws n from here instead
 SPARSE_N = (41, 100)
 SPARSE_SHARE = 0.05
+OUTPUTS = ("F", "error", "opt", "grid")  # the keys a line adds to its cell's
 SPLIT_FAMILIES = ("ghz_bipartite", "bsd", "product_plus", "dfs_optimal")
 UNSPLIT_FAMILIES = ("ghz", "dicke_symmetric", "product_plus")
 
@@ -81,11 +85,22 @@ def record(cell: dict) -> dict:
     line = dict(cell, F=row.f_phase.hex(), error=row.error)
     if cell["optimize"]:
         line["opt"] = [x.hex() for x in optimize_rotation(spec, scheme, T)]
+        line["grid"] = [x.hex() for x in grid_maximum(scheme, spec, T)]
     return line
 
 
+def grid_maximum(scheme: SchemeSpec, spec: ProbeSpec, T: float) -> tuple[float, float]:
+    """The first maximum (alpha, F) over every _GRID angle of _rotation_cell's qfi, no bound."""
+    probabilities, qfi, _, step = schemes._rotation_cell(schemes._spec_setup(spec, scheme.kind),
+                                                         scheme.noise, T)
+    p = probabilities()
+    values = np.concatenate([qfi(p[i:i + step]) for i in range(0, len(p), step)])
+    best = int(np.argmax(values))
+    return float(schemes._GRID[best]), float(values[best])
+
+
 def _values(line: dict) -> list[float]:
-    return [float.fromhex(x) for x in [line["F"], *line.get("opt", [])]]
+    return [float.fromhex(x) for x in [line["F"], *line.get("opt", []), *line.get("grid", [])]]
 
 
 def _move(a: float, b: float) -> float:
@@ -103,7 +118,7 @@ def compare(lines: list[dict], reference: list[dict]) -> tuple[int, float, dict 
         raise ValueError(f"{len(lines)} cells against {len(reference)} in the reference")
     identical, worst, where = 0, 0.0, None
     for line, ref in zip(lines, reference):
-        inputs = {key: value for key, value in line.items() if key not in ("F", "error", "opt")}
+        inputs = {key: value for key, value in line.items() if key not in OUTPUTS}
         if any(ref.get(key) != value for key, value in inputs.items()):
             raise ValueError(f"cell {inputs} differs from the reference's: another seed?")
         if line == ref:

@@ -19,8 +19,10 @@ from pathlib import Path
 import pytest
 
 import symqfi as sq
-from symqfi import cli, schemes
+from symqfi import cli
 from symqfi.cli import DEFAULT_GAMMA_DELTA_B, DEFAULT_TAU_C
+
+from caches import cold_caches
 
 NOISE = sq.NoiseParams(DEFAULT_GAMMA_DELTA_B, DEFAULT_TAU_C)
 SRC = str(Path(sq.__file__).resolve().parent.parent)
@@ -45,12 +47,6 @@ def rows_of(lines):
 def table(path):
     with open(path, encoding="utf-8") as handle:
         return rows_of(handle)
-
-
-def cold_caches():
-    """Empty the caches scan fills, so the next run reads them as a fresh process does."""
-    schemes._spec_probe.cache_clear()
-    schemes._grid_rotations.cache_clear()
 
 
 def count(text):

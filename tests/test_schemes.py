@@ -37,6 +37,7 @@ from symqfi.schemes import (
 from symqfi.steady_forms import SplitChoice, bsd_steady_qfi, ghz_qfi_analytic
 
 import oracles
+from caches import cold_caches
 
 NOISE = NoiseParams(2 * math.pi * 50, 1.0)
 STANDARD = SchemeSpec(SchemeKind.STANDARD, NOISE)
@@ -924,7 +925,7 @@ class TestGridRotations:
             cold = []
             for probe in probes:
                 for T in times:
-                    schemes._grid_rotations.cache_clear()
+                    cold_caches()
                     cold += scan(scheme, [probe], [T], optimize_alpha=True)
             assert bits(warm) == bits(cold), scheme.kind
         schemes._grid_rotations.cache_clear()
@@ -1496,7 +1497,12 @@ class TestRealInputs:
 
 class TestProbeSetup:
     """scan and optimize_rotation take each spec's time-free set-up from a
-    64-entry cache keyed by its counts, and add the time per cell."""
+    64-entry cache keyed by its counts, and add the time per cell; a set-up
+    takes its blocks from a cache keyed by shape and kind, and each real
+    factor at its start angle from a cache keyed by the factor."""
+
+    BSD_SPLIT = [ProbeSpec(ProbeFamily.BSD, 10, n1=4, k1=k1, k2=k2)
+                 for k1 in range(5) for k2 in range(7)]
 
     @staticmethod
     def bits(rows):
@@ -1517,9 +1523,9 @@ class TestProbeSetup:
             alone = []
             for spec in probes:
                 for T in times:
-                    schemes._spec_probe.cache_clear()
+                    cold_caches()
                     alone += scan(scheme, [spec], [T])
-            schemes._spec_probe.cache_clear()
+            cold_caches()
             cold = scan(scheme, probes, times)
             warm = scan(scheme, probes, times)
             assert self.bits(cold) == self.bits(alone), scheme.kind
@@ -1571,3 +1577,100 @@ class TestProbeSetup:
             with pytest.raises(ValueError) as info:
                 _collective_row(bad, n)
             assert str(info.value) == f"var2 must be finite and nonnegative, got {bad!r}"
+
+    def test_layout_cache_is_shared_bounded_and_read_only(self):
+        cold_caches()
+        for kind in SchemeKind:
+            setups = [schemes._spec_setup(spec, kind) for spec in self.BSD_SPLIT]
+            # every (k1, k2) of the split shares one entry under each kind
+            assert all(s.index is setups[0].index and s.g is setups[0].g for s in setups), kind
+        info = schemes._block_layout.cache_info()
+        assert info.currsize == len(SchemeKind) and info.misses == len(SchemeKind)
+        for n in range(1, 70):
+            layout = schemes._block_layout(SymmetricBasis(n), SchemeKind.STANDARD, False)
+            for x in layout[1:6]:
+                if x is not None:
+                    assert not x.flags.writeable
+                    with pytest.raises(ValueError):
+                        x.flat[0] = 1.0
+        info = schemes._block_layout.cache_info()
+        assert info.maxsize == 64 and info.currsize == 64
+        cold_caches()
+
+    def test_factor_rows_are_the_rotation_kernel_bit_for_bit(self):
+        cold_caches()
+        specs = [ProbeSpec(ProbeFamily.GHZ, 7), ProbeSpec(ProbeFamily.DICKE_SYMMETRIC, 8),
+                 ProbeSpec(ProbeFamily.PRODUCT_PLUS, 6), ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8)]
+        specs += [ProbeSpec(family, 9, n1=4, k1=k1, k2=k2)
+                  for family, k1, k2 in ((ProbeFamily.GHZ_BIPARTITE, None, None),
+                                         (ProbeFamily.PRODUCT_PLUS, None, None),
+                                         (ProbeFamily.BSD, 0, 3), (ProbeFamily.BSD, 4, 2))]
+        seen = set()
+        for spec in specs:
+            kind = SchemeKind.DI_IDEAL if spec.n1 is not None else SchemeKind.STANDARD
+            rotated = [] if spec.family is ProbeFamily.DFS_OPTIMAL else [0.7, -13.0]
+            for setup in [schemes._spec_setup(spec, kind)] + [
+                    schemes._ProbeSetup(build_probe(dataclasses.replace(spec, alpha=a)), kind)
+                    for a in rotated]:
+                for factor, start in setup.factors:
+                    amps = factor.amplitudes
+                    row = schemes._start_rotation(amps.real.tobytes(), start)
+                    assert not row.flags.writeable
+                    with pytest.raises(ValueError):
+                        row[0, 0] = 1.0
+                    expected = schemes._rotated_amplitudes(amps, start + np.zeros(1))
+                    assert row.tobytes() == expected.tobytes(), (spec, start)
+                    if start == 0.0:  # the input comes back unrotated
+                        assert row.tobytes() == amps.real.tobytes(), spec
+                    seen.add(start == 0.0)
+        assert seen == {True, False}
+        amps = ghz_state(1).amplitudes.real.tobytes()
+        for start in np.linspace(0.1, 1.0, 1100):
+            schemes._start_rotation(amps, float(start))
+        info = schemes._start_rotation.cache_info()
+        assert info.maxsize == 1024 and info.currsize == 1024
+        cold_caches()
+
+    def test_complex_factor_takes_the_rotation_kernel(self, monkeypatch):
+        cold_caches()
+        calls = []
+        kernel = schemes._rotated_amplitudes
+
+        def counted(amps, theta):
+            calls.append(amps)
+            return kernel(amps, theta)
+
+        monkeypatch.setattr(schemes, "_rotated_amplitudes", counted)
+        phased = np.array([0.6, 0.0, 0.8j, 0.0, 0.0])  # no parity eigenstate, nor its moduli
+        probe = PureState(SymmetricBasis(4), phased)
+        f_phase = scheme_qfi(probe, STANDARD, 1e-3)[0]
+        assert len(calls) == 1 and calls[0] is probe.amplitudes
+        assert schemes._start_rotation.cache_info().currsize == 0
+        # a diagonal phase leaves the QFI alone: the moduli read the same bits
+        moduli = PureState(SymmetricBasis(4), np.abs(phased))
+        assert scheme_qfi(moduli, STANDARD, 1e-3)[0].hex() == f_phase.hex()
+        assert len(calls) == 1 and schemes._start_rotation.cache_info().currsize == 1
+        # a product takes the kernel for its complex factor, a cached row for the other
+        scheme_qfi(ProductState(PureState(SymmetricBasis(2), [0.6, 0.0, 0.8j]), dicke_state(3, 1)),
+                   DI_IDEAL, 1e-3)
+        assert len(calls) == 2 and calls[1].shape == (3,)
+        assert schemes._start_rotation.cache_info().currsize == 2
+        cold_caches()
+
+    def test_split_scan_equals_one_spec_scans_cold_and_warm(self):
+        times = [0.0, 1e-3, 1.3e-2, 0.3]
+        for scheme in (STANDARD, DI_IDEAL, DI_ECHO, DI_REPEAT):
+            alone = []
+            for spec in self.BSD_SPLIT:
+                cold_caches()
+                alone += scan(scheme, [spec], times)
+            direct = [scheme_qfi(build_probe(spec), scheme, T)[0].hex()
+                      for spec in self.BSD_SPLIT for T in times]
+            cold_caches()
+            cold = scan(scheme, self.BSD_SPLIT, times)
+            warm = scan(scheme, self.BSD_SPLIT, times)
+            assert self.bits(cold) == self.bits(alone), scheme.kind
+            assert self.bits(warm) == self.bits(alone), scheme.kind
+            assert [r.f_phase.hex() for r in cold] == direct, scheme.kind
+            assert all(r.error is None for r in cold)
+        cold_caches()
