@@ -305,7 +305,12 @@ class _ProbeSetup:
     the blocks depend only on the signal state's basis, the kind and
     whether the probe is a ProductState (_block_layout, 64 entries), a
     real factor at its start angle only on the factor (_start_rotation,
-    1024 entries), and the factors, parity and p0 on the probe.
+    1024 entries), and the factors, parity and p0 on the probe.  The
+    probe also fixes frames0, frames(p0) kept read-only from qfi's first
+    call on p0, so every time of an unrotated cell reuses its blocks,
+    roots and means: at most four arrays of n + 1 entries and about 1 KB
+    of objects (5 KB at n = 100: 1.3 MB over _spec_probe's 64 entries and
+    four kinds at n <= 100; dfs_optimal occupies two blocks of any kind).
 
     The kind picks the signal state and its generator diagonal g.  Spin
     echo and repeat kernels factorize per partition with partition 2's
@@ -361,18 +366,20 @@ class _ProbeSetup:
                                else _start_rotation(f.amplitudes.real.tobytes(), start)
                                for f, start in self.factors])
             self.p0.flags.writeable = False
+        self.frames0 = None  # frames(p0), kept read-only from qfi's first call on p0
 
     def probabilities(self, alphas: np.ndarray | None = None) -> np.ndarray:
         """Squared amplitude moduli p, shape (G, D), of the signal state at G angles.
 
         No angles means the _GRID angles over [0, pi/2], whose factor
         rotations _grid_rotations keeps across cells (for real bases, as
-        _base_probe builds them).
+        _base_probe builds them).  One zero angle hands out p0 itself, by
+        which qfi knows its kept frames apply; more zeros a copy per angle.
         """
         if self.entangled and (alphas is None or np.count_nonzero(self.offset + alphas)):
             raise ValueError("a bipartite probe that is no ProductState rotates at angle 0 only")
         if alphas is not None and not np.count_nonzero(alphas):
-            return self.p0.repeat(len(alphas), axis=0)
+            return self.p0 if len(alphas) == 1 else self.p0.repeat(len(alphas), axis=0)
         return self._rotate(alphas)
 
     def _rotate(self, alphas: np.ndarray | None) -> np.ndarray:
@@ -386,18 +393,53 @@ class _ProbeSetup:
     def qfi(self, p: np.ndarray, kernel: Callable) -> np.ndarray:
         """QFI per state of a stack p, shape (G, D), with kernel(ks) on the occupied blocks ks.
 
+        The per-time step: each of frames(p) takes the matrix
+        sqrt(w_j w_k) kernel[j, k] as root * root * kernel(ks) and its
+        spectral_qfi, or with parity the pair of sector matrices kernel(ks)
+        holds and their parity_qfi.  For p0 itself, the stack
+        probabilities hands out for one zero angle, the frames are the
+        ones kept from its first use, so every later time of an unrotated
+        probe pays only for the kernel and this step.
+        """
+        if p is not self.p0:
+            frames = self.frames(p)
+        elif self.frames0 is None:
+            frames = self.frames0 = self.frames(p)
+            for frame in frames:
+                for x in frame[1:]:
+                    if x is not None:
+                        x.flags.writeable = False
+        else:
+            frames = self.frames0
+        out = np.empty(len(p))
+        for rows, ks, root, g_bar, v in frames:
+            if self.parity:
+                even, odd = kernel(ks)
+                low = root[..., :len(odd)]
+                out[rows] = parity_qfi(root[..., :, None] * root[..., None, :] * even,
+                                       low[..., :, None] * low[..., None, :] * odd, g_bar)
+            else:
+                out[rows] = spectral_qfi(root[..., :, None] * root[..., None, :] * kernel(ks),
+                                         g_bar, v)
+        return out
+
+    def frames(self, p: np.ndarray) -> list[tuple]:
+        """The time-free frames of a stack p, shape (G, D): (rows, ks, root, g_bar, v) each.
+
         The frames are spectral_qfi's: the normalized blocks P_k psi / ||P_k psi||
-        occupied in any state of the stack, the matrix sqrt(w_j w_k) kernel[j, k]
-        with w_k = ||P_k psi||^2, and the mean g_bar[k] and variance v[k] of g
-        in block k.  Both are taken about ref, so where g is constant on a
-        block g_bar is exact and v is 0 (v = None if 0 on every block).  A
-        state that leaves a block of its stack empty takes its own frame, so
-        no value depends on the rest of the stack.  With parity, kernel(ks)
-        is the pair of sector matrices parity_qfi takes.
+        occupied in any state of the frame's rows of p, ks, with
+        root = sqrt(w[ks]) for w_k = ||P_k psi||^2, and the mean g_bar[ks]
+        and variance v[ks] of g in each block.  Both are taken about ref,
+        so where g is constant on a block g_bar is exact and v is 0 (v =
+        None if 0 on every block).  Where the blocks are the basis
+        vectors, g_bar is g itself.  A state that leaves a block of its
+        stack empty takes its own frame, so no value depends on the rest
+        of the stack.  With parity, ks are lower-half blocks and g_bar
+        holds those with an odd partner, the first len(odd) of them.
         """
         index, nk, mid = self.index, self.nk, self.mid
         if index.size == nk:  # index is arange(nk): w = p, g_bar = g and v = 0
-            w, g_bar, v = p, np.where(p > 0, self.g, 0.0), None
+            w, g_bar, v = p, self.g, None
         else:
             idx = index + nk * np.arange(len(p))[:, None] if p.size > index.size else index
             flat = idx.ravel()
@@ -416,35 +458,25 @@ class _ProbeSetup:
             g_bar = self.ref + mu.reshape(shape)  # no frame takes an empty block
         if self.parity:  # the lower half holds every block or its mirror image
             w, g_bar = w[..., :mid + 1], g_bar[..., :mid + 1]
-        occupied = (w > 0).reshape(-1, w.shape[-1])
+        occupied = w > 0
         union = occupied.any(axis=0)
         if len(occupied) == 1 or occupied[:, union].all():
-            return self._frames(w, g_bar, v, union, kernel)
+            return [self._frame(slice(None), w, g_bar, v, union)]
         # a state on fewer blocks, as at theta = 0, takes its own frame
         full = occupied[:, union].all(axis=1)
-        out = np.empty(len(full))
-        for r in np.flatnonzero(~full):
-            rows = slice(r, r + 1)
-            out[r] = self._frames(w[rows], g_bar[rows], v if v is None else v[rows],
-                                  occupied[r], kernel)[0]
+        parts = [(slice(r, r + 1), occupied[r]) for r in np.flatnonzero(~full)]
         if full.any():
-            out[full] = self._frames(w[full], g_bar[full], v if v is None else v[full], union,
-                                     kernel)
-        return out
+            parts.append((full, union))
+        return [self._frame(rows, w[rows], g_bar if g_bar.ndim == 1 else g_bar[rows],
+                            v if v is None else v[rows], blocks) for rows, blocks in parts]
 
-    def _frames(self, w, g_bar, v, blocks, kernel):
+    def _frame(self, rows, w, g_bar, v, blocks) -> tuple:
         ks = np.flatnonzero(blocks)
         # take keeps a stack C-ordered, so each frame meets BLAS as it does alone
         root = np.sqrt(np.take(w, ks, axis=-1))
-        if self.parity:
-            even, odd = kernel(ks)
-            d = len(odd)
-            return parity_qfi(root[..., :, None] * root[..., None, :] * even,
-                              root[..., :d, None] * root[..., None, :d] * odd,
-                              np.take(g_bar, ks[:d], axis=-1))
-        return spectral_qfi(root[..., :, None] * root[..., None, :] * kernel(ks),
-                            np.take(g_bar, ks, axis=-1),
-                            np.take(v, ks, axis=-1) if v is not None and v.any() else None)
+        g_ks = ks[:np.count_nonzero(ks < self.mid)] if self.parity else ks
+        return (rows, ks, root, np.take(g_bar, g_ks, axis=-1),
+                np.take(v, ks, axis=-1) if v is not None and v.any() else None)
 
     def sectors(self, ks: np.ndarray, kernel: Callable) -> tuple[np.ndarray, np.ndarray]:
         """The even and odd sector kernels on the lower-half blocks ks, from kernel(blocks)."""

@@ -1674,3 +1674,110 @@ class TestProbeSetup:
             assert [r.f_phase.hex() for r in cold] == direct, scheme.kind
             assert all(r.error is None for r in cold)
         cold_caches()
+
+    # one probe of every family each kind takes, parity frames included:
+    # ghz(8), dicke_symmetric(8) and, under spin echo and repeat, the
+    # partition-2 factors GHZ(4) and Dicke(4, 2)
+    UNROTATED = [ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 8, n1=4),
+                 ProbeSpec(ProbeFamily.BSD, 8, n1=4, k1=1, k2=2),
+                 ProbeSpec(ProbeFamily.PRODUCT_PLUS, 7, n1=3), ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8)]
+    UNSPLIT = [ProbeSpec(ProbeFamily.GHZ, 8), ProbeSpec(ProbeFamily.DICKE_SYMMETRIC, 8),
+               ProbeSpec(ProbeFamily.PRODUCT_PLUS, 6)]
+    FORTY = [0.0] + list(np.logspace(-5, 1, 39))
+
+    @staticmethod
+    def counted_frames(monkeypatch):
+        """Count _ProbeSetup.frames calls, by whether they take the set-up's p0."""
+        calls = []
+        frames = schemes._ProbeSetup.frames
+
+        def counted(setup, p):
+            calls.append(p is setup.p0)
+            return frames(setup, p)
+
+        monkeypatch.setattr(schemes._ProbeSetup, "frames", counted)
+        return calls
+
+    def test_forty_time_scan_keeps_the_unrotated_frames(self, monkeypatch):
+        calls = self.counted_frames(monkeypatch)
+        for scheme in (STANDARD, DI_IDEAL, DI_ECHO, DI_REPEAT):
+            probes = self.UNROTATED + (self.UNSPLIT if scheme is STANDARD else [])
+            for spec in probes:
+                alone = []
+                for T in self.FORTY:
+                    cold_caches()
+                    alone += scan(scheme, [spec], [T])
+                direct = [scheme_qfi(build_probe(spec), scheme, T)[0].hex() for T in self.FORTY]
+                cold_caches()
+                calls.clear()
+                cold = scan(scheme, [spec], self.FORTY)
+                warm = scan(scheme, [spec], self.FORTY)
+                # one frames call on p0 for the set-up, across both scans' 80 cells
+                assert calls == [True], (scheme.kind, spec)
+                assert self.bits(cold) == self.bits(alone), (scheme.kind, spec)
+                assert self.bits(warm) == self.bits(alone), (scheme.kind, spec)
+                assert [r.f_phase.hex() for r in cold] == direct, (scheme.kind, spec)
+                assert all(r.error is None for r in cold)
+                # a fresh set-up takes its frames again
+                cold_caches()
+                calls.clear()
+                assert self.bits(scan(scheme, [spec], self.FORTY)) == self.bits(alone)
+                assert calls == [True], (scheme.kind, spec)
+        cold_caches()
+
+    def test_kept_frames_are_read_only_and_p0_is_handed_out(self):
+        cold_caches()
+        for spec, kind in ((ProbeSpec(ProbeFamily.GHZ, 8), SchemeKind.STANDARD),
+                           (ProbeSpec(ProbeFamily.BSD, 8, n1=3, k1=1, k2=2), SchemeKind.DI_IDEAL),
+                           (ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8), SchemeKind.DI_SPIN_ECHO)):
+            setup = schemes._spec_setup(spec, kind)
+            assert setup.probabilities(np.zeros(1)) is setup.p0
+            twice = setup.probabilities(np.zeros(2))
+            assert twice is not setup.p0 and np.array_equal(twice, setup.p0.repeat(2, axis=0))
+            assert setup.frames0 is None  # kept from the first use only
+            _rotation_qfi(setup, NOISE, 1e-3)(np.zeros(1))
+            kept = setup.frames0
+            assert len(kept) == 1 and kept[0][0] == slice(None)
+            for x in kept[0][1:]:
+                if x is not None:
+                    assert not x.flags.writeable
+                    with pytest.raises(ValueError):
+                        x.flat[0] = 1.0
+            _rotation_qfi(setup, NOISE, 3e-2)(np.zeros(1))
+            assert setup.frames0 is kept
+        cold_caches()
+
+    def test_rotated_and_duplicate_stacks_take_fresh_frames(self, monkeypatch):
+        calls = self.counted_frames(monkeypatch)
+        times = self.FORTY[::8]
+        for scheme, spec in ((STANDARD, ProbeSpec(ProbeFamily.GHZ, 8)),
+                             (STANDARD, ProbeSpec(ProbeFamily.DICKE_SYMMETRIC, 8)),
+                             (DI_IDEAL, ProbeSpec(ProbeFamily.BSD, 8, n1=3, k1=1, k2=2)),
+                             (DI_REPEAT, ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 8, n1=4))):
+            for alphas in ((0.0, 0.0), (0.4,), (0.0, 0.4)):
+                probes = [dataclasses.replace(spec, alpha=a) for a in alphas]
+                alone = []
+                for p in probes:
+                    cold_caches()
+                    alone += [r.f_phase.hex() for r in scan(scheme, [p], times)]
+                cold_caches()
+                calls.clear()
+                rows = scan(scheme, probes, times)
+                # probe-major rows, one frames call per time on a stack that is not p0
+                assert [r.f_phase.hex() for r in rows] == alone, (scheme.kind, alphas)
+                assert calls == [False] * len(times), (scheme.kind, alphas)
+        cold_caches()
+
+    def test_entangled_probe_with_an_offset_keeps_its_refusal(self, monkeypatch):
+        calls = self.counted_frames(monkeypatch)
+        probe, _ = schemes._base_probe(ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8))
+        setup = schemes._ProbeSetup(probe, SchemeKind.DI_IDEAL, 0.3)
+        assert setup.p0 is None
+        for _ in range(2):
+            with pytest.raises(ValueError, match="rotates at angle 0 only"):
+                _rotation_qfi(setup, NOISE, 1e-3)(np.zeros(1))
+        assert calls == [] and setup.frames0 is None
+        # scan's set-up of the same probe has offset 0, and no error rows
+        rows = scan(DI_IDEAL, [ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8)], [1e-3, 1e-2])
+        assert all(r.error is None for r in rows) and calls == [True]
+        cold_caches()
