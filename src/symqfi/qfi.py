@@ -79,7 +79,8 @@ def spectral_qfi(m: np.ndarray, g_bar: np.ndarray,
     return float(f) if f.ndim == 0 else f
 
 
-def parity_qfi(m_even: np.ndarray, m_odd: np.ndarray, g: np.ndarray) -> float | np.ndarray:
+def parity_qfi(m_even: np.ndarray, m_odd: np.ndarray, g: np.ndarray,
+               gap: np.ndarray | None = None) -> float | np.ndarray:
     """Phase QFI of a frame split into the even and odd sectors of a reflection.
 
     The frame is one of spectral_qfi's with v = None, and the reflection
@@ -93,7 +94,11 @@ def parity_qfi(m_even: np.ndarray, m_odd: np.ndarray, g: np.ndarray) -> float | 
     with g on the first len(g) rows of U.  spectral_qfi's floors, stacks
     and C-ordered reads hold, EPS_SUM relative to the largest eigenvalue of
     either sector.  Two diagonal sectors are read without eigh: exactly 0
-    where their diagonals agree, as the frame is then diagonal.
+    where their diagonals agree, as the frame is then diagonal.  There gap,
+    shape (..., len(g)), if given, is lambda_i - mu_i for each odd vector
+    and its partner, known without the cancellation of their difference
+    (as 2 w_k K[k, n - k] where each sector holds one block), and a
+    nonzero gap overrides equal diagonals.
     """
     m_even, m_odd = np.ascontiguousarray(m_even), np.ascontiguousarray(m_odd)
     g = np.ascontiguousarray(g)
@@ -105,12 +110,12 @@ def parity_qfi(m_even: np.ndarray, m_odd: np.ndarray, g: np.ndarray) -> float | 
     if not diagonal:
         (lam, u), (mu, w) = np.linalg.eigh(m_even), np.linalg.eigh(m_odd)
     _refuse_negative(min(lam.min(), mu.min(initial=0.0)))
-    if diagonal and (lam[..., :d] == mu).all():
+    if diagonal and (lam[..., :d] == mu).all() and (gap is None or not np.count_nonzero(gap)):
         return 0.0 if m_odd.ndim == 2 else np.zeros(m_odd.shape[:-2])
     lam, mu = np.maximum(lam, 0.0), np.maximum(mu, 0.0)
     floor = EPS_SUM * np.maximum(lam.max(axis=-1), mu.max(axis=-1, initial=0.0))[..., None]
     if diagonal:  # U and V are the identity: each odd vector pairs with its partner
-        f = 4.0 * (_pair_weights(lam[..., :d], mu, floor) * g * g).sum(axis=-1)
+        f = 4.0 * (_pair_weights(lam[..., :d], mu, floor, gap) * g * g).sum(axis=-1)
     else:
         overlaps = u[..., :d, :].swapaxes(-1, -2) @ (g[..., :, None] * w)
         f = 4.0 * (_pair_weights(lam[..., :, None], mu[..., None, :], floor[..., None])
@@ -123,9 +128,15 @@ def _refuse_negative(lam_min: float) -> None:
         raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lam_min!r}")
 
 
-def _pair_weights(col: np.ndarray, row: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """(l_a - l_b)^2 / (l_a + l_b) on the eigenvalue pairs whose sum exceeds floor, else 0."""
-    sums, diffs = col + row, col - row
+def _pair_weights(col: np.ndarray, row: np.ndarray, floor: np.ndarray,
+                  diffs: np.ndarray | None = None) -> np.ndarray:
+    """(l_a - l_b)^2 / (l_a + l_b) on the eigenvalue pairs whose sum exceeds floor, else 0.
+
+    diffs, if given, stands for l_a - l_b.
+    """
+    sums = col + row
+    if diffs is None:
+        diffs = col - row
     weights = np.zeros(sums.shape)
     np.divide(diffs * diffs, sums, out=weights, where=sums > floor)
     return weights

@@ -414,10 +414,12 @@ class _ProbeSetup:
         out = np.empty(len(p))
         for rows, ks, root, g_bar, v in frames:
             if self.parity:
-                even, odd = kernel(ks)
+                even, odd, mirrored = kernel(ks)
                 low = root[..., :len(odd)]
+                # one block per sector: lambda - mu = 2 w_k K[k, n - k], free of cancellation
+                gap = 2.0 * low * low * mirrored[0, :len(odd)] if len(ks) == 1 else None
                 out[rows] = parity_qfi(root[..., :, None] * root[..., None, :] * even,
-                                       low[..., :, None] * low[..., None, :] * odd, g_bar)
+                                       low[..., :, None] * low[..., None, :] * odd, g_bar, gap)
             else:
                 out[rows] = spectral_qfi(root[..., :, None] * root[..., None, :] * kernel(ks),
                                          g_bar, v)
@@ -478,8 +480,13 @@ class _ProbeSetup:
         return (rows, ks, root, np.take(g_bar, g_ks, axis=-1),
                 np.take(v, ks, axis=-1) if v is not None and v.any() else None)
 
-    def sectors(self, ks: np.ndarray, kernel: Callable) -> tuple[np.ndarray, np.ndarray]:
-        """The even and odd sector kernels on the lower-half blocks ks, from kernel(blocks)."""
+    def sectors(self, ks: np.ndarray,
+                kernel: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The even and odd sector kernels on the lower-half blocks ks, from kernel(blocks).
+
+        The third array is the mirrored block K[j, n - k], which the sectors
+        hold as a sum and a difference with the direct block K[j, k].
+        """
         both = np.concatenate([ks, self.nk - 1 - ks])  # the blocks and their mirror images
         full = kernel(both)
         size, d = len(ks), np.count_nonzero(ks < self.mid)
@@ -488,7 +495,7 @@ class _ProbeSetup:
         if d < size:  # the middle block, last in ks, pairs with no mirror
             even[-1, :] = even[:, -1] = math.sqrt(2.0) * direct[:, -1]
             even[-1, -1] = direct[-1, -1]
-        return even, direct[:d, :d] - mirrored[:d, :d]
+        return even, direct[:d, :d] - mirrored[:d, :d], mirrored
 
 
 def _rotation_cell(setup: _ProbeSetup, noise: NoiseParams,

@@ -14,8 +14,12 @@ its error; about one rotatable cell in ten also holds optimize_rotation's
 201-angle grid, every angle evaluated, as float.hex.  With --against FILE
 the lines are not written: the cells are compared with FILE's, and the
 count of identical cells and the worst relative move of a value are
-printed; the exit status is 1 if any cell moved.  Bits depend on BLAS and
-numpy, so compare two trees on one machine.
+printed, then a verdict on up to 20 cells whose F moved and whose signal
+state is one Dicke-sector factor under collective dephasing (standard
+unsplit probes, and the partition-2 factor of split probes under spin
+echo and repeat): oracles.collective_qfi_mp's value, at 30 digits below
+the kernel's smallest entry, and which tree lies closer to it.  The exit status is 1 if any cell moved.  Bits
+depend on BLAS and numpy, so compare two trees on one machine.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ import numpy as np
 
 from symqfi import (NoiseParams, ProbeFamily, ProbeSpec, SchemeKind, SchemeSpec, optimize_rotation,
                     scan, schemes)
+from symqfi.collective_basis import ProductState
+from symqfi.dephasing import phase_variance_c
+
+import oracles
 
 NOISE = NoiseParams(2.0 * math.pi * 50.0, 1.0)
 MAX_N = 40
@@ -37,6 +45,7 @@ MAX_N = 40
 SPARSE_N = (41, 100)
 SPARSE_SHARE = 0.05
 OUTPUTS = ("F", "error", "opt", "grid")  # the keys a line adds to its cell's
+VERDICTS = 20  # moved cells judged at 30 digits, at most
 SPLIT_FAMILIES = ("ghz_bipartite", "bsd", "product_plus", "dfs_optimal")
 UNSPLIT_FAMILIES = ("ghz", "dicke_symmetric", "product_plus")
 
@@ -130,6 +139,39 @@ def compare(lines: list[dict], reference: list[dict]) -> tuple[int, float, dict 
     return identical, worst, where
 
 
+def verdict(line: dict, ref: dict) -> str | None:
+    """The mpmath value of a cell whose F moved, and which tree lies closer to it.
+
+    None unless the cell's F is one Dicke-sector factor's QFI under
+    collective dephasing, the state collective_qfi_mp takes: a standard
+    unsplit probe, or a split ProductState's partition-2 factor under
+    spin echo or repeat, whose kernel is exp(-C(T) dm2^2 / 2).
+    """
+    scheme, spec, T = spec_of(line)
+    probe, offset = schemes._base_probe(spec)
+    if scheme.kind is SchemeKind.STANDARD and spec.n1 is None:
+        factor = probe
+    elif scheme.kind in schemes._PER_VECTOR_KINDS and isinstance(probe, ProductState):
+        factor = probe.parts[1]
+    else:
+        return None
+    here, there = float.fromhex(line["F"]), float.fromhex(ref["F"])
+    if here.hex() == there.hex() or math.isnan(here) or math.isnan(there):
+        return None
+    # 30 digits below the kernel's smallest entry exp(-C n^2 / 2), which a
+    # late frame's eigenvalue gaps are of; past the float range, 330
+    n = factor.basis.n
+    digits = min(math.ceil(phase_variance_c(T, NOISE) * n * n / (2 * math.log(10))), 330)
+    exact = float(oracles.collective_qfi_mp(factor.amplitudes.real.tolist(), offset + spec.alpha,
+                                            T, NOISE.gamma_delta_b, NOISE.tau_c, dps=30 + digits))
+    errors = abs(here - exact), abs(there - exact)
+    closer = ("this tree" if errors[0] < errors[1]
+              else "the reference" if errors[1] < errors[0] else "neither")
+    inputs = {key: line[key] for key in ("kind", "family", "n", "n1", "k1", "k2")}
+    return (f"verdict {json.dumps(inputs)} alpha={float.fromhex(line['alpha'])!r} T={T!r}: "
+            f"mpmath {exact!r}, this tree {here!r}, reference {there!r}: {closer} closer")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -148,6 +190,12 @@ def main(argv=None) -> int:
     identical, worst, where = compare(lines, reference)
     print(f"identical: {identical} of {len(lines)} cells")
     print(f"worst relative move: {worst!r}" + (f" at {json.dumps(where)}" if where else ""))
+    judged = 0
+    for line, ref in zip(lines, reference):
+        said = verdict(line, ref) if judged < VERDICTS else None
+        if said is not None:
+            judged += 1
+            print(said)
     return 0 if identical == len(lines) else 1
 
 

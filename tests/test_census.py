@@ -36,3 +36,26 @@ def test_optimum_never_below_the_grid_maximum():
     for line in lines:
         f_opt, f_grid = (float.fromhex(line[key][1]) for key in ("opt", "grid"))
         assert f_opt >= f_grid - (1e-9 * abs(f_grid) + 1e-11 * line["n"] ** 2), line
+
+
+def test_a_moved_cell_is_judged_in_mpmath(tmp_path, capsys):
+    # seed 5's second cell is the partition-2 factor Dicke-rotated |+>^6 of
+    # a product_plus split under spin echo; a reference 1e-6 off loses
+    lines = [census.record(cell) for cell in census.cells(5, 2)]
+    line = lines[1]
+    assert (line["kind"], line["family"], line["n"], line["n1"]) == ("di_spin_echo",
+                                                                     "product_plus", 7, 1)
+    moved = dict(line, F=(float.fromhex(line["F"]) * (1 + 1e-6)).hex())
+    path = tmp_path / "census.jsonl"
+    path.write_text(json.dumps(lines[0]) + "\n" + json.dumps(moved) + "\n")
+    assert census.main(["--seed", "5", "--cells", "2", "--against", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "identical: 1 of 2 cells" and len(out) == 3, out
+    assert out[2].startswith('verdict {"kind": "di_spin_echo", "family": "product_plus", "n": 7, ')
+    assert out[2].endswith(": this tree closer"), out[2]
+    # the mpmath value it prints lies within 1e-12 of this tree's
+    exact = float(out[2].split("mpmath ")[1].split(",")[0])
+    assert abs(exact - float.fromhex(line["F"])) <= 1e-12 * exact
+    # a cell without one Dicke-sector factor, dfs_optimal's, gets no verdict
+    assert lines[0]["family"] == "dfs_optimal"
+    assert census.verdict(dict(lines[0], F=moved["F"]), lines[0]) is None

@@ -21,6 +21,7 @@ import pytest
 import symqfi as sq
 from symqfi import cli
 from symqfi.cli import DEFAULT_GAMMA_DELTA_B, DEFAULT_TAU_C
+from symqfi.steady_forms import ghz_qfi_analytic
 
 from caches import cold_caches
 
@@ -137,6 +138,20 @@ def test_one_rotation_route(tmp_path, capsys, name, argv, flags, sample):
     assert (run.returncode, run.stderr) == (0, ""), run.stderr
     rerun = rows_of(run.stdout.splitlines())
     assert [r["F_phase"] for r in rerun] == [row["F_phase"]], (name, row, rerun)
+
+
+def test_fig_time_ghz_rows_follow_the_decay_law(tmp_path, capsys):
+    # the README's fig_time.csv: each GHZ row meets n^2 exp(-n^2 C(T)) at
+    # every T, also the late ones that once read exactly 0 from T = 5.5e-3
+    out = tmp_path / "fig_time.csv"
+    run_clean(capsys, ["scan-time", "--family", "ghz,dicke_symmetric,product_plus", "--n", "8",
+                       "--t-min", "1e-4", "--t-max", "1", "--t-count", "40", "--out", str(out)])
+    rows = [row for row in table(out) if row["family"] == "ghz"]
+    assert len(rows) == 40
+    for row in rows:
+        ref = ghz_qfi_analytic(8, float(row["T"]), NOISE)
+        assert abs(float(row["F_phase"]) - ref) <= 1e-12 * ref, row
+    assert sum(0 < float(row["F_phase"]) < 1e-30 for row in rows) >= 5
 
 
 def test_fully_dephased_cells_read_alpha_0_and_exactly_0(tmp_path, capsys):

@@ -192,6 +192,19 @@ class TestParityQfi:
         assert same.shape == (1,) and same[0] == 0.0
         assert parity_qfi(np.diag(lam[:1]), np.zeros((0, 0)), np.zeros(0)) == 0.0
 
+    def test_diagonal_sectors_take_the_gap_given(self, monkeypatch):
+        # (1 +- K) / 2 with K = 1e-20: equal diagonals in floats, but not in fact
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        k, g = 1e-20, np.array([-4.0])
+        even, odd = np.array([[(1 + k) / 2]]), np.array([[(1 - k) / 2]])
+        assert parity_qfi(even, odd, g) == 0.0
+        assert parity_qfi(even, odd, g, np.array([k])) == pytest.approx(4 * k * k * 16, rel=1e-15)
+        assert parity_qfi(even[None], odd[None], g[None], np.zeros((1, 1)))[0] == 0.0
+        # where the difference is exact, it is the gap, bit for bit
+        lam, mu, g = np.array([0.5, 0.3, 0.2]), np.array([0.1, 0.3]), np.array([-2.0, -1.0])
+        assert parity_qfi(np.diag(lam), np.diag(mu), g, lam[:2] - mu) == \
+            parity_qfi(np.diag(lam), np.diag(mu), g)
+
     def test_negative_eigenvalue_in_either_sector_refused(self):
         u = np.linalg.qr(np.random.default_rng(73).normal(size=(3, 3)))[0]
         good, bad = (u * [0.5, 0.3, 0.2]) @ u.T, (u * [0.5, 0.3, -1e-9]) @ u.T
@@ -244,11 +257,12 @@ class TestInputLayout:
         stacks = self.recorded(monkeypatch, "parity_qfi", cells,
                                np.random.default_rng(79).uniform(0.0, math.pi, 5))
         assert len(stacks) == 8
-        for m_even, m_odd, g in stacks:
+        for m_even, m_odd, g, gap in stacks:
+            assert gap is None  # rotated frames hold more than one block per sector
             base = parity_qfi(m_even.copy(), m_odd.copy(), g.copy())
             for i, arg in enumerate((m_even, m_odd, g)):
                 for layout in self.layouts(arg):
-                    args = [m_even, m_odd, g]
+                    args = [m_even, m_odd, g, gap]
                     args[i] = layout
                     assert np.array_equal(parity_qfi(*args), base)
 

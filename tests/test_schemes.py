@@ -1161,6 +1161,26 @@ class TestParitySectors:
                                             rel=1e-9, abs=1e-12 * n * n), (n, T)
         assert len(calls) == 28
 
+    def test_unrotated_ghz_follows_the_decay_law_to_underflow(self):
+        # one block per sector: parity_qfi takes lambda - mu = 2 w_0 K[0, n],
+        # not the difference of (1 +- K[0, n]) / 2, which read exactly 0 once
+        # K[0, n] fell below about 1e-16; the same for partition 2's GHZ(n2)
+        # under spin echo and repeat.  Times run past where n^2 C(T) = 745
+        times = list(np.geomspace(1e-5, 0.1, 150))
+        tiny = sys.float_info.min
+        late = 0
+        for n in range(2, 17, 2):
+            cells = [(STANDARD, ProbeSpec(ProbeFamily.GHZ, n))]
+            cells += [(scheme, ProbeSpec(ProbeFamily.GHZ_BIPARTITE, n + 3, n1=3))
+                      for scheme in (DI_ECHO, DI_REPEAT)]
+            for scheme, spec in cells:
+                for row in scan(scheme, [spec], times):
+                    ref = ghz_qfi_analytic(n, row.T, NOISE)
+                    assert abs(row.f_phase - ref) <= 1e-14 * max(ref, tiny), \
+                        (scheme.kind, n, row.T, row.f_phase, ref)
+                    late += 0 < ref < 1e-16 * n * n
+        assert late > 300
+
     def test_both_frames_against_the_30_digit_judge(self, monkeypatch):
         # rotated standard GHZ and Dicke probes, the rotation, C(T), the kernel
         # and the eigensystem all at 30 digits; worst relative deviation
