@@ -401,18 +401,12 @@ class _ProbeSetup:
         ones kept from its first use, so every later time of an unrotated
         probe pays only for the kernel and this step.
         """
-        if p is not self.p0:
-            frames = self.frames(p)
-        elif self.frames0 is None:
-            frames = self.frames0 = self.frames(p)
-            for frame in frames:
-                for x in frame[1:]:
-                    if x is not None:
-                        x.flags.writeable = False
-        else:
-            frames = self.frames0
+        if p is self.p0 and self.frames0 is None:
+            self.frames0 = self.frames(p)
+            for x in (x for frame in self.frames0 for x in frame[1:] if x is not None):
+                x.flags.writeable = False
         out = np.empty(len(p))
-        for rows, ks, root, g_bar, v in frames:
+        for rows, ks, root, g_bar, v in self.frames0 if p is self.p0 else self.frames(p):
             if self.parity:
                 even, odd, mirrored = kernel(ks)
                 low = root[..., :len(odd)]

@@ -18,13 +18,15 @@ printed, then a verdict on up to 20 cells whose F moved and whose signal
 state is one Dicke-sector factor under collective dephasing (standard
 unsplit probes, and the partition-2 factor of split probes under spin
 echo and repeat): oracles.collective_qfi_mp's value, at 30 digits below
-the kernel's smallest entry, and which tree lies closer to it.  The exit status is 1 if any cell moved.  Bits
-depend on BLAS and numpy, so compare two trees on one machine.
+the kernel's smallest entry, and which tree lies closer to it.  The exit
+status is 1 if any cell moved.  Bits depend on BLAS and numpy, so compare
+two trees on one machine.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import random
@@ -45,7 +47,7 @@ MAX_N = 40
 SPARSE_N = (41, 100)
 SPARSE_SHARE = 0.05
 OUTPUTS = ("F", "error", "opt", "grid")  # the keys a line adds to its cell's
-VERDICTS = 20  # moved cells judged at 30 digits, at most
+VERDICTS = 20  # moved cells judged in mpmath, at most
 SPLIT_FAMILIES = ("ghz_bipartite", "bsd", "product_plus", "dfs_optimal")
 UNSPLIT_FAMILIES = ("ghz", "dicke_symmetric", "product_plus")
 
@@ -190,12 +192,9 @@ def main(argv=None) -> int:
     identical, worst, where = compare(lines, reference)
     print(f"identical: {identical} of {len(lines)} cells")
     print(f"worst relative move: {worst!r}" + (f" at {json.dumps(where)}" if where else ""))
-    judged = 0
-    for line, ref in zip(lines, reference):
-        said = verdict(line, ref) if judged < VERDICTS else None
-        if said is not None:
-            judged += 1
-            print(said)
+    verdicts = (verdict(line, ref) for line, ref in zip(lines, reference))
+    for said in itertools.islice(filter(None, verdicts), VERDICTS):
+        print(said)
     return 0 if identical == len(lines) else 1
 
 
