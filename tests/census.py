@@ -14,18 +14,21 @@ its error; about one rotatable cell in ten also holds optimize_rotation's
 201-angle grid, every angle evaluated, as float.hex.  With --against FILE
 the lines are not written: the cells are compared with FILE's, and the
 count of identical cells and the worst relative move of a value are
-printed, then a verdict on up to 20 cells whose F moved and whose signal
-state is one Dicke-sector factor under collective dephasing (standard
-unsplit probes, and the partition-2 factor of split probes under spin
-echo and repeat): oracles.collective_qfi_mp's value, at 30 digits below
-the kernel's smallest entry, and which tree lies closer to it.  The exit
-status is 1 if any cell moved.  Bits depend on BLAS and numpy, so compare
+printed, then the moved cells counted by route (parity sectors or full
+frame, as the cell's set-up decides) and by kind, then a verdict on up
+to 20 cells whose F moved and whose signal state is one Dicke-sector
+factor under collective dephasing (standard unsplit probes, and the
+partition-2 factor of split probes under spin echo and repeat):
+oracles.collective_qfi_mp's value, at 30 digits below the kernel's
+smallest entry, and which tree lies closer to it.  The exit status is 1
+if any cell moved.  Bits depend on BLAS and numpy, so compare
 two trees on one machine.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import itertools
 import json
 import math
@@ -141,6 +144,23 @@ def compare(lines: list[dict], reference: list[dict]) -> tuple[int, float, dict 
     return identical, worst, where
 
 
+def tally(lines: list[dict], reference: list[dict]) -> str:
+    """The cells that moved against reference, counted by route and by kind."""
+    moved = [line for line, ref in zip(lines, reference) if line != ref]
+    routes = collections.Counter(route(line) for line in moved)
+    kinds = collections.Counter(line["kind"] for line in moved)
+    return (f"moved by route: parity sectors {routes['parity sectors']}, "
+            f"full frame {routes['full frame']}; by kind: "
+            + ", ".join(f"{kind.value} {kinds[kind.value]}" for kind in SchemeKind))
+
+
+def route(line: dict) -> str:
+    """'parity sectors' where the cell's set-up splits its frames by the reflection, else
+    'full frame'."""
+    scheme, spec, _ = spec_of(line)
+    return "parity sectors" if schemes._spec_setup(spec, scheme.kind).parity else "full frame"
+
+
 def verdict(line: dict, ref: dict) -> str | None:
     """The mpmath value of a cell whose F moved, and which tree lies closer to it.
 
@@ -192,6 +212,7 @@ def main(argv=None) -> int:
     identical, worst, where = compare(lines, reference)
     print(f"identical: {identical} of {len(lines)} cells")
     print(f"worst relative move: {worst!r}" + (f" at {json.dumps(where)}" if where else ""))
+    print(tally(lines, reference))
     verdicts = (verdict(line, ref) for line, ref in zip(lines, reference))
     for said in itertools.islice(filter(None, verdicts), VERDICTS):
         print(said)

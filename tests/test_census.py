@@ -18,13 +18,27 @@ def test_twenty_cells_read_as_scheme_qfi_and_compare_identical(tmp_path, capsys)
     path = tmp_path / "census.jsonl"
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
     assert census.main(["--seed", "5", "--cells", "20", "--against", str(path)]) == 0
-    assert capsys.readouterr().out.splitlines() == ["identical: 20 of 20 cells",
-                                                    "worst relative move: 0.0"]
+    none = "standard 0, di_ideal 0, di_spin_echo 0, di_repeat 0"
+    assert capsys.readouterr().out.splitlines() == [
+        "identical: 20 of 20 cells", "worst relative move: 0.0",
+        f"moved by route: parity sectors 0, full frame 0; by kind: {none}"]
     # one value moved in its last bit is found, with its move
     i = next(i for i, line in enumerate(lines) if float.fromhex(line["F"]) > 0)
     moved = dict(lines[i], F=(float.fromhex(lines[i]["F"]) * (1 + 2 ** -52)).hex())
     identical, worst, where = census.compare(lines, lines[:i] + [moved] + lines[i + 1:])
     assert identical == 19 and where == lines[i] and 0 < worst < 3e-16
+    # the tally counts moved cells by the route their set-up takes, and by kind;
+    # seed 5's third cell is a standard Dicke probe, whose frames split by parity
+    j = 2
+    assert (lines[j]["kind"], lines[j]["family"]) == ("standard", "dicke_symmetric")
+    assert (census.route(lines[i]), census.route(lines[j])) == ("full frame", "parity sectors")
+    other = dict(lines[j], F=(1.0).hex())
+    reference = [moved if k == i else other if k == j else line for k, line in enumerate(lines)]
+    kinds = {kind: int(kind in (lines[i]["kind"], "standard")) for kind in
+             ("standard", "di_ideal", "di_spin_echo", "di_repeat")}
+    assert census.tally(lines, reference) == (
+        "moved by route: parity sectors 1, full frame 1; by kind: "
+        + ", ".join(f"{kind} {count}" for kind, count in kinds.items()))
 
 
 def test_optimum_never_below_the_grid_maximum():
@@ -50,11 +64,13 @@ def test_a_moved_cell_is_judged_in_mpmath(tmp_path, capsys):
     path.write_text(json.dumps(lines[0]) + "\n" + json.dumps(moved) + "\n")
     assert census.main(["--seed", "5", "--cells", "2", "--against", str(path)]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "identical: 1 of 2 cells" and len(out) == 3, out
-    assert out[2].startswith('verdict {"kind": "di_spin_echo", "family": "product_plus", "n": 7, ')
-    assert out[2].endswith(": this tree closer"), out[2]
+    assert out[0] == "identical: 1 of 2 cells" and len(out) == 4, out
+    assert out[2] == ("moved by route: parity sectors 0, full frame 1; by kind: "
+                      "standard 0, di_ideal 0, di_spin_echo 1, di_repeat 0")
+    assert out[3].startswith('verdict {"kind": "di_spin_echo", "family": "product_plus", "n": 7, ')
+    assert out[3].endswith(": this tree closer"), out[3]
     # the mpmath value it prints lies within 1e-12 of this tree's
-    exact = float(out[2].split("mpmath ")[1].split(",")[0])
+    exact = float(out[3].split("mpmath ")[1].split(",")[0])
     assert abs(exact - float.fromhex(line["F"])) <= 1e-12 * exact
     # a cell without one Dicke-sector factor, dfs_optimal's, gets no verdict
     assert lines[0]["family"] == "dfs_optimal"
