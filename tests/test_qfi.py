@@ -205,6 +205,29 @@ class TestParityQfi:
         assert parity_qfi(np.diag(lam), np.diag(mu), g, lam[:2] - mu) == \
             parity_qfi(np.diag(lam), np.diag(mu), g)
 
+    def test_floor_spans_both_sectors(self, monkeypatch):
+        # the odd sector holds the largest eigenvalue, 1, the even one 1e-2:
+        # with EPS_SUM = 1e-3 the pair of sum 0.9e-3 is dropped and that of
+        # 1.1e-3 kept, where a floor on the even sector alone would keep both
+        monkeypatch.setattr(qfi, "EPS_SUM", 1e-3)
+        g = np.array([-1.5, -0.5])
+        u, w = (np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+                for t in (0.3, 1.1))
+        for pair_sum, kept in ((0.9e-3, False), (1.1e-3, True)):
+            lam, mu = np.array([0.75 * pair_sum, 1e-2]), np.array([0.25 * pair_sum, 1.0])
+            # diagonal sectors pair even vector i with odd vector i only
+            expected = 4.0 * (1e-2 - 1.0) ** 2 / (1e-2 + 1.0) * g[1] ** 2
+            expected += kept * 4.0 * (0.5 * pair_sum) ** 2 / pair_sum * g[0] ** 2
+            got = parity_qfi(np.diag(lam), np.diag(mu), g)
+            assert got == pytest.approx(expected, rel=1e-15), (pair_sum, got, expected)
+            # rotated sectors pair every even vector with every odd one, through U^T g V
+            sums = lam[:, None] + mu[None, :]
+            terms = (lam[:, None] - mu[None, :]) ** 2 / sums * (u.T @ (g[:, None] * w)) ** 2
+            expected = 4.0 * terms[sums > 1e-3].sum()
+            assert (abs(expected - 4.0 * terms.sum()) > 1e-5 * expected) != kept
+            got = parity_qfi((u * lam) @ u.T, (w * mu) @ w.T, g)
+            assert got == pytest.approx(expected, rel=1e-10), (pair_sum, got, expected)
+
     def test_negative_eigenvalue_in_either_sector_refused(self):
         u = np.linalg.qr(np.random.default_rng(73).normal(size=(3, 3)))[0]
         good, bad = (u * [0.5, 0.3, 0.2]) @ u.T, (u * [0.5, 0.3, -1e-9]) @ u.T
