@@ -1186,26 +1186,38 @@ class TestParitySectors:
         # and the eigensystem all at 30 digits; worst relative deviation
         # measured: 1.1e-10 for both frames where F > 1e-6, and 6.8e-9 for the
         # sectors against 9.5e-8 for the full frame at F ~ 1e-19 (T = 0.03).
-        # The full frame is scheme_qfi's with the parity test refused
+        # At n = 12 and 16 the same rotated state is also partition 2's factor
+        # of a split probe, ghz_bipartite or bsd with k2 = n / 2, under spin
+        # echo and repeat, whose kernel is exp(-C(T) dm2^2 / 2): the same value,
+        # measured within 3.9e-12 where F > 1e-6, and 2.4e-12 for the sectors
+        # against 9.5e-8 for the full frame at F ~ 1e-19.  The full frame is
+        # scheme_qfi's with the parity test refused
         rng = np.random.default_rng(17)
         for n in (12, 16, 20):
             ghz, dicke = [0] * (n + 1), [0] * (n + 1)
             ghz[0] = ghz[n] = mpmath.sqrt(mpmath.mpf(1) / 2)
             dicke[n // 2] = 1
-            for family, amps, offset in ((ProbeFamily.GHZ, ghz, 0.0),
-                                         (ProbeFamily.DICKE_SYMMETRIC, dicke, math.pi / 2)):
+            for family, amps, offset, split in (
+                    (ProbeFamily.GHZ, ghz, 0.0, ProbeSpec(ProbeFamily.GHZ_BIPARTITE, n + 3, n1=3)),
+                    (ProbeFamily.DICKE_SYMMETRIC, dicke, math.pi / 2,
+                     ProbeSpec(ProbeFamily.BSD, n + 3, n1=3, k1=1, k2=n // 2))):
                 for T in (1e-3, 1e-2, 3e-2):
                     for alpha in rng.uniform(0.05, math.pi / 2, 2):
-                        spec = ProbeSpec(family, n, alpha=float(alpha))
                         ref = float(oracles.collective_qfi_mp(amps, offset + float(alpha), T,
                                                               NOISE.gamma_delta_b, NOISE.tau_c))
                         rtol = 1e-9 if ref > 1e-6 else 1e-6
-                        sector = scan(STANDARD, [spec], [T])[0].f_phase
-                        with monkeypatch.context() as patched:
-                            patched.setattr(schemes, "_parity_eigenstate", lambda state: False)
-                            full = scheme_qfi(build_probe(spec), STANDARD, T)[0]
-                        for got in (sector, full):
-                            assert abs(got - ref) <= rtol * ref, (family, n, T, alpha, got, ref)
+                        cells = [(STANDARD, ProbeSpec(family, n, alpha=float(alpha)))]
+                        if n < 20:
+                            cells += [(scheme, dataclasses.replace(split, alpha=float(alpha)))
+                                      for scheme in (DI_ECHO, DI_REPEAT)]
+                        for scheme, spec in cells:
+                            sector = scan(scheme, [spec], [T])[0].f_phase
+                            with monkeypatch.context() as patched:
+                                patched.setattr(schemes, "_parity_eigenstate", lambda state: False)
+                                full = scheme_qfi(build_probe(spec), scheme, T)[0]
+                            for got in (sector, full):
+                                assert abs(got - ref) <= rtol * ref, \
+                                    (scheme.kind, spec, T, got, ref)
 
 
 class TestScan:
