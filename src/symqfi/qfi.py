@@ -8,18 +8,22 @@ for the phase is
 which reduces to 4*Var(G) on pure states.  :func:`spectral_qfi` evaluates
 it from the state's matrix in any orthonormal frame that holds the state's
 support, and :func:`parity_qfi` from the two sectors of a frame that a
-reflection taking G to -G splits.  Frequency estimation over an
-interrogation time T carries F_freq = T^2 * F, and 1/F lower-bounds the
-variance of any unbiased estimator.
+reflection taking G to -G splits.  Both call one kernel, which takes one
+sector or two and holds one copy of each step.  Its overlap product is
+the full frame's (U^dag o g) @ V weighted by |.|^2, V = U for one sector:
+for two sectors, U^T (g V) weighted by o * o is the same sum in another
+rounding order, and one form spares the kernel a branch on its caller.
+Frequency estimation over an interrogation time T carries F_freq = T^2 * F,
+and 1/F lower-bounds the variance of any unbiased estimator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# an eigenvalue below this means spectral_qfi was not given a state
+# an eigenvalue below this means the kernel was not given a state
 EIGENVALUE_FLOOR = -1e-10
-# relative floor on eigenvalue-pair sums in spectral_qfi, looked up at each call
+# relative floor on eigenvalue-pair sums in the kernel, looked up at each call
 EPS_SUM = 1e-12
 
 
@@ -56,27 +60,7 @@ def spectral_qfi(m: np.ndarray, g_bar: np.ndarray,
     The arrays are read C-ordered: their layout would pick the BLAS
     routes, and so the last bits.
     """
-    m, g_bar = np.ascontiguousarray(m), np.ascontiguousarray(g_bar)
-    if v is not None:
-        v = np.ascontiguousarray(v)
-    diag = np.diagonal(m, axis1=-2, axis2=-1)
-    if v is None and np.count_nonzero(m) == np.count_nonzero(diag) and np.isfinite(diag).all():
-        lam, u = diag.real, None
-    else:
-        lam, u = np.linalg.eigh(m)
-    _refuse_negative(lam.min())
-    if u is None:
-        return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
-    lam = np.maximum(lam, 0.0)
-    floor = EPS_SUM * lam[..., -1:]  # the largest eigenvalue of each matrix
-    overlaps = (u.conj().swapaxes(-1, -2) * g_bar[..., None, :]) @ u
-    weights = _pair_weights(lam[..., :, None], lam[..., None, :], floor[..., None])
-    # full double sum counts each a<b pair twice, hence the factor 2 not 4
-    f = 2.0 * (weights * np.abs(overlaps) ** 2).sum(axis=(-2, -1))
-    if v is not None:
-        f += 4.0 * (np.where(lam > floor, lam, 0.0)
-                    * (v[..., None, :] @ np.abs(u) ** 2)[..., 0, :]).sum(axis=-1)
-    return float(f) if f.ndim == 0 else f
+    return _frame_qfi((m,), g_bar, v)
 
 
 def parity_qfi(m_even: np.ndarray, m_odd: np.ndarray, g: np.ndarray,
@@ -100,46 +84,61 @@ def parity_qfi(m_even: np.ndarray, m_odd: np.ndarray, g: np.ndarray,
     (as 2 w_k K[k, n - k] where each sector holds one block), and a
     nonzero gap overrides equal diagonals.
     """
-    m_even, m_odd = np.ascontiguousarray(m_even), np.ascontiguousarray(m_odd)
-    g = np.ascontiguousarray(g)
-    d = g.shape[-1]
-    lam, mu = np.diagonal(m_even, axis1=-2, axis2=-1), np.diagonal(m_odd, axis1=-2, axis2=-1)
-    diagonal = (np.count_nonzero(m_even) == np.count_nonzero(lam)
-                and np.count_nonzero(m_odd) == np.count_nonzero(mu)
-                and np.isfinite(lam).all() and np.isfinite(mu).all())
-    if not diagonal:
-        (lam, u), (mu, w) = np.linalg.eigh(m_even), np.linalg.eigh(m_odd)
-    _refuse_negative(min(lam.min(), mu.min(initial=0.0)))
-    if diagonal and (lam[..., :d] == mu).all() and (gap is None or not np.count_nonzero(gap)):
-        return 0.0 if m_odd.ndim == 2 else np.zeros(m_odd.shape[:-2])
-    lam, mu = np.maximum(lam, 0.0), np.maximum(mu, 0.0)
-    floor = EPS_SUM * np.maximum(lam.max(axis=-1), mu.max(axis=-1, initial=0.0))[..., None]
-    if diagonal:  # U and V are the identity: each odd vector pairs with its partner
-        f = 4.0 * (_pair_weights(lam[..., :d], mu, floor, gap) * g * g).sum(axis=-1)
-    else:
-        overlaps = u[..., :d, :].swapaxes(-1, -2) @ (g[..., :, None] * w)
-        f = 4.0 * (_pair_weights(lam[..., :, None], mu[..., None, :], floor[..., None])
-                   * overlaps * overlaps).sum(axis=(-2, -1))
-    return float(f) if f.ndim == 0 else f
+    return _frame_qfi((m_even, m_odd), g, gap=gap)
 
 
-def _refuse_negative(lam_min: float) -> None:
-    if lam_min < EIGENVALUE_FLOOR:
-        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lam_min!r}")
+def _frame_qfi(sectors: tuple, g: np.ndarray, v: np.ndarray | None = None,
+               gap: np.ndarray | None = None) -> float | np.ndarray:
+    """The spectral pair sum of a frame of one sector, or of two that G couples.
 
-
-def _pair_weights(col: np.ndarray, row: np.ndarray, floor: np.ndarray,
-                  diffs: np.ndarray | None = None) -> np.ndarray:
-    """(l_a - l_b)^2 / (l_a + l_b) on the eigenvalue pairs whose sum exceeds floor, else 0.
-
-    diffs, if given, stands for l_a - l_b.
+    One sector (spectral_qfi): G maps it into itself, and the product holds
+    both orders of each pair.  Two (parity_qfi): G couples the first len(g)
+    vectors of the first sector to the second, and each pair appears once.
+    A diagonal sector is its own eigensystem, so G pairs each vector with
+    its partner alone, through g.
     """
-    sums = col + row
-    if diffs is None:
+    g = np.ascontiguousarray(g)
+    v = None if v is None else np.ascontiguousarray(v)
+    d = g.shape[-1]
+    diagonal, matrices = v is None, []
+    for m in sectors:  # each read C-ordered: nothing nonzero off its diagonal, which is finite
+        matrices.append(m := np.ascontiguousarray(m))
+        x = m.diagonal(0, -2, -1)
+        diagonal = (diagonal and np.count_nonzero(m) == np.count_nonzero(x)
+                    and np.count_nonzero(np.isfinite(x)) == x.size)
+    spectra = []
+    for m in matrices:
+        lam, u = (m.diagonal(0, -2, -1).real, None) if diagonal else np.linalg.eigh(m)
+        if lam.size and lam.min() < EIGENVALUE_FLOOR:
+            raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lam.min()!r}")
+        spectra.append((lam, u))
+    (lam, u), (mu, w) = spectra[0], spectra[-1]
+    # G couples nothing, or the frame is diagonal: one diagonal sector, or two whose partners agree
+    if not d or diagonal and (mu is lam or (lam[..., :d] == mu).all()
+                              and (gap is None or not np.count_nonzero(gap))):
+        return 0.0 if lam.ndim == 1 else np.zeros(lam.shape[:-1])
+    lams, top = [], None
+    for x, vectors in spectra:  # eigh sorts a spectrum: its largest eigenvalue is its last entry
+        lams.append(x := np.maximum(x, 0.0))
+        largest = x[..., -1:] if vectors is not None else x.max(axis=-1, keepdims=True)
+        top = largest if top is None else np.maximum(top, largest)
+    lam, mu = lams[0], lams[-1]
+    floor = EPS_SUM * top
+    if diagonal:  # each pair is a vector and its partner, and gap, if given, their difference
+        col, row, overlaps = lam[..., :d, None], mu[..., :, None], g[..., :, None]
+        diffs = col - row if gap is None else gap[..., :, None]
+    else:
+        col, row = lam[..., :, None], mu[..., None, :]
+        overlaps = (u.conj().swapaxes(-1, -2)[..., :d] * g[..., None, :]) @ w
         diffs = col - row
+    sums = col + row
     weights = np.zeros(sums.shape)
-    np.divide(diffs * diffs, sums, out=weights, where=sums > floor)
-    return weights
+    np.divide(diffs * diffs, sums, out=weights, where=sums > floor[..., None])
+    f = 2.0 * len(sectors) * (weights * np.abs(overlaps) ** 2).sum(axis=(-2, -1))
+    if v is not None:
+        f += 4.0 * (np.where(lam > floor, lam, 0.0)
+                    * (v[..., None, :] @ np.abs(u) ** 2)[..., 0, :]).sum(axis=-1)
+    return float(f) if f.ndim == 0 else f
 
 
 def frequency_from_phase(f_phase: float, T: float) -> float:
