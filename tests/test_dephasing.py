@@ -106,11 +106,25 @@ class TestPhaseVariance:
             phase_variance_c(1e10, NoiseParams(1e150, 1.0))
 
     def test_tiny_argument_stability(self):
-        # series branch must agree with the direct branch at the crossover
+        # the series meets expm1(-x) + x at x = T / tau_c = 1: across it C moves
+        # by its slope 1 - exp(-1) alone, so a step between the branches as
+        # small as 1e-15 would show
+        p, h = NoiseParams(1.0, 1.0), 1e-6
+        lo, hi = phase_variance_c(1.0 - h, p), phase_variance_c(1.0 + h, p)
+        assert hi - lo == pytest.approx(-2 * h * math.expm1(-1.0), rel=3e-10, abs=0.0)
+
+    def test_against_40_digits(self):
+        # exp(-x) + x - 1 over x = T / tau_c = 1e-9..50, both branches and
+        # both sides of the crossover, against mpmath at 40 digits
+        import mpmath
         p = NoiseParams(1.0, 1.0)
-        lo = phase_variance_c(1e-3 * (1 - 1e-9), p)
-        hi = phase_variance_c(1e-3 * (1 + 1e-9), p)
-        assert lo == pytest.approx(hi, rel=1e-9)
+        xs = [float(x) for x in np.logspace(-9, math.log10(50.0), 601)]
+        xs += [math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 1e-3, 5.5e-3]
+        with mpmath.workdps(40):
+            for x in xs:
+                exact = mpmath.exp(-mpmath.mpf(x)) + x - 1
+                got = phase_variance_c(x, p)
+                assert abs(got - exact) <= 4e-16 * exact, (x, got, float(exact))
 
 
 

@@ -202,14 +202,15 @@ class TestProbeSpec:
         assert row.error is None and row.f_phase == scan(STANDARD, [reduced], [1e-3])[0].f_phase
 
     def test_large_finite_angle_still_evaluates(self):
-        # 1e300 is -2.1838724841522326 modulo 4 pi, where F reads 10.143663338893411
+        # 1e300 is -2.1838724841522326 modulo 4 pi, where F reads 10.14366333889204,
+        # oracles.collective_qfi_mp's 30-digit value rounded to a float
         for alpha in (1e8, 1e10, 1e300):
             spec = ProbeSpec(ProbeFamily.GHZ, 8, alpha=alpha)
             [row] = scan(STANDARD, [spec], [1e-3])
             f_phase, _ = scheme_qfi(build_probe(spec), STANDARD, 1e-3)
             assert row.error is None and row.f_phase == f_phase
         assert oracles.reduced_angle_mp(1e300) == -2.1838724841522326
-        assert row.f_phase == 10.143663338893411
+        assert row.f_phase == 10.14366333889204
 
 
 class TestSchemeSpec:
@@ -1180,6 +1181,24 @@ class TestParitySectors:
                         (scheme.kind, n, row.T, row.f_phase, ref)
                     late += 0 < ref < 1e-16 * n * n
         assert late > 300
+
+    def test_late_ghz_against_the_50_digit_decay_law(self):
+        # n^2 exp(-n^2 C(T)) with C(T) at 50 digits, not ghz_qfi_analytic's
+        # float C(T): a relative error e of C(T) moves F by n^2 C e, so GHZ
+        # n = 30 at T = 2.85e-3 s (n^2 C = 358) read 1.4e-11 off while C(T)
+        # was 4e-14 off.  With C(T) within 4e-16 the bound below holds
+        times = np.geomspace(1e-4, 0.05, 40)
+        for n in (8, 16, 30):
+            for row in scan(STANDARD, [ProbeSpec(ProbeFamily.GHZ, n)], times):
+                with mpmath.workdps(50):
+                    x = mpmath.mpf(row.T) / NOISE.tau_c
+                    c = ((mpmath.mpf(NOISE.gamma_delta_b) * NOISE.tau_c) ** 2
+                         * (mpmath.exp(-x) + x - 1))
+                    if n * n * c > 700:  # F underflows
+                        continue
+                    ref = n * n * mpmath.exp(-n * n * c)
+                    bound = (2e-15 + 1e-15 * n * n * c) * ref
+                    assert abs(row.f_phase - ref) <= bound, (n, row.T, row.f_phase, float(ref))
 
     def test_both_frames_against_the_30_digit_judge(self, monkeypatch):
         # rotated standard GHZ and Dicke probes, the rotation, C(T), the kernel
