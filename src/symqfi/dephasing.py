@@ -53,7 +53,7 @@ class NoiseParams:
                              f"{self.gamma_delta_b!r}, tau_c={self.tau_c!r}")
 
 
-# 1/(k+2)! for k = 21 down to 0: exp(-x) + x - 1 = x^2 sum_k (-x)^k / (k+2)!, taken by Horner
+# 1/(k+2)! for k = 21 down to 0, the highest first for Horner's rule
 _REMAINDER_SERIES = tuple(1 / math.factorial(k + 2) for k in reversed(range(22)))
 
 
