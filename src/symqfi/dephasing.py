@@ -148,8 +148,8 @@ def _collective_row(var: float, n: int) -> np.ndarray:
     """
     _check_variance("var2", var)
     d = np.arange(n + 1)
-    with np.errstate(over="ignore"):  # var d^2 overflows only to +inf, whose exp is 0
-        row = np.exp(-0.5 * (var * (d * d)))
+    # exp(-750) is already 0, so the cap changes no entry and keeps var d^2 finite
+    row = np.exp(-0.5 * (min(var, 1500.0) * (d * d)))
     row.flags.writeable = False
     return row
 

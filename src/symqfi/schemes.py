@@ -149,29 +149,39 @@ class ScanResult:
     error: str | None = None
 
 
-def _base_probe(spec: ProbeSpec) -> tuple[PureState, float]:
-    """Unrotated probe of spec's family and the angle its rotation starts from.
+def _dfs_state(n1: int, n2: int) -> PureState:
+    """dfs_optimal's entangled probe (|0, n2> + |n1, 0>) / sqrt(2), partitions of n1 and n2."""
+    basis = BipartiteSymmetricBasis(n1, n2)
+    amps = np.zeros(basis.dimension, dtype=complex)
+    amps[[n2, n1 * (n2 + 1)]] = 1.0 / math.sqrt(2.0)  # (q, r) = (0, n2) and (n1, 0)
+    return PureState(basis, amps)
 
-    A split rotatable family's probe is a ProductState with one factor per
-    partition, and dfs_optimal's the entangled (|0, n2> + |n1, 0>) / sqrt(2),
-    offset 0; spec's probe is this one rotated by offset + spec.alpha.
+
+def _factor_keys(spec: ProbeSpec) -> tuple[tuple, float]:
+    """The _factor keys of spec's unrotated probe, partition 1's first, and its start angle.
+
+    A split rotatable family's probe is the product of one factor per
+    partition, an unsplit one's is one factor, and dfs_optimal's is the
+    entangled _dfs_state, offset 0; spec's probe is this one rotated by
+    offset + spec.alpha.
     """
     f, n, n1 = spec.family, spec.n, spec.n1
     if f is ProbeFamily.DFS_OPTIMAL:
-        n2 = n - n1
-        basis = BipartiteSymmetricBasis(n1, n2)
-        amps = np.zeros(basis.dimension, dtype=complex)
-        amps[[n2, n1 * (n2 + 1)]] = 1.0 / math.sqrt(2.0)  # (q, r) = (0, n2) and (n1, 0)
-        return PureState(basis, amps), 0.0
+        return ((_dfs_state, n1, n - n1),), 0.0
     sizes = (n,) if n1 is None else (n1, n - n1)
     if f is ProbeFamily.PRODUCT_PLUS:
-        parts, offset = [plus_product_state(m) for m in sizes], 0.0
-    elif f is ProbeFamily.GHZ or f is ProbeFamily.GHZ_BIPARTITE:
-        parts, offset = [ghz_state(m) for m in sizes], 0.0
-    elif f is ProbeFamily.DICKE_SYMMETRIC:
-        parts, offset = [dicke_state(n, n // 2)], math.pi / 2
-    else:
-        parts, offset = [dicke_state(n1, spec.k1), dicke_state(n - n1, spec.k2)], math.pi / 2
+        return tuple((plus_product_state, m) for m in sizes), 0.0
+    if f is ProbeFamily.GHZ or f is ProbeFamily.GHZ_BIPARTITE:
+        return tuple((ghz_state, m) for m in sizes), 0.0
+    if f is ProbeFamily.DICKE_SYMMETRIC:
+        return ((dicke_state, n, n // 2),), math.pi / 2
+    return ((dicke_state, n1, spec.k1), (dicke_state, n - n1, spec.k2)), math.pi / 2
+
+
+def _base_probe(spec: ProbeSpec) -> tuple[PureState, float]:
+    """Unrotated probe of spec's family and the angle its rotation starts from (_factor_keys)."""
+    keys, offset = _factor_keys(spec)
+    parts = [_factor(*key)[0] for key in keys]
     return (parts[0] if len(parts) == 1 else ProductState(*parts)), offset
 
 
@@ -192,6 +202,28 @@ def _parity_eigenstate(state: PureState) -> bool:
         return False
     flipped = np.where(basis.excitations() % 2, -amps[::-1], amps[::-1])
     return not np.count_nonzero(flipped - amps) or not np.count_nonzero(flipped + amps)
+
+
+def _described(state: PureState) -> tuple[PureState, bool, bytes | None]:
+    """state, its _parity_eigenstate flag and its amplitudes as float64 bytes if they are real."""
+    amps = state.amplitudes
+    return state, _parity_eigenstate(state), \
+        None if np.count_nonzero(amps.imag) else amps.real.tobytes()
+
+
+@functools.lru_cache(maxsize=1024)
+def _factor(build: Callable, *counts: int) -> tuple[PureState, bool, bytes]:
+    """_described(build(*counts)): a base factor, validated once, with its parity and bytes.
+
+    build is plus_product_state, ghz_state, dicke_state or _dfs_state, so
+    every probe and split with this factor, in either partition, shares
+    the entry and its refusal is build's.  An entry holds the state's
+    complex and real amplitudes, 24 d bytes for d amplitudes, and about
+    0.8 KB of objects: at most 1024 (24 d + 800) bytes, 3.3 MB for factors
+    of up to 100 qubits.  A _dfs_state's d is the bipartite (n1 + 1)(n2 + 1),
+    62 KB at n = 100, but there is one per even n.
+    """
+    return _described(build(*counts))
 
 
 # frame entries G * d^2 per stack of _rotation_qfi and per grid batch (128 KiB an array)
@@ -227,28 +259,6 @@ def _start_rotation(amps: bytes, start: float) -> np.ndarray:
     row = _rotated(np.frombuffer(amps), np.array([start]))
     row.flags.writeable = False
     return row
-
-
-@functools.lru_cache(maxsize=64)
-def _spec_probe(family: ProbeFamily, n: int, n1: int | None, k1: int | None,
-                k2: int | None) -> tuple[PureState, float, dict]:
-    """_base_probe of the specs with these counts, and their _ProbeSetups by kind.
-
-    The key holds neither alpha nor the scheme kind, so every angle, time
-    and kind of a probe share one entry; _spec_setup fills its dict.  A
-    set-up keeps the spec's factors, parity and p0, and takes its blocks
-    and factor rows from _block_layout and _start_rotation.
-    """
-    probe, offset = _base_probe(ProbeSpec(family, n, n1, k1, k2))
-    return probe, offset, {}
-
-
-def _spec_setup(spec: ProbeSpec, kind: SchemeKind) -> _ProbeSetup:
-    """The set-up scan and optimize_rotation take for spec: its unrotated probe under kind."""
-    probe, offset, setups = _spec_probe(spec.family, spec.n, spec.n1, spec.k1, spec.k2)
-    if kind not in setups:
-        setups[kind] = _ProbeSetup(probe, kind, offset)
-    return setups[kind]
 
 
 _PER_VECTOR_KINDS = (SchemeKind.DI_SPIN_ECHO, SchemeKind.DI_REPEAT)
@@ -298,19 +308,21 @@ class _ProbeSetup:
     """The time-free half of a cell: probe turned about y by offset plus many angles, under kind.
 
     _rotation_cell adds the time.  scheme_qfi builds one for the probe it
-    is given, at angle 0; scan and optimize_rotation take theirs from
-    _spec_setup, on _base_probe's unrotated probe and offset, so a scan
-    builds one per group for all its times, and later cells of the same
-    counts reuse it.  Its arrays are read-only.  Three levels build it:
-    the blocks depend only on the signal state's basis, the kind and
-    whether the probe is a ProductState (_block_layout, 64 entries), a
-    real factor at its start angle only on the factor (_start_rotation,
-    1024 entries), and the factors, parity and p0 on the probe.  The
-    probe also fixes frames0, frames(p0) kept read-only from qfi's first
-    call on p0, so every time of an unrotated cell reuses its blocks,
-    roots and means: at most four arrays of n + 1 entries and about 1 KB
-    of objects (5 KB at n = 100: 1.3 MB over _spec_probe's 64 entries and
-    four kinds at n <= 100; dfs_optimal occupies two blocks of any kind).
+    is given, at angle 0 (_probe_setup); scan and optimize_rotation take
+    theirs from _spec_setup, which keys it by the kind and the signal
+    state's factors (_signal_setup), so a scan builds one per group for
+    all its times, and later cells and splits of the same signal state
+    reuse it.  Its arrays are read-only.  It is assembled from cached
+    parts: the blocks depend only on the signal state's basis, the kind
+    and whether the probe is a ProductState (_block_layout), a base
+    factor with its parity flag and bytes only on its family and counts
+    (_factor), and a real factor at its start angle only on the factor
+    (_start_rotation).  factors holds (record, start) per factor of the
+    signal state, record being _described's (state, parity, bytes).  The
+    set-up also keeps frames0, frames(p0) kept read-only from qfi's
+    first call on p0, so every time of an unrotated cell reuses its
+    blocks, roots and means: at most four arrays of n + 1 entries and
+    about 1 KB of objects (dfs_optimal occupies two blocks of any kind).
 
     The kind picks the signal state and its generator diagonal g.  Spin
     echo and repeat kernels factorize per partition with partition 2's
@@ -345,26 +357,21 @@ class _ProbeSetup:
     w (sectors).  step angles fill 2^14 frame entries.
     """
 
-    def __init__(self, probe: PureState, kind: SchemeKind, offset: float = 0.0):
-        if kind is not SchemeKind.STANDARD and not isinstance(probe.basis, BipartiteSymmetricBasis):
-            raise ValueError(f"{kind.value} requires a bipartite probe")
-        product = isinstance(probe, ProductState)
-        state = probe.parts[1] if product and kind in _PER_VECTOR_KINDS else probe
+    def __init__(self, kind: SchemeKind, basis, product: bool, factors: list[tuple],
+                 offset: float = 0.0):
         self.kind, self.offset = kind, offset
         (self.per_vector, self.index, self.m1, self.g, self.ref, self.dg, varies, self.nk,
-         self.mid, self.step) = _block_layout(state.basis, kind, product)
-        self.entangled = isinstance(state.basis, BipartiteSymmetricBasis) and not product
-        # each factor as its unrotated base and the angle it starts from
-        self.factors = [(f.base, offset + f.angle) if isinstance(f, RotatedState) else (f, offset)
-                        for f in (state.parts if isinstance(state, ProductState) else (state,))]
+         self.mid, self.step) = _block_layout(basis, kind, product)
+        self.entangled = isinstance(basis, BipartiteSymmetricBasis) and not product
+        # each factor as its unrotated base, the angle it starts from and its real bytes
+        self.factors = [(f, start, amps) for (f, _, amps), start in factors]
         self.parity = (not self.per_vector and not varies
-                       and all(_parity_eigenstate(f) for f, _ in self.factors))
+                       and all(parity for (_, parity, _), _ in factors))
         self.p0 = None
         if not (self.entangled and offset):
             self.p0 = _moduli([_rotated_amplitudes(f.amplitudes, start + np.zeros(1))
-                               if np.count_nonzero(f.amplitudes.imag)
-                               else _start_rotation(f.amplitudes.real.tobytes(), start)
-                               for f, start in self.factors])
+                               if amps is None else _start_rotation(amps, start)
+                               for f, start, amps in self.factors])
             self.p0.flags.writeable = False
         self.frames0 = None  # frames(p0), kept read-only from qfi's first call on p0
 
@@ -384,10 +391,10 @@ class _ProbeSetup:
 
     def _rotate(self, alphas: np.ndarray | None) -> np.ndarray:
         if alphas is None:
-            amps = [_grid_rotations(f.amplitudes.real.tobytes(), start)
-                    for f, start in self.factors]
+            amps = [_grid_rotations(amps, start) for _, start, amps in self.factors]
         else:
-            amps = [_rotated_amplitudes(f.amplitudes, start + alphas) for f, start in self.factors]
+            amps = [_rotated_amplitudes(f.amplitudes, start + alphas)
+                    for f, start, _ in self.factors]
         return _moduli(amps)
 
     def qfi(self, p: np.ndarray, kernel: Callable) -> np.ndarray:
@@ -492,6 +499,68 @@ class _ProbeSetup:
         return even, direct[:d, :d] - mirrored[:d, :d], mirrored
 
 
+def _require_bipartite(kind: SchemeKind, basis) -> None:
+    if kind is not SchemeKind.STANDARD and not isinstance(basis, BipartiteSymmetricBasis):
+        raise ValueError(f"{kind.value} requires a bipartite probe")
+
+
+def _probe_setup(probe: PureState, kind: SchemeKind, offset: float = 0.0) -> _ProbeSetup:
+    """The set-up of any probe turned about y by offset, under kind, as scheme_qfi takes it."""
+    _require_bipartite(kind, probe.basis)
+    product = isinstance(probe, ProductState)
+    state = probe.parts[1] if product and kind in _PER_VECTOR_KINDS else probe
+    factors = [(_described(f.base), offset + f.angle) if isinstance(f, RotatedState)
+               else (_described(f), offset)
+               for f in (state.parts if isinstance(state, ProductState) else (state,))]
+    return _ProbeSetup(kind, state.basis, product, factors, offset)
+
+
+def _spec_setup(spec: ProbeSpec, kind: SchemeKind) -> _ProbeSetup:
+    """The set-up scan and optimize_rotation take for spec: its unrotated probe under kind.
+
+    Spin echo and repeat read a split probe's partition-2 factor alone
+    (_ProbeSetup), so every split with that factor shares its set-up;
+    partition 1's factor is still built, and refused, for each spec.
+    """
+    keys, offset = _factor_keys(spec)
+    if len(keys) == 2 and kind in _PER_VECTOR_KINDS:
+        _factor(*keys[0])
+        return _signal_setup(kind, keys[1:], True, offset)
+    return _signal_setup(kind, keys, len(keys) == 2, offset)
+
+
+@functools.lru_cache(maxsize=1024)
+def _signal_setup(kind: SchemeKind, keys: tuple, product: bool, offset: float) -> _ProbeSetup:
+    """The _ProbeSetup of the signal state whose factors' _factor keys are keys, from offset.
+
+    product: the probe is a ProductState, whose signal state under spin
+    echo and repeat is partition 2's factor alone (keys holds its key)
+    and under the other kinds both factors; otherwise keys holds the state
+    itself.  The key holds neither alpha, nor the spec, nor a factor the
+    kind does not read, so every angle, time and split of one signal state
+    shares an entry, and a set-up is assembled from cached factors
+    without building the probe's bipartite amplitudes.
+
+    The bound comes from the traffic: di_dense's 3 648 bsd specs share 180
+    partition-2 factors per kind, and about 414 of its keys recur, which a
+    64-entry cache evicts before their reuse.  An entry holds p0 (8 d
+    bytes for the signal state's d amplitudes), the kept frames (at most
+    32 (n + 1) bytes) and about 2 KB of objects; its factors and layout
+    are _factor's and _block_layout's.  So the cache holds at most
+    1024 (8 d + 32 n + 2 KB): 7.9 MB for split probes of n <= 44
+    (d <= 529), 27 MB at n = 100 (d = 2601), plus any layouts and
+    factors the other caches have evicted.
+    """
+    factors = [_factor(*key) for key in keys]
+    if len(factors) == 2:
+        basis = BipartiteSymmetricBasis(*(f.basis.n for f, _, _ in factors))
+    else:
+        basis = factors[0][0].basis
+        if not product:
+            _require_bipartite(kind, basis)
+    return _ProbeSetup(kind, basis, product, [(f, offset) for f in factors], offset)
+
+
 def _rotation_cell(setup: _ProbeSetup, noise: NoiseParams,
                    T: float) -> tuple[Callable, Callable, Callable, int]:
     """The per-time half of a cell: the phase QFI of setup's probe at time T, at many angles.
@@ -584,7 +653,7 @@ def scheme_qfi(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[float, f
     probe from build_probe keeps its unrotated factors and angle, so its
     value is the one scan prints for its spec, bit for bit.
     """
-    evaluate = _rotation_qfi(_ProbeSetup(probe, scheme.kind), scheme.noise, T)
+    evaluate = _rotation_qfi(_probe_setup(probe, scheme.kind), scheme.noise, T)
     f_phase = float(evaluate(np.zeros(1))[0])
     return f_phase, frequency_from_phase(f_phase, T)
 
@@ -600,13 +669,16 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     spec.alpha is ignored: the search covers the whole range from the
     family's base state.  A family without a rotation (dfs_optimal) raises
     ValueError.  Uniform 201-point grid scan, then stacked refinement of the
-    bracket around the best grid point: each round evaluates 7 equally
-    spaced interior angles in one call and keeps the neighbours of their
-    first maximum, until the bracket is at most 1e-6 rad wide or a round
-    reads one value at all 7 angles (as a fully dephased landscape does,
-    exactly 0 everywhere).  Numerical ties, within 1e-9|F| + 1e-11 n^2 of
-    the best value, resolve to the smallest angle; the result is never more
-    than that window below the best grid value.  So where the first
+    bracket around the best grid point: each round takes 7 equally spaced
+    interior angles and keeps the neighbours of their first maximum,
+    evaluating in one call all but the centre where that is the last
+    round's best angle bit for bit (a row's F does not depend on its
+    stack, so the known F is the one a new call would read), until the
+    bracket is at most 1e-6 rad wide or a round reads one value at all 7
+    angles (as a fully dephased landscape does, exactly 0 everywhere).
+    Numerical ties, within 1e-9|F| + 1e-11 n^2 of the best value, resolve
+    to the smallest angle; the result is never more than that window below
+    the best grid value.  So where the first
     near-maximal grid angle is 0, the search stops after one round unless
     that round reads above F(0) plus its window: the round samples
     [0, pi/400] every pi/3200, and the tests check that no narrower peak
@@ -668,7 +740,11 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     settled = values[0] + window(values[0]) if best == 0 else -math.inf
     while right - left > 1e-6:
         points = np.linspace(left, right, _ROUND_ANGLES + 2)
-        inner = qfi(probabilities(points[1:-1]))
+        angles = points[1:-1]
+        # the centre is mostly the last best angle, bit for bit, whose F is known
+        inner = np.full(_ROUND_ANGLES, f_ref)
+        fresh = angles != a_ref
+        inner[fresh] = qfi(probabilities(angles[fresh]))
         i = int(np.argmax(inner))  # first maximum
         a_ref, f_ref, left, right = points[i + 1], inner[i], points[i], points[i + 2]
         if inner[i] == inner.min() or inner[i] <= settled:

@@ -8,6 +8,7 @@ import pytest
 
 from symqfi import schemes
 from symqfi.collective_basis import (
+    PLUS_MAX_N,
     BipartiteSymmetricBasis,
     ProductState,
     PureState,
@@ -642,23 +643,72 @@ class TestOptimizeRotation:
         assert f == landscape(np.array([alpha]))[0]
 
     @pytest.mark.parametrize("landscape, target, rounds", [
-        (lambda a: 100.0 - 50.0 * (a - 0.6032) ** 2, 0.6032, 7),  # a peak between grid points
-        (lambda a: 10.0 + a, math.pi / 2, 7),  # rising up to the end of the range
-        (np.zeros_like, 0.0, 1),  # fully dephased: one round holds no maximum to narrow down
-        (lambda a: 100.0 - a, 0.0, 1),  # falls from zero: one round below F(0) settles it
+        # a peak between grid points
+        (lambda a: 100.0 - 50.0 * (a - 0.6032) ** 2, 0.6032, [7, 6, 6, 6, 6, 6, 6]),
+        # rising up to the end of the range
+        (lambda a: 10.0 + a, math.pi / 2, [7, 6, 6, 7, 6, 6, 6]),
+        (np.zeros_like, 0.0, [7]),  # fully dephased: one round holds no maximum to narrow down
+        (lambda a: 100.0 - a, 0.0, [7]),  # falls from zero: one round below F(0) settles it
     ], ids=["off-grid-peak", "rising-edge", "flat", "falls-from-zero"])
     def test_refinement_precision_and_call_budget(self, monkeypatch, landscape, target, rounds):
         # after the grid, a few stacked rounds reach the optimum within the
         # search tolerance, without one-angle calls and never past pi/2; the
         # grid goes in a first batch of 2 angles (alpha = 0 and the largest
-        # bound) and one chunk of the rest
+        # bound) and one chunk of the rest, and a round skips its centre
+        # where that is the last best angle bit for bit
         sizes = []
         monkeypatch.setattr(schemes, "_rotation_cell", fake_cell(landscape, sizes))
         alpha, f = optimize_rotation(ProbeSpec(ProbeFamily.GHZ, 8), STANDARD, 0.01)
         assert abs(alpha - target) <= 1e-6
         assert alpha <= math.pi / 2
         assert f == landscape(np.array([alpha]))[0]
-        assert sizes == [2, 199] + [7] * rounds
+        assert sizes == [2, 199] + rounds
+
+    def test_no_round_reevaluates_a_known_angle(self, monkeypatch):
+        # a round's centre, where it is the last best angle bit for bit,
+        # keeps the F known there and is not evaluated again; every angle a
+        # round evaluates is new, and reads its one-angle F, which a full
+        # round of 7 would read too, so the optimum is the one full rounds give
+        rng = np.random.default_rng(43)
+        cells = list(rotatable_cells(rng, range(2, 13)))
+        picks = rng.choice(len(cells), 150, replace=False)
+        times = 10.0 ** rng.uniform(-4.0, -1.0, len(picks))
+        rounds = []  # [angles, values] per refinement round
+        real = schemes._rotation_cell
+
+        def cell(*args):
+            probabilities, qfi, bound, step = real(*args)
+
+            def recorded(alphas=None):
+                if alphas is not None:
+                    rounds.append([np.array(alphas), None])
+                return probabilities(alphas)
+
+            def evaluated(p):
+                values = qfi(p)
+                if rounds and rounds[-1][1] is None:
+                    rounds[-1][1] = values
+                return values
+
+            return recorded, evaluated, bound, step
+
+        skipped = total = 0
+        for i, T in zip(picks, times):
+            scheme, spec = cells[i]
+            rounds.clear()
+            monkeypatch.setattr(schemes, "_rotation_cell", cell)
+            alpha, f = optimize_rotation(spec, scheme, float(T))
+            monkeypatch.undo()
+            angles = np.concatenate([a for a, _ in rounds])
+            assert len(np.unique(angles)) == len(angles), (scheme.kind, spec, T)
+            assert not np.isin(angles, schemes._GRID).any(), (scheme.kind, spec, T)
+            evaluate = rotation_qfi(spec, scheme, float(T))
+            one = np.array([evaluate(np.array([a]))[0] for a in angles])
+            assert one.tobytes() == np.concatenate([v for _, v in rounds]).tobytes()
+            assert evaluate(np.array([alpha]))[0] == f, (scheme.kind, spec, T)
+            skipped += sum(len(a) < 7 for a, _ in rounds[1:])
+            total += len(rounds) - 1
+        assert total >= 150 and skipped >= 0.7 * total
 
     def test_fully_dephased_cells_skip_eigh(self, monkeypatch):
         # every frame of these cells is exactly diagonal, with v = None, so
@@ -987,15 +1037,15 @@ class TestRotationEvaluator:
         for alphas, start in ((np.array([0.3]), 0.0), (np.array([0.0, 0.3]), 0.0),
                               (np.zeros(1), 0.3)):
             with pytest.raises(ValueError) as info:
-                _rotation_qfi(schemes._ProbeSetup(probe, DI_IDEAL.kind, start), DI_IDEAL.noise,
+                _rotation_qfi(schemes._probe_setup(probe, DI_IDEAL.kind, start), DI_IDEAL.noise,
                               1e-3)(alphas)
             assert str(info.value) == message
-        probabilities = schemes._ProbeSetup(probe, DI_IDEAL.kind).probabilities
+        probabilities = schemes._probe_setup(probe, DI_IDEAL.kind).probabilities
         with pytest.raises(ValueError) as info:
             probabilities()
         assert str(info.value) == message
         # at angle 0 the route is scheme_qfi's, and the dense channel judges it
-        at_zero = float(_rotation_qfi(schemes._ProbeSetup(probe, DI_IDEAL.kind), DI_IDEAL.noise,
+        at_zero = float(_rotation_qfi(schemes._probe_setup(probe, DI_IDEAL.kind), DI_IDEAL.noise,
                                       1e-3)(np.zeros(1))[0])
         assert at_zero == scheme_qfi(probe, DI_IDEAL, 1e-3)[0]
         assert at_zero == pytest.approx(dense_qfi(probe, DI_IDEAL, 1e-3), rel=1e-9)
@@ -1548,9 +1598,10 @@ class TestRealInputs:
 
 class TestProbeSetup:
     """scan and optimize_rotation take each spec's time-free set-up from a
-    64-entry cache keyed by its counts, and add the time per cell; a set-up
-    takes its blocks from a cache keyed by shape and kind, and each real
-    factor at its start angle from a cache keyed by the factor."""
+    cache keyed by the kind and the signal state's factors, and add the
+    time per cell; a set-up takes its factors from a cache keyed by family
+    and counts, its blocks from a cache keyed by shape and kind, and each
+    real factor at its start angle from a cache keyed by the factor."""
 
     BSD_SPLIT = [ProbeSpec(ProbeFamily.BSD, 10, n1=4, k1=k1, k2=k2)
                  for k1 in range(5) for k2 in range(7)]
@@ -1583,14 +1634,18 @@ class TestProbeSetup:
             assert self.bits(warm) == self.bits(alone), scheme.kind
             assert sum(r.error is not None for r in alone) == \
                 (0 if scheme is STANDARD else len(unsplit) * len(times))
-        schemes._spec_probe.cache_clear()
+        cold_caches()
 
     def test_probe_cache_is_bounded_and_read_only(self):
-        schemes._spec_probe.cache_clear()
-        for n in range(2, 72):
-            scan(STANDARD, [ProbeSpec(ProbeFamily.GHZ, n)], [1e-3])
-        info = schemes._spec_probe.cache_info()
-        assert info.maxsize == 64 and info.currsize == 64
+        cold_caches()
+        # 1 127 partition-2 Dicke factors under spin echo, beside one partition-1 factor
+        for n2 in range(1, 47):
+            for k2 in range(n2 + 1):
+                schemes._spec_setup(ProbeSpec(ProbeFamily.BSD, n2 + 1, n1=1, k1=0, k2=k2),
+                                    SchemeKind.DI_SPIN_ECHO)
+        for cache in (schemes._signal_setup, schemes._factor):
+            info = cache.cache_info()
+            assert info.maxsize == 1024 and info.currsize == 1024
         for spec, kind in ((ProbeSpec(ProbeFamily.BSD, 8, n1=3, k1=1, k2=2, alpha=0.4),
                             SchemeKind.DI_IDEAL),
                            (ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8), SchemeKind.DI_SPIN_ECHO)):
@@ -1599,11 +1654,78 @@ class TestProbeSetup:
             assert schemes._spec_setup(dataclasses.replace(spec, alpha=0.0), kind) is setup
             arrays = [setup.index, setup.g, setup.ref, setup.dg, setup.p0]
             arrays += [setup.m1] if setup.per_vector else []
+            arrays += [factor.amplitudes for factor, _, _ in setup.factors]
             for x in arrays:
                 assert not x.flags.writeable
                 with pytest.raises(ValueError):
                     x.flat[0] = 1.0
-        schemes._spec_probe.cache_clear()
+            for factor, _, amps in setup.factors:
+                assert amps == factor.amplitudes.real.tobytes()
+        cold_caches()
+
+    # every split of the DI families at n <= 8
+    DI_SPLITS = [ProbeSpec(ProbeFamily.BSD, n, n1=n1, k1=k1, k2=k2)
+                 for n in range(2, 9) for n1 in range(1, n)
+                 for k1 in range(n1 + 1) for k2 in range(n - n1 + 1)]
+    DI_SPLITS += [ProbeSpec(family, n, n1=n1) for n in range(2, 9) for n1 in range(1, n)
+                  for family in (ProbeFamily.GHZ_BIPARTITE, ProbeFamily.PRODUCT_PLUS)]
+
+    def test_splits_share_the_signal_setup_bit_for_bit(self):
+        # spin echo and repeat read partition 2's factor alone, so every
+        # split with that factor takes one set-up, p0 and kept frames
+        # included; each spec reads the same bits warm, its set-up built
+        # by another split, as cold
+        times = [0.0, 1e-3, 2e-2]
+        for scheme in (DI_IDEAL, DI_ECHO, DI_REPEAT):
+            alone = []
+            for spec in self.DI_SPLITS:
+                cold_caches()
+                alone += scan(scheme, [spec], times)
+            for order in (self.DI_SPLITS, self.DI_SPLITS[::-1]):
+                cold_caches()
+                warm = scan(scheme, order, times)
+                if order is not self.DI_SPLITS:
+                    warm = [row for i in reversed(range(len(order)))
+                            for row in warm[i * len(times):(i + 1) * len(times)]]
+                assert self.bits(warm) == self.bits(alone), scheme.kind
+            assert all(r.error is None for r in alone)
+            setups = {}
+            for spec in self.DI_SPLITS:
+                key = (spec.family, spec.n - spec.n1, spec.k2)
+                setups.setdefault(key, set()).add(id(schemes._spec_setup(spec, scheme.kind)))
+            shared = scheme is not DI_IDEAL
+            assert all(len(ids) == 1 for ids in setups.values()) == shared, scheme.kind
+        cold_caches()
+
+    def test_partition_1_is_refused_beside_a_shared_setup(self):
+        # a split product_plus whose partition 1 overflows keeps its refusal
+        # under spin echo and repeat, though its partition-2 set-up is cached
+        cold_caches()
+        big = PLUS_MAX_N + 1
+        message = (f"product_plus needs n <= {PLUS_MAX_N}: C(n, n/2) overflows a float "
+                   f"at n={big}")
+        small = ProbeSpec(ProbeFamily.PRODUCT_PLUS, 3, n1=2)
+        probes = [small, ProbeSpec(ProbeFamily.PRODUCT_PLUS, big + 1, n1=big),
+                  ProbeSpec(ProbeFamily.PRODUCT_PLUS, big + 1, n1=1), small]
+        for scheme in (DI_IDEAL, DI_ECHO, DI_REPEAT):
+            for _ in range(2):
+                rows = scan(scheme, probes, [1e-3])
+                assert [r.error for r in rows] == [None, message, message, None], scheme.kind
+                assert math.isnan(rows[1].f_phase) and math.isnan(rows[2].f_phase)
+                assert rows[3].f_phase == rows[0].f_phase
+        cold_caches()
+
+    def test_cold_caches_empties_every_cache_of_the_setup_route(self):
+        scan(DI_ECHO, [ProbeSpec(ProbeFamily.BSD, 8, n1=3, k1=1, k2=2)], [1e-3])
+        optimize_rotation(ProbeSpec(ProbeFamily.GHZ, 8), STANDARD, 1e-3)
+        caches = {name: value for name, value in vars(schemes).items()
+                  if hasattr(value, "cache_info")}
+        route = {"_signal_setup", "_factor", "_block_layout", "_start_rotation", "_grid_rotations"}
+        assert route <= set(caches)
+        assert all(caches[name].cache_info().currsize > 0 for name in route)
+        cold_caches()
+        assert {name: value.cache_info().currsize for name, value in caches.items()} == \
+            dict.fromkeys(caches, 0)
 
     def test_collective_row_is_the_kernel_bit_for_bit(self):
         # C from 0 through the window where exp(-C d^2 / 2) is subnormal at
@@ -1624,6 +1746,16 @@ class TestProbeSetup:
                 kernel = dephasing_kernel(np.zeros(len(blocks)), blocks, 0.0, C)
                 assert gathered.tobytes() == kernel.tobytes(), C
         assert found == {"normal", "subnormal", "zero"}
+        # up to n = 5000 a sparse set of distances, through the subnormal
+        # window, the variances about the row's cap and the overflow of C d^2
+        for size in (1, 7, 300, 5000):
+            dists = np.unique(np.geomspace(1, size, 60).astype(int))
+            blocks = np.concatenate([[0], dists])
+            window = 2 * np.linspace(600, 800, 41)[:, None] / dists ** 2
+            for C in [*np.unique(window), 1499.9, 1500.0, 1500.1, 1e300, np.finfo(float).max]:
+                row = _collective_row(float(C), size)
+                kernel = dephasing_kernel(np.zeros(len(blocks)), blocks, 0.0, float(C))
+                assert row[blocks].tobytes() == kernel[0].tobytes(), (size, C)
         for bad in (-1e-300, math.inf, math.nan):
             with pytest.raises(ValueError) as info:
                 _collective_row(bad, n)
@@ -1661,9 +1793,9 @@ class TestProbeSetup:
             kind = SchemeKind.DI_IDEAL if spec.n1 is not None else SchemeKind.STANDARD
             rotated = [] if spec.family is ProbeFamily.DFS_OPTIMAL else [0.7, -13.0]
             for setup in [schemes._spec_setup(spec, kind)] + [
-                    schemes._ProbeSetup(build_probe(dataclasses.replace(spec, alpha=a)), kind)
+                    schemes._probe_setup(build_probe(dataclasses.replace(spec, alpha=a)), kind)
                     for a in rotated]:
-                for factor, start in setup.factors:
+                for factor, start, _ in setup.factors:
                     amps = factor.amplitudes
                     row = schemes._start_rotation(amps.real.tobytes(), start)
                     assert not row.flags.writeable
@@ -1822,7 +1954,7 @@ class TestProbeSetup:
     def test_entangled_probe_with_an_offset_keeps_its_refusal(self, monkeypatch):
         calls = self.counted_frames(monkeypatch)
         probe, _ = schemes._base_probe(ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8))
-        setup = schemes._ProbeSetup(probe, SchemeKind.DI_IDEAL, 0.3)
+        setup = schemes._probe_setup(probe, SchemeKind.DI_IDEAL, 0.3)
         assert setup.p0 is None
         for _ in range(2):
             with pytest.raises(ValueError, match="rotates at angle 0 only"):
