@@ -21,6 +21,7 @@ exactly once exp(-C(T)/2) underflows to 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -144,12 +145,21 @@ def _collective_row(var: float, n: int) -> np.ndarray:
 
     Entry [i, j] of dephasing_kernel(zeros, m2, 0.0, var) for integer
     weights m2 is entry |m2[i] - m2[j]| of this row, bit for bit: the
-    partition-1 term adds an exact 0.
+    partition-1 term adds an exact 0, and halving is exact, so var times
+    the cached -d^2 / 2 is -(var d^2) / 2 wherever exp reads below 1.0.
     """
     _check_variance("var2", var)
-    d = np.arange(n + 1)
     # exp(-750) is already 0, so the cap changes no entry and keeps var d^2 finite
-    row = np.exp(-0.5 * (min(var, 1500.0) * (d * d)))
+    row = np.exp(min(var, 1500.0) * _half_squares(n))
+    row.flags.writeable = False
+    return row
+
+
+@functools.lru_cache(maxsize=64)
+def _half_squares(n: int) -> np.ndarray:
+    """-d^2 / 2 at d = 0..n, read-only."""
+    d = np.arange(n + 1)
+    row = -0.5 * (d * d)
     row.flags.writeable = False
     return row
 

@@ -52,10 +52,11 @@ def spectral_qfi(m: np.ndarray, g_bar: np.ndarray,
     shape (..., d); every matrix is then treated on its own and the result
     is an array of shape (...).  A single (d, d) matrix gives a float.
 
-    With v = None, a stack whose off-diagonal entries are all exactly 0 and
-    whose diagonal is finite commutes with G and reads exactly 0 without
-    eigh: its eigenvalues are its diagonal, refused below EIGENVALUE_FLOOR
-    as above.
+    A stack whose off-diagonal entries are all exactly 0 and whose
+    diagonal is finite is read without eigh: its eigenvalues are its
+    diagonal, refused below EIGENVALUE_FLOOR as above.  It commutes with
+    G, so it reads exactly 0 with v = None, and otherwise the second sum
+    alone, added in eigh's ascending order of the eigenvalues.
 
     The arrays are read C-ordered: their layout would pick the BLAS
     routes, and so the last bits.
@@ -95,12 +96,13 @@ def _frame_qfi(sectors: tuple, g: np.ndarray, v: np.ndarray | None = None,
     both orders of each pair.  Two (parity_qfi): G couples the first len(g)
     vectors of the first sector to the second, and each pair appears once.
     A diagonal sector is its own eigensystem, so G pairs each vector with
-    its partner alone, through g.
+    its partner alone, through g; with v, one diagonal sector gives
+    4 sum_k lambda_k v[k] alone, summed in eigh's ascending order.
     """
     g = np.ascontiguousarray(g)
     v = None if v is None else np.ascontiguousarray(v)
     d = g.shape[-1]
-    diagonal, matrices = v is None, []
+    diagonal, matrices = True, []
     for m in sectors:  # each read C-ordered: nothing nonzero off its diagonal, which is finite
         matrices.append(m := np.ascontiguousarray(m))
         x = m.diagonal(0, -2, -1)
@@ -114,8 +116,8 @@ def _frame_qfi(sectors: tuple, g: np.ndarray, v: np.ndarray | None = None,
         spectra.append((lam, u))
     (lam, u), (mu, w) = spectra[0], spectra[-1]
     # G couples nothing, or the frame is diagonal: one diagonal sector, or two whose partners agree
-    if not d or diagonal and (mu is lam or (lam[..., :d] == mu).all()
-                              and (gap is None or not np.count_nonzero(gap))):
+    if not d or diagonal and v is None and (mu is lam or (lam[..., :d] == mu).all()
+                                            and (gap is None or not np.count_nonzero(gap))):
         return 0.0 if lam.ndim == 1 else np.zeros(lam.shape[:-1])
     lams, top = [], None
     for x, vectors in spectra:  # eigh sorts a spectrum: its largest eigenvalue is its last entry
@@ -124,6 +126,11 @@ def _frame_qfi(sectors: tuple, g: np.ndarray, v: np.ndarray | None = None,
         top = largest if top is None else np.maximum(top, largest)
     lam, mu = lams[0], lams[-1]
     floor = EPS_SUM * top
+    if diagonal and v is not None:  # G pairs each vector with itself: the pair sum is 0
+        order = np.argsort(lam, axis=-1, kind="stable")
+        lam = np.take_along_axis(lam, order, -1)
+        f = 4.0 * (np.where(lam > floor, lam, 0.0) * np.take_along_axis(v, order, -1)).sum(axis=-1)
+        return float(f) if f.ndim == 0 else f
     if diagonal:  # each pair is a vector and its partner, and gap, if given, their difference
         col, row, overlaps = lam[..., :d, None], mu[..., :, None], g[..., :, None]
         diffs = col - row if gap is None else gap[..., :, None]

@@ -226,7 +226,7 @@ def _factor(build: Callable, *counts: int) -> tuple[PureState, bool, bytes]:
     return _described(build(*counts))
 
 
-# frame entries G * d^2 per stack of _rotation_qfi and per grid batch (128 KiB an array)
+# frame entries G * d^2 per stack of a qfi call (128 KiB an array)
 _CHUNK_ENTRIES = 2 ** 14
 # the uniform grid of angles the rotation search starts from
 _GRID = np.linspace(0.0, math.pi / 2, 201)
@@ -265,21 +265,19 @@ _PER_VECTOR_KINDS = (SchemeKind.DI_SPIN_ECHO, SchemeKind.DI_REPEAT)
 
 
 @functools.lru_cache(maxsize=64)
-def _block_layout(basis, kind: SchemeKind, product: bool) -> tuple:
+def _block_layout(basis, kind: SchemeKind) -> tuple:
     """The blocks of a signal state on basis under kind, read-only (see _ProbeSetup).
 
-    product: the probe is a ProductState, whose signal state under spin
-    echo and repeat is its partition-2 factor.  Returns (per_vector, index,
-    m1, g, ref, dg, dg.any(), nk, mid, step), shared by every probe of the
-    same shape.  An entry holds at most five arrays of d = basis.dimension
-    entries, 40 d bytes and about 1 KB of objects: at most 1.2 MB over the
-    64 entries at n <= 40, 6.7 MB at n <= 100.
+    Returns (per_vector, index, m1, g, ref, dg, dg.any(), nk, mid, step),
+    shared by every probe of the same shape; spin echo and repeat reach it
+    only for a bipartite state that is no ProductState.  An entry holds at
+    most five arrays of d = basis.dimension entries, 40 d bytes and about
+    1 KB of objects: at most 1.2 MB over the 64 entries at n <= 40, 6.7 MB
+    at n <= 100.
     """
     per_vector = kind in _PER_VECTOR_KINDS
-    # the signal acts on all of the state under STANDARD and on partition 2's factor
-    g = basis.z_weights() if kind is SchemeKind.STANDARD or (per_vector and product) \
-        else basis.partition2_weights()
-    per_vector = per_vector and not product
+    # the signal acts on the whole state under STANDARD, else on partition 2
+    g = basis.z_weights() if kind is SchemeKind.STANDARD else basis.partition2_weights()
     if per_vector:  # one block per basis vector; g is partition 2's weight
         index, m1 = np.arange(basis.dimension), basis.partition1_weights()
     else:  # one block per total excitation number k, collective noise on k
@@ -307,42 +305,34 @@ def _moduli(rows: list[np.ndarray]) -> np.ndarray:
 class _ProbeSetup:
     """The time-free half of a cell: probe turned about y by offset plus many angles, under kind.
 
-    _rotation_cell adds the time.  scheme_qfi builds one for the probe it
-    is given, at angle 0 (_probe_setup); scan and optimize_rotation take
-    theirs from _spec_setup, which keys it by the kind and the signal
-    state's factors (_signal_setup), so a scan builds one per group for
-    all its times, and later cells and splits of the same signal state
-    reuse it.  Its arrays are read-only.  It is assembled from cached
-    parts: the blocks depend only on the signal state's basis, the kind
-    and whether the probe is a ProductState (_block_layout), a base
-    factor with its parity flag and bytes only on its family and counts
-    (_factor), and a real factor at its start angle only on the factor
-    (_start_rotation).  factors holds (record, start) per factor of the
-    signal state, record being _described's (state, parity, bytes).  The
-    set-up also keeps frames0, frames(p0) kept read-only from qfi's
-    first call on p0, so every time of an unrotated cell reuses its
-    blocks, roots and means: at most four arrays of n + 1 entries and
-    about 1 KB of objects (dfs_optimal occupies two blocks of any kind).
+    qfi adds the time.  scheme_qfi builds one at angle 0 (_probe_setup);
+    scan and optimize_rotation share theirs across times, cells and
+    splits (_signal_setup).  Its arrays are read-only; the blocks
+    (_block_layout), base factors (_factor) and start rotations
+    (_start_rotation) are cached apart.  factors holds (record, start) per
+    factor of the signal state, record being _described's (state, parity,
+    bytes).  frames0, frames(p0) kept read-only from qfi's first call on
+    p0, lets every time of an unrotated cell reuse its blocks, roots and
+    means: at most four arrays of n + 1 entries and about 1 KB of objects.
 
     The kind picks the signal state and its generator diagonal g.  Spin
     echo and repeat kernels factorize per partition with partition 2's
     factor exp(-C(T) dm2^2 / 2), so a ProductState carries the QFI of its
-    partition-2 factor, with its total z-spin, under collective dephasing;
-    the other kinds take the whole probe.  The kernel picks the blocks:
-    collective dephasing scales P_j rho P_k by exp(-C(T)(j - k)^2 / 2) for
-    the total-excitation projectors P_k (index maps each basis vector to
-    its k), and spin echo and repeat on any other state take one block per
-    basis vector, whose partition weights m1 and g the kernel reads.  ref
-    holds g at one entry of each block and dg = g - ref[index].
+    partition-2 factor, with its total z-spin, under collective
+    dephasing: STANDARD's set-up of that factor.  The other kinds take the
+    whole probe.  The kernel picks the blocks: collective dephasing scales
+    P_j rho P_k by exp(-C(T)(j - k)^2 / 2) for the total-excitation
+    projectors P_k (index maps each basis vector to its k), and spin echo
+    and repeat on any other state take one block per basis vector, whose
+    partition weights m1 and g the kernel reads.  ref holds g at one entry
+    of each block and dg = g - ref[index].
 
-    Each factor of the signal state, a ProductState's two or the state
-    itself, is a base rotated by offset plus the angle a RotatedState
-    carries (0 for any other state), through _rotated_amplitudes as in
-    rotate_y.  A bipartite state that is no ProductState, such as
-    dfs_optimal's, is taken at angle 0 only, where _rotated returns it as
-    is.  p0 holds the probabilities at the start angles, the all-zero
-    stacks scan's unrotated probes pass, from _start_rotation's rows where
-    a factor's amplitudes are real.  Amplitudes enter by modulus only: a
+    Each factor, a ProductState's two or the state itself, is a base
+    rotated by offset plus the angle a RotatedState carries (else 0),
+    through _rotated_amplitudes as in rotate_y; a bipartite state that is
+    no ProductState, such as dfs_optimal's, is taken at angle 0 only.  p0
+    holds the probabilities at the start angles, from _start_rotation's
+    rows where a factor is real.  Amplitudes enter by modulus only: a
     diagonal phase commutes with the noise and the generator.
 
     parity: the frames are collective blocks with v = None and every base
@@ -354,14 +344,14 @@ class _ProbeSetup:
     even one spanned by (e_k + e_(n-k)) / sqrt(2), k < n/2, and e_(n/2),
     the odd one by (e_k - e_(n-k)) / sqrt(2).  parity_qfi takes them, the
     matrices sqrt(w_j w_k) (K[j, k] +- K[j, n - k]) from the lower half of
-    w (sectors).  step angles fill 2^14 frame entries.
+    w (_kernel).  step angles fill 2^14 frame entries.
     """
 
     def __init__(self, kind: SchemeKind, basis, product: bool, factors: list[tuple],
                  offset: float = 0.0):
         self.kind, self.offset = kind, offset
         (self.per_vector, self.index, self.m1, self.g, self.ref, self.dg, varies, self.nk,
-         self.mid, self.step) = _block_layout(basis, kind, product)
+         self.mid, self.step) = _block_layout(basis, kind)
         self.entangled = isinstance(basis, BipartiteSymmetricBasis) and not product
         # each factor as its unrotated base, the angle it starts from and its real bytes
         self.factors = [(f, start, amps) for (f, _, amps), start in factors]
@@ -378,53 +368,116 @@ class _ProbeSetup:
     def probabilities(self, alphas: np.ndarray | None = None) -> np.ndarray:
         """Squared amplitude moduli p, shape (G, D), of the signal state at G angles.
 
-        No angles means the _GRID angles over [0, pi/2], whose factor
-        rotations _grid_rotations keeps across cells (for real bases, as
-        _base_probe builds them).  One zero angle hands out p0 itself, by
-        which qfi knows its kept frames apply; more zeros a copy per angle.
+        No angles means the _GRID angles, whose factor rotations
+        _grid_rotations keeps across cells (for real bases).  One zero
+        angle hands out p0 itself, by which qfi knows its kept frames
+        apply; more zeros a copy per angle.
         """
         if self.entangled and (alphas is None or np.count_nonzero(self.offset + alphas)):
             raise ValueError("a bipartite probe that is no ProductState rotates at angle 0 only")
-        if alphas is not None and not np.count_nonzero(alphas):
-            return self.p0 if len(alphas) == 1 else self.p0.repeat(len(alphas), axis=0)
-        return self._rotate(alphas)
-
-    def _rotate(self, alphas: np.ndarray | None) -> np.ndarray:
         if alphas is None:
-            amps = [_grid_rotations(amps, start) for _, start, amps in self.factors]
-        else:
-            amps = [_rotated_amplitudes(f.amplitudes, start + alphas)
-                    for f, start, _ in self.factors]
-        return _moduli(amps)
+            return _moduli([_grid_rotations(amps, start) for _, start, amps in self.factors])
+        if not np.count_nonzero(alphas):
+            return self.p0 if len(alphas) == 1 else self.p0.repeat(len(alphas), axis=0)
+        return _moduli([_rotated_amplitudes(f.amplitudes, start + alphas)
+                        for f, start, _ in self.factors])
 
-    def qfi(self, p: np.ndarray, kernel: Callable) -> np.ndarray:
-        """QFI per state of a stack p, shape (G, D), with kernel(ks) on the occupied blocks ks.
+    def qfi(self, noise: NoiseParams, T: float, alphas: np.ndarray | None = None,
+            rows=slice(None)) -> np.ndarray:
+        """Phase QFI at time T at each angle of alphas, or at the _GRID angles at rows.
 
-        The per-time step: each of frames(p) takes the matrix
-        sqrt(w_j w_k) kernel[j, k] as root * root * kernel(ks) and its
-        spectral_qfi, or with parity the pair of sector matrices kernel(ks)
-        holds and their parity_qfi.  For p0 itself, the stack
-        probabilities hands out for one zero angle, the frames are the
-        ones kept from its first use, so every later time of an unrotated
-        probe pays only for the kernel and this step.
+        The one route to a QFI, which scan, scheme_qfi and
+        optimize_rotation take.  T enters only through the kernel's
+        variances: var2 = C(T), and var1 = C(T) under repeat,
+        spin_echo_weights_variance(1, 0) under spin echo (its dm1 dm2 term
+        cancels), 0 under collective noise, which takes the total
+        excitation number as partition 2's weight.  Angles go in stacks of
+        step.  Each of frames(p) takes the matrix sqrt(w_j w_k) K[j, k] as
+        root * root * K on its occupied blocks ks and its spectral_qfi, or
+        with parity the two sector matrices and parity_qfi; where each
+        sector holds one block, their gap 2 w_k K[k, n - k] goes in as is,
+        free of the cancellation of (1 + K) / 2 - (1 - K) / 2.
+
+        K is taken once per occupied set and time: _collective_row's
+        exp(-C(T) d^2 / 2) gathered by the blocks' distances (_distances),
+        dephasing_kernel's floats, or that kernel for per-vector blocks.
+        p0, handed out for one zero angle, takes the frames kept from its
+        first use, so each later time of an unrotated probe pays for C(T),
+        one exp over n + 1 distances, a gather and the spectral step.
         """
-        if p is self.p0 and self.frames0 is None:
-            self.frames0 = self.frames(p)
-            for x in (x for frame in self.frames0 for x in frame[1:] if x is not None):
-                x.flags.writeable = False
-        out = np.empty(len(p))
-        for rows, ks, root, g_bar, v in self.frames0 if p is self.p0 else self.frames(p):
-            if self.parity:
-                even, odd, mirrored = kernel(ks)
-                low = root[..., :len(odd)]
-                # one block per sector: lambda - mu = 2 w_k K[k, n - k], free of cancellation
-                gap = 2.0 * low * low * mirrored[0, :len(odd)] if len(ks) == 1 else None
-                out[rows] = parity_qfi(root[..., :, None] * root[..., None, :] * even,
-                                       low[..., :, None] * low[..., None, :] * odd, g_bar, gap)
-            else:
-                out[rows] = spectral_qfi(root[..., :, None] * root[..., None, :] * kernel(ks),
-                                         g_bar, v)
+        var1, var2, row, kernels = _cell_kernels(
+            self, noise, _require_real("time", T, "finite and nonnegative"))
+        if alphas is None:  # the grid, taken once per cell (bound may have)
+            grid = kernels.get(None)
+            if grid is None:
+                grid = kernels[None] = self.probabilities()
+            stack = grid[rows]
+        else:
+            stack = np.asarray(alphas, float)
+        out = np.empty(len(stack))
+        for i in range(0, len(stack), self.step):
+            part = stack[i:i + self.step]
+            p = part if alphas is None else self.probabilities(part)
+            if p is self.p0 and self.frames0 is None:
+                self.frames0 = self.frames(p)
+                for x in (x for frame in self.frames0 for x in frame[1:] if x is not None):
+                    x.flags.writeable = False
+            values = out[i:i + len(part)]
+            for at, ks, root, g_bar, v in self.frames0 if p is self.p0 else self.frames(p):
+                key = ks.tobytes()
+                kernel = kernels.get(key)
+                if kernel is None:
+                    kernel = kernels[key] = self._kernel(ks, var1, var2, row, self.parity)
+                if self.parity:
+                    even, odd, mirrored = kernel
+                    low = root[..., :len(odd)]
+                    gap = 2.0 * low * low * mirrored[0, :len(odd)] if len(ks) == 1 else None
+                    values[at] = parity_qfi(root[..., :, None] * root[..., None, :] * even,
+                                            low[..., :, None] * low[..., None, :] * odd, g_bar, gap)
+                else:
+                    values[at] = spectral_qfi(root[..., :, None] * root[..., None, :] * kernel,
+                                              g_bar, v)
         return out
+
+    def bound(self, noise: NoiseParams, T: float, alphas: np.ndarray | None = None) -> np.ndarray:
+        """An upper bound U on qfi at time T at each angle of alphas, the _GRID's if None.
+
+        The QFI is four times the convex roof of the variance (Toth and
+        Petz, Phys. Rev. A 87, 032324, 2013), so any decomposition of the
+        dephased state bounds it.  With B = K^(1/2) the symmetric root of
+        the kernel K on all blocks, B B^T = K, the dephased state is the
+        mixture of the unnormalized vectors B[k_i, l] psi_i over l, so
+        U = 4 sum_l (s2_l - s1_l^2 / s0_l) with s_j = (p g^j) @ (B o B)[k_i].
+        With an all-ones kernel (T = 0) it is the pure QFI 4 Var(g), and
+        with the identity kernel the steady-state QFI.
+        """
+        var1, var2, row, kernels = _cell_kernels(
+            self, noise, _require_real("time", T, "finite and nonnegative"))
+        mu, vectors = np.linalg.eigh(self._kernel(np.arange(self.nk), var1, var2, row))
+        root = (vectors * np.sqrt(np.maximum(mu, 0.0))) @ vectors.T
+        y, g, p = (root * root)[self.index], self.g, self.probabilities(alphas)
+        if alphas is None:
+            kernels[None] = p
+        pg = p * g
+        s0, s1, s2 = p @ y, pg @ y, (pg * g) @ y
+        spread = s2 - np.divide(s1 * s1, s0, out=np.zeros(s0.shape), where=s0 > 0)
+        return 4.0 * spread.sum(axis=-1)
+
+    def _kernel(self, ks: np.ndarray, var1: float, var2: float, row: np.ndarray | None,
+                parity: bool = False):
+        """The kernel K on the blocks ks or, with parity (lower-half ks), (even, odd, mirrored)."""
+        if row is None:
+            return dephasing_kernel(self.m1[ks], self.g[ks], var1, var2)
+        full = row[_distances(ks.tobytes(), self.nk - 1 if parity else -1)]
+        if not parity:
+            return full
+        size, d = len(ks), np.count_nonzero(ks < self.mid)
+        direct, mirrored = full[:, :size], full[:, size:]
+        even = direct + mirrored
+        if d < size:  # the middle block, last in ks, pairs with no mirror
+            even[-1, :] = even[:, -1] = math.sqrt(2.0) * direct[:, -1]
+            even[-1, -1] = direct[-1, -1]
+        return even, direct[:d, :d] - mirrored[:d, :d], mirrored
 
     def frames(self, p: np.ndarray) -> list[tuple]:
         """The time-free frames of a stack p, shape (G, D): (rows, ks, root, g_bar, v) each.
@@ -481,22 +534,35 @@ class _ProbeSetup:
         return (rows, ks, root, np.take(g_bar, g_ks, axis=-1),
                 np.take(v, ks, axis=-1) if v is not None and v.any() else None)
 
-    def sectors(self, ks: np.ndarray,
-                kernel: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The even and odd sector kernels on the lower-half blocks ks, from kernel(blocks).
+@functools.lru_cache(maxsize=1)
+def _cell_kernels(setup: _ProbeSetup, noise: NoiseParams, T: float) -> tuple:
+    """(var1, var2, row, kernels): what the qfi calls of setup's cell at time T share.
 
-        The third array is the mirrored block K[j, n - k], which the sectors
-        hold as a sum and a difference with the direct block K[j, k].
-        """
-        both = np.concatenate([ks, self.nk - 1 - ks])  # the blocks and their mirror images
-        full = kernel(both)
-        size, d = len(ks), np.count_nonzero(ks < self.mid)
-        direct, mirrored = full[:size, :size], full[:size, size:]
-        even = direct + mirrored
-        if d < size:  # the middle block, last in ks, pairs with no mirror
-            even[-1, :] = even[:, -1] = math.sqrt(2.0) * direct[:, -1]
-            even[-1, -1] = direct[-1, -1]
-        return even, direct[:d, :d] - mirrored[:d, :d], mirrored
+    The variances, the kernel by distance (None for per-vector
+    blocks) and, filled by qfi, its kernel per occupied set and, under
+    None, the grid's probabilities.  The next cell replaces it.
+    """
+    var2 = phase_variance_c(T, noise)
+    if not setup.per_vector:
+        return 0.0, var2, _collective_row(var2, setup.nk - 1), {}
+    var1 = var2 if setup.kind is SchemeKind.DI_REPEAT \
+        else spin_echo_weights_variance(1.0, 0.0, T, noise)
+    return var1, var2, None, {}
+
+
+@functools.lru_cache(maxsize=64)
+def _distances(ks: bytes, n: int) -> np.ndarray:
+    """|j - k| over the blocks ks (np.intp bytes), read-only: a collective kernel's gather index.
+
+    With n >= 0 the columns go on to the mirror images n - k (parity).
+    Set-ups, times and stacks on these blocks share an entry of s^2 or
+    2 s^2 integers: at most 16.5 KB at n = 44, 1.1 MB over 64 entries,
+    5.3 MB at n = 100.  di_dense's 4 050 cells of seed 1 use 31, 88 KB.
+    """
+    ks = np.frombuffer(ks, dtype=np.intp)
+    index = np.abs(np.subtract.outer(ks, ks if n < 0 else np.concatenate([ks, n - ks])))
+    index.flags.writeable = False
+    return index
 
 
 def _require_bipartite(kind: SchemeKind, basis) -> None:
@@ -507,154 +573,65 @@ def _require_bipartite(kind: SchemeKind, basis) -> None:
 def _probe_setup(probe: PureState, kind: SchemeKind, offset: float = 0.0) -> _ProbeSetup:
     """The set-up of any probe turned about y by offset, under kind, as scheme_qfi takes it."""
     _require_bipartite(kind, probe.basis)
+    if isinstance(probe, ProductState) and kind in _PER_VECTOR_KINDS:
+        # partition 2's factor in collective blocks with its total z-spin
+        kind, probe = SchemeKind.STANDARD, probe.parts[1]
     product = isinstance(probe, ProductState)
-    state = probe.parts[1] if product and kind in _PER_VECTOR_KINDS else probe
     factors = [(_described(f.base), offset + f.angle) if isinstance(f, RotatedState)
-               else (_described(f), offset)
-               for f in (state.parts if isinstance(state, ProductState) else (state,))]
-    return _ProbeSetup(kind, state.basis, product, factors, offset)
+               else (_described(f), offset) for f in (probe.parts if product else (probe,))]
+    return _ProbeSetup(kind, probe.basis, product, factors, offset)
 
 
 def _spec_setup(spec: ProbeSpec, kind: SchemeKind) -> _ProbeSetup:
     """The set-up scan and optimize_rotation take for spec: its unrotated probe under kind.
 
-    Spin echo and repeat read a split probe's partition-2 factor alone
-    (_ProbeSetup), so every split with that factor shares its set-up;
-    partition 1's factor is still built, and refused, for each spec.
+    Spin echo and repeat read a split probe's partition-2 factor as
+    STANDARD reads it unsplit (_ProbeSetup), so both kinds and every split
+    share STANDARD's set-up of it; partition 1's factor is still built,
+    and refused, for each spec.
     """
     keys, offset = _factor_keys(spec)
     if len(keys) == 2 and kind in _PER_VECTOR_KINDS:
         _factor(*keys[0])
-        return _signal_setup(kind, keys[1:], True, offset)
-    return _signal_setup(kind, keys, len(keys) == 2, offset)
+        return _signal_setup(SchemeKind.STANDARD, keys[1:], offset)
+    return _signal_setup(kind, keys, offset)
 
 
 @functools.lru_cache(maxsize=1024)
-def _signal_setup(kind: SchemeKind, keys: tuple, product: bool, offset: float) -> _ProbeSetup:
+def _signal_setup(kind: SchemeKind, keys: tuple, offset: float) -> _ProbeSetup:
     """The _ProbeSetup of the signal state whose factors' _factor keys are keys, from offset.
 
-    product: the probe is a ProductState, whose signal state under spin
-    echo and repeat is partition 2's factor alone (keys holds its key)
-    and under the other kinds both factors; otherwise keys holds the state
-    itself.  The key holds neither alpha, nor the spec, nor a factor the
-    kind does not read, so every angle, time and split of one signal state
-    shares an entry, and a set-up is assembled from cached factors
-    without building the probe's bipartite amplitudes.
-
-    The bound comes from the traffic: di_dense's 3 648 bsd specs share 180
-    partition-2 factors per kind, and about 414 of its keys recur, which a
-    64-entry cache evicts before their reuse.  An entry holds p0 (8 d
-    bytes for the signal state's d amplitudes), the kept frames (at most
-    32 (n + 1) bytes) and about 2 KB of objects; its factors and layout
-    are _factor's and _block_layout's.  So the cache holds at most
-    1024 (8 d + 32 n + 2 KB): 7.9 MB for split probes of n <= 44
-    (d <= 529), 27 MB at n = 100 (d = 2601), plus any layouts and
-    factors the other caches have evicted.
+    Two keys make a ProductState, one the state itself.  The key holds no
+    alpha, spec, factor or kind the blocks do not read (spin echo and
+    repeat on a split probe come as STANDARD on partition 2's factor), so
+    every angle, time and split of a signal state shares an entry.  The
+    4 050 di_dense cells of seed 1 take 637 set-ups and hit 3 413 times
+    (2 424 with 64 entries).  An entry holds p0 (8 d bytes),
+    the kept frames (at most 32 (n + 1) bytes) and about 2 KB of objects:
+    at most 7.9 MB over 1024 entries at n <= 44 (d <= 529), 27 MB at
+    n = 100.
     """
     factors = [_factor(*key) for key in keys]
     if len(factors) == 2:
         basis = BipartiteSymmetricBasis(*(f.basis.n for f, _, _ in factors))
     else:
         basis = factors[0][0].basis
-        if not product:
-            _require_bipartite(kind, basis)
-    return _ProbeSetup(kind, basis, product, [(f, offset) for f in factors], offset)
-
-
-def _rotation_cell(setup: _ProbeSetup, noise: NoiseParams,
-                   T: float) -> tuple[Callable, Callable, Callable, int]:
-    """The per-time half of a cell: the phase QFI of setup's probe at time T, at many angles.
-
-    The only route to a QFI.  Returns (probabilities, qfi, bound, step):
-    setup's probabilities and step, and qfi and bound mapping p to values
-    per angle.  The time enters only through dephasing_kernel's partition
-    variances: var2 = C(T) always, and var1 = C(T) under repeat,
-    spin_echo_weights_variance(1, 0) under spin echo (its dm1 dm2 term
-    cancels) and 0 under collective noise, whose kernel takes the total
-    excitation number as partition 2's weight.  The collective kernel on
-    any blocks is gathered by distance from _collective_row, the same
-    floats; a per-vector kernel is dephasing_kernel of the blocks'
-    weights.  The kernel on each set of occupied blocks is taken once per
-    cell, and a stack's chunks share it.
-
-    bound maps p to an upper bound on the QFI.  The QFI is four times the
-    convex roof of the variance (Toth and Petz, Phys. Rev. A 87, 032324,
-    2013), so any decomposition of the dephased state bounds it.  With
-    B = K^(1/2) the symmetric root of the kernel K on the blocks, B B^T = K,
-    the dephased state is the mixture of the unnormalized vectors
-    B[k_i, l] psi_i over l, so U = 4 sum_l (s2_l - s1_l^2 / s0_l) with
-    s_j = (p g^j) @ (B o B)[k_i].  With an all-ones kernel (T = 0) it is
-    the pure QFI 4 Var(g), and with the identity kernel the steady-state
-    QFI.  The root is taken on the first call, so qfi alone never pays for
-    it.
-    """
-    var2 = phase_variance_c(T, noise)
-    if setup.per_vector:
-        var1 = var2 if setup.kind is SchemeKind.DI_REPEAT \
-            else spin_echo_weights_variance(1.0, 0.0, T, noise)
-
-        def kernel(ks: np.ndarray) -> np.ndarray:
-            return dephasing_kernel(setup.m1[ks], setup.g[ks], var1, var2)
-    else:
-        row = _collective_row(var2, setup.nk - 1)
-
-        def kernel(ks: np.ndarray) -> np.ndarray:
-            return row[np.abs(np.subtract.outer(ks, ks))]
-
-    kernels = {}  # by set of occupied blocks
-
-    def frame_kernel(ks: np.ndarray):
-        key = ks.tobytes()
-        if key not in kernels:
-            kernels[key] = setup.sectors(ks, kernel) if setup.parity else kernel(ks)
-        return kernels[key]
-
-    def qfi(p: np.ndarray) -> np.ndarray:
-        return setup.qfi(p, frame_kernel)
-
-    mixture = []  # (B o B)[index], taken on the first bound call
-
-    def bound(p: np.ndarray) -> np.ndarray:
-        if not mixture:
-            mu, vectors = np.linalg.eigh(kernel(np.arange(setup.nk)))
-            root = (vectors * np.sqrt(np.maximum(mu, 0.0))) @ vectors.T
-            mixture.append((root * root)[setup.index])
-        y, g = mixture[0], setup.g
-        pg = p * g
-        s0, s1, s2 = p @ y, pg @ y, (pg * g) @ y
-        spread = s2 - np.divide(s1 * s1, s0, out=np.zeros(s0.shape), where=s0 > 0)
-        return 4.0 * spread.sum(axis=-1)
-
-    return setup.probabilities, qfi, bound, setup.step
-
-
-def _rotation_qfi(setup: _ProbeSetup, noise: NoiseParams,
-                  T: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Phase QFI of setup's probe rotated by its offset plus each angle of an array, at time T."""
-    probabilities, qfi, _, step = _rotation_cell(setup, noise, T)
-
-    def evaluate(alphas: np.ndarray) -> np.ndarray:
-        alphas = np.asarray(alphas, dtype=float)
-        return np.concatenate([qfi(probabilities(alphas[i:i + step]))
-                               for i in range(0, len(alphas), step)])
-
-    return evaluate
+        _require_bipartite(kind, basis)
+    return _ProbeSetup(kind, basis, len(factors) == 2, [(f, offset) for f in factors], offset)
 
 
 def scheme_qfi(probe: PureState, scheme: SchemeSpec, T: float) -> tuple[float, float]:
     """Phase and frequency QFI of a probe after evolving for time T.
 
-    One _rotation_qfi call at angle 0, on the route scan takes: the dephased
-    probe is diagonalized in the smallest orthonormal frame that holds it,
-    without building the dense density matrix; the scheme kind picks the
-    kernel, and the kernel picks the frame's blocks (see _ProbeSetup).
-    Where the generator is constant on every block, as under STANDARD, a
-    probe whose coherences between blocks have died reads exactly 0.0.  A
-    probe from build_probe keeps its unrotated factors and angle, so its
-    value is the one scan prints for its spec, bit for bit.
+    scan's route at angle 0 (_ProbeSetup.qfi): the dephased probe is
+    diagonalized in the smallest orthonormal frame that holds it, without
+    the dense density matrix.  Where the generator is constant on every
+    block, as under STANDARD, a probe whose coherences between blocks have
+    died reads exactly 0.0.  A probe from build_probe keeps its unrotated
+    factors and angle, so it reads scan's value for its spec, bit for bit.
     """
-    evaluate = _rotation_qfi(_probe_setup(probe, scheme.kind), scheme.noise, T)
-    f_phase = float(evaluate(np.zeros(1))[0])
+    setup = _probe_setup(probe, scheme.kind)
+    f_phase = float(setup.qfi(scheme.noise, T, np.zeros(1))[0])
     return f_phase, frequency_from_phase(f_phase, T)
 
 
@@ -671,20 +648,18 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     ValueError.  Uniform 201-point grid scan, then stacked refinement of the
     bracket around the best grid point: each round takes 7 equally spaced
     interior angles and keeps the neighbours of their first maximum,
-    evaluating in one call all but the centre where that is the last
-    round's best angle bit for bit (a row's F does not depend on its
-    stack, so the known F is the one a new call would read), until the
+    evaluating all but the centre where that is the last round's best
+    angle bit for bit (a row's F does not depend on its stack), until the
     bracket is at most 1e-6 rad wide or a round reads one value at all 7
     angles (as a fully dephased landscape does, exactly 0 everywhere).
     Numerical ties, within 1e-9|F| + 1e-11 n^2 of the best value, resolve
     to the smallest angle; the result is never more than that window below
-    the best grid value.  So where the first
-    near-maximal grid angle is 0, the search stops after one round unless
-    that round reads above F(0) plus its window: the round samples
-    [0, pi/400] every pi/3200, and the tests check that no narrower peak
-    beside 0 rises above that bound.
+    the best grid value.  So where the first near-maximal grid angle is 0,
+    the search stops after one round unless that round reads above F(0)
+    plus its window: the round samples [0, pi/400] every pi/3200, and the
+    tests check that no narrower peak beside 0 rises above that bound.
 
-    Grid angles go alpha = 0 first, then in decreasing order of _rotation_cell's
+    Grid angles go alpha = 0 first, then in decreasing order of _ProbeSetup's
     bound U, the variance bound of one mixture over the kernel's symmetric
     root: the first batch is alpha = 0 and the angle of largest U.  After
     each batch, with f_max the best F so far and U_bar the larger of f_max
@@ -702,16 +677,14 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     """
     if spec.family is ProbeFamily.DFS_OPTIMAL:
         raise ValueError("dfs_optimal has no rotation parameter")
-    probabilities, qfi, bound, step = _rotation_cell(_spec_setup(spec, scheme.kind),
-                                                     scheme.noise, T)
+    setup, noise = _spec_setup(spec, scheme.kind), scheme.noise
 
     # tie window: relative part for flat optima, absolute part for landscapes
     # that have fully decohered to numerical-noise level
     def window(f: float) -> float:
         return 1e-9 * abs(f) + 1e-11 * spec.n * spec.n
 
-    p = probabilities()
-    upper = bound(p)
+    upper = setup.bound(noise, T)
     reach = upper + window(upper)  # no F above it
     # alpha = 0 wins every tie, so it goes first, the rest by decreasing bound
     order = np.concatenate([[0], 1 + np.argsort(-upper[1:], kind="stable")])
@@ -719,7 +692,7 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
     start, size = 0, 2  # alpha = 0 and the largest bound
     while start < len(order):  # the whole grid visited, the rule holds with t_hi = t_lo
         rows = np.sort(order[start:start + size])
-        values[rows] = qfi(p[rows])
+        values[rows] = setup.qfi(noise, T, rows=rows)
         start += size
         rest = order[start:]
         f_max = float(values.max())
@@ -732,7 +705,7 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
             break  # the first of them is near-maximal, whatever the rest hold
         # the angles not ruled out lead the rest; no other can be that first
         # angle or raise U_bar (a nan t_lo rules out none)
-        size = min(step, int(np.count_nonzero(~(reach[rest] < t_lo))))
+        size = min(setup.step, int(np.count_nonzero(~(reach[rest] < t_lo))))
     a_ref, f_ref = _GRID[best], values[best]
     left, right = _GRID[max(best - 1, 0)], _GRID[min(best + 1, len(_GRID) - 1)]
     # alpha = 0 wins every tie, so there only a first round above F(0)'s window
@@ -744,7 +717,7 @@ def optimize_rotation(spec: ProbeSpec, scheme: SchemeSpec, T: float) -> tuple[fl
         # the centre is mostly the last best angle, bit for bit, whose F is known
         inner = np.full(_ROUND_ANGLES, f_ref)
         fresh = angles != a_ref
-        inner[fresh] = qfi(probabilities(angles[fresh]))
+        inner[fresh] = setup.qfi(noise, T, angles[fresh])
         i = int(np.argmax(inner))  # first maximum
         a_ref, f_ref, left, right = points[i + 1], inner[i], points[i], points[i + 2]
         if inner[i] == inner.min() or inner[i] <= settled:
@@ -765,7 +738,7 @@ def scan(scheme: SchemeSpec, probes: list[ProbeSpec], times,
     Domain errors become flagged NaN rows instead of aborting the whole
     scan; a time that is no finite real number raises ValueError.  A
     group, the probes that differ only in alpha, takes one set-up
-    (_spec_setup) and one call per time: a _rotation_qfi stack of their
+    (_spec_setup) and one call per time: a _ProbeSetup.qfi stack of their
     angles, bit for bit the one-angle values, or, under optimize_alpha,
     where each probe is a group and its alpha is ignored,
     optimize_rotation.  A call's error is every cell's, and a set-up's
@@ -796,7 +769,7 @@ def scan(scheme: SchemeSpec, probes: list[ProbeSpec], times,
                     if optimize_alpha:
                         cells = [optimize_rotation(spec, scheme, T)]
                     else:
-                        cells = zip(alphas, _rotation_qfi(setup, scheme.noise, T)(stack).tolist())
+                        cells = zip(alphas, setup.qfi(scheme.noise, T, stack).tolist())
                     cells = [(a, f, frequency_from_phase(f, T), None) for a, f in cells]
                 except ValueError as exc:
                     error = str(exc)

@@ -14,15 +14,18 @@ its error; about one rotatable cell in ten also holds optimize_rotation's
 201-angle grid, every angle evaluated, as float.hex.  With --against FILE
 the lines are not written: the cells are compared with FILE's, and the
 count of identical cells and the worst relative move of a value are
-printed, then the moved cells counted by route (parity sectors or full
-frame, as the cell's set-up decides) and by kind, then a verdict on up
-to 20 cells whose F moved and whose signal state is one Dicke-sector
-factor under collective dephasing (standard unsplit probes, and the
-partition-2 factor of split probes under spin echo and repeat):
-oracles.collective_qfi_mp's value, at 30 digits below the kernel's
-smallest entry, and which tree lies closer to it.  The exit status is 1
-if any cell moved.  Bits depend on BLAS and numpy, so compare
-two trees on one machine.
+printed, the latter also among values whose F (an alpha's F for an
+alpha) reads at least 1e-12 n^2 in either tree, the benchmark oracle's
+absolute scale, so a move of an O(1) value is not hidden behind the
+large relative moves of floor-level ones; then the moved cells counted
+by route (parity sectors or full frame, as the cell's set-up decides)
+and by kind, then a verdict on up to 20 cells whose F moved and whose
+signal state is one Dicke-sector factor under collective dephasing
+(standard unsplit probes, and the partition-2 factor of split probes
+under spin echo and repeat): oracles.collective_qfi_mp's value, at 30
+digits below the kernel's smallest entry, and which tree lies closer to
+it.  The exit status is 1 if any cell moved.  Bits depend on BLAS and
+numpy, so compare two trees on one machine.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ SPARSE_N = (41, 100)
 SPARSE_SHARE = 0.05
 OUTPUTS = ("F", "error", "opt", "grid")  # the keys a line adds to its cell's
 VERDICTS = 20  # moved cells judged in mpmath, at most
+SCALE = 1e-12  # times n^2: the smallest |F| the second worst move counts
 SPLIT_FAMILIES = ("ghz_bipartite", "bsd", "product_plus", "dfs_optimal")
 UNSPLIT_FAMILIES = ("ghz", "dicke_symmetric", "product_plus")
 
@@ -104,17 +108,20 @@ def record(cell: dict) -> dict:
 
 
 def grid_maximum(scheme: SchemeSpec, spec: ProbeSpec, T: float) -> tuple[float, float]:
-    """The first maximum (alpha, F) over every _GRID angle of _rotation_cell's qfi, no bound."""
-    probabilities, qfi, _, step = schemes._rotation_cell(schemes._spec_setup(spec, scheme.kind),
-                                                         scheme.noise, T)
-    p = probabilities()
-    values = np.concatenate([qfi(p[i:i + step]) for i in range(0, len(p), step)])
+    """The first maximum (alpha, F) over every _GRID angle of _ProbeSetup.qfi, no bound."""
+    values = schemes._spec_setup(spec, scheme.kind).qfi(scheme.noise, T)
     best = int(np.argmax(values))
     return float(schemes._GRID[best]), float(values[best])
 
 
-def _values(line: dict) -> list[float]:
-    return [float.fromhex(x) for x in [line["F"], *line.get("opt", []), *line.get("grid", [])]]
+def _values(line: dict) -> list[tuple[float, float]]:
+    """Each value of a line beside the F it belongs to: its own, or its alpha's."""
+    f = float.fromhex(line["F"])
+    values = [(f, f)]
+    for alpha, value in (line[key] for key in ("opt", "grid") if key in line):
+        value = float.fromhex(value)
+        values += [(float.fromhex(alpha), value), (value, value)]
+    return values
 
 
 def _move(a: float, b: float) -> float:
@@ -126,8 +133,13 @@ def _move(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def compare(lines: list[dict], reference: list[dict]) -> tuple[int, float, dict | None]:
-    """(identical cells, worst relative move, the cell that moved most) against reference."""
+def compare(lines: list[dict], reference: list[dict],
+            scale: float = 0.0) -> tuple[int, float, dict | None]:
+    """(identical cells, worst relative move, the cell that moved most) against reference.
+
+    A move counts where the value's F reads at least scale n^2 in either
+    tree, or nan: every move at scale 0.
+    """
     if len(lines) != len(reference):
         raise ValueError(f"{len(lines)} cells against {len(reference)} in the reference")
     identical, worst, where = 0, 0.0, None
@@ -138,7 +150,9 @@ def compare(lines: list[dict], reference: list[dict]) -> tuple[int, float, dict 
         if line == ref:
             identical += 1
             continue
-        moves = [_move(a, b) for a, b in zip(_values(ref), _values(line))]
+        floor = scale * line["n"] ** 2
+        moves = [_move(a, b) for (a, fa), (b, fb) in zip(_values(ref), _values(line))
+                 if not (abs(fa) < floor and abs(fb) < floor)]
         if max(moves, default=0.0) >= worst:
             worst, where = max(moves, default=0.0), line
     return identical, worst, where
@@ -212,6 +226,9 @@ def main(argv=None) -> int:
     identical, worst, where = compare(lines, reference)
     print(f"identical: {identical} of {len(lines)} cells")
     print(f"worst relative move: {worst!r}" + (f" at {json.dumps(where)}" if where else ""))
+    _, worst, where = compare(lines, reference, SCALE)
+    print(f"worst relative move where |F| >= {SCALE!r} n^2: {worst!r}"
+          + (f" at {json.dumps(where)}" if where else ""))
     print(tally(lines, reference))
     verdicts = (verdict(line, ref) for line, ref in zip(lines, reference))
     for said in itertools.islice(filter(None, verdicts), VERDICTS):

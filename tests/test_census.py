@@ -1,4 +1,7 @@
 import json
+import math
+
+import pytest
 
 from symqfi import SchemeKind, build_probe, scheme_qfi
 
@@ -21,6 +24,7 @@ def test_twenty_cells_read_as_scheme_qfi_and_compare_identical(tmp_path, capsys)
     none = "standard 0, di_ideal 0, di_spin_echo 0, di_repeat 0"
     assert capsys.readouterr().out.splitlines() == [
         "identical: 20 of 20 cells", "worst relative move: 0.0",
+        "worst relative move where |F| >= 1e-12 n^2: 0.0",
         f"moved by route: parity sectors 0, full frame 0; by kind: {none}"]
     # one value moved in its last bit is found, with its move
     i = next(i for i, line in enumerate(lines) if float.fromhex(line["F"]) > 0)
@@ -64,14 +68,37 @@ def test_a_moved_cell_is_judged_in_mpmath(tmp_path, capsys):
     path.write_text(json.dumps(lines[0]) + "\n" + json.dumps(moved) + "\n")
     assert census.main(["--seed", "5", "--cells", "2", "--against", str(path)]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "identical: 1 of 2 cells" and len(out) == 4, out
-    assert out[2] == ("moved by route: parity sectors 0, full frame 1; by kind: "
+    assert out[0] == "identical: 1 of 2 cells" and len(out) == 5, out
+    assert out[2].startswith("worst relative move where |F| >= 1e-12 n^2: 9.9999"), out[2]
+    assert out[3] == ("moved by route: parity sectors 0, full frame 1; by kind: "
                       "standard 0, di_ideal 0, di_spin_echo 1, di_repeat 0")
-    assert out[3].startswith('verdict {"kind": "di_spin_echo", "family": "product_plus", "n": 7, ')
-    assert out[3].endswith(": this tree closer"), out[3]
+    assert out[4].startswith('verdict {"kind": "di_spin_echo", "family": "product_plus", "n": 7, ')
+    assert out[4].endswith(": this tree closer"), out[4]
     # the mpmath value it prints lies within 1e-12 of this tree's
-    exact = float(out[3].split("mpmath ")[1].split(",")[0])
+    exact = float(out[4].split("mpmath ")[1].split(",")[0])
     assert abs(exact - float.fromhex(line["F"])) <= 1e-12 * exact
     # a cell without one Dicke-sector factor, dfs_optimal's, gets no verdict
     assert lines[0]["family"] == "dfs_optimal"
     assert census.verdict(dict(lines[0], F=moved["F"]), lines[0]) is None
+
+
+def test_scaled_worst_move_is_not_hidden_by_floor_level_values():
+    # a floor-level F moved by half and an O(1) F moved by 1e-6: the plain
+    # worst move is the first, the one among |F| >= 1e-12 n^2 the second
+    lines = [census.record(cell) for cell in census.cells(5, 20)]
+    i = next(i for i, line in enumerate(lines) if float.fromhex(line["F"]) > 0.1)
+    j = next(j for j in range(len(lines)) if j != i and "opt" not in lines[j])
+    floor = dict(lines[j], F=(1e-30).hex())
+    lines[j] = dict(floor, F=(1.5e-30).hex())
+    moved = dict(lines[i], F=(float.fromhex(lines[i]["F"]) * (1 + 1e-6)).hex())
+    reference = [moved if k == i else floor if k == j else line for k, line in enumerate(lines)]
+    identical, worst, where = census.compare(lines, reference)
+    assert identical == 18 and where == lines[j] and worst == pytest.approx(1 / 3)
+    identical, worst, where = census.compare(lines, reference, census.SCALE)
+    assert identical == 18 and where == lines[i] and 0.9e-6 < worst < 1.1e-6
+    # a value within the scale in one tree only still counts, as does a nan
+    n = lines[j]["n"]
+    lines[j] = dict(floor, F=(2e-12 * n * n).hex())
+    assert census.compare(lines, reference, census.SCALE)[2] == lines[j]
+    lines[j] = dict(floor, F=math.nan.hex())
+    assert census.compare(lines, reference, census.SCALE)[1] == math.inf

@@ -12,8 +12,8 @@ from symqfi.collective_basis import (
 )
 from symqfi.dephasing import NoiseParams, phase_variance_c
 from symqfi.qfi import frequency_from_phase, max_qfi_bound, parity_qfi, spectral_qfi
-from symqfi.schemes import (ProbeFamily, ProbeSpec, SchemeKind, SchemeSpec,
-                            _rotation_qfi)
+from symqfi.schemes import ProbeFamily, ProbeSpec, SchemeKind, SchemeSpec, scan
+from symqfi.steady_forms import product_steady_qfi
 
 import oracles
 
@@ -123,19 +123,50 @@ class TestSpectralQfi:
             with pytest.raises(ValueError, match=message):
                 spectral_qfi(m[1], g_bar[1])
 
-    def test_diagonal_frame_with_variances_goes_through_eigh(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    @staticmethod
+    def eigh_route(m, v):
+        """The general branch's value on a diagonal frame: eigh's eigenpairs, whose
+        pair sum is exactly 0, and the v term over eigh's ascending eigenvalues."""
+        lam, u = np.linalg.eigh(m)
+        lam = np.maximum(lam, 0.0)
+        kept = np.where(lam > qfi.EPS_SUM * lam[..., -1:], lam, 0.0)
+        return 4.0 * (kept * (v[..., None, :] @ np.abs(u) ** 2)[..., 0, :]).sum(axis=-1)
+
+    def test_diagonal_frame_with_variances_skips_eigh(self, monkeypatch):
+        # a diagonal frame is its own eigensystem: with v, F = 4 sum_k w_k v_k,
+        # summed in eigh's ascending order, which reads eigh's bits where the
+        # diagonal has no ties (zeros, whose terms are 0, aside); some entries
+        # sit below the EPS_SUM floor, which drops them as eigh's route does
         rng = np.random.default_rng(61)
+        frames = []
         for d in range(1, 13):
             m, g_bar, w = self.diagonal_frames(rng, 4, d)
-            v = rng.uniform(0.0, 2.0, size=(4, d))
-            expected = 4.0 * (w * v).sum(axis=-1)
-            assert spectral_qfi(m, g_bar, v) == pytest.approx(expected, rel=1e-15, abs=0.0)
-            assert spectral_qfi(m[0], g_bar[0], v[0]) == pytest.approx(expected[0], rel=1e-15,
-                                                                       abs=0.0)
-        assert len(calls) == 2 * 12
+            m[1] *= 10.0 ** -rng.integers(0, 16, size=d)[:, None]
+            frames.append((m, g_bar, rng.uniform(0.0, 2.0, size=(4, d))))
+        expected = [self.eigh_route(m, v) for m, _, v in frames]
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape))
+        for (m, g_bar, v), ref in zip(frames, expected):
+            stacked = spectral_qfi(m, g_bar, v)
+            assert stacked.tobytes() == ref.tobytes()
+            for i in range(4):
+                single = spectral_qfi(m[i], g_bar[i], v[i])
+                assert isinstance(single, float) and single == ref[i]
+            # two diagonal sectors, each a diagonal frame of its own
+            diag = m.diagonal(0, -2, -1)
+            sectors = (m, diag[:, 1:, None] * np.eye(len(diag[0]) - 1))
+            stacked = parity_qfi(*sectors, g_bar[:, 1:])
+            assert stacked.shape == (4,)
+            assert [parity_qfi(*(x[i] for x in sectors), g_bar[i, 1:]) for i in range(4)] == \
+                list(stacked)
+        assert calls == []
+        # a steady-state anchor through scan: di_ideal's split |+>^44 at
+        # n1 = 22 once every coherence between excitation blocks is 0 reads
+        # n/4 exactly; summed in index order it read 11.000000000000002
+        ideal = SchemeSpec(SchemeKind.DI_IDEAL, DEFAULTS)
+        row = scan(ideal, [ProbeSpec(ProbeFamily.PRODUCT_PLUS, 44, n1=22)], [10.0])[0]
+        assert row.f_phase == product_steady_qfi(44, 22) == 11.0
+        assert calls == []
 
 
 def parity_bases(n):
@@ -251,7 +282,7 @@ class TestInputLayout:
         real = getattr(schemes, name)
         monkeypatch.setattr(schemes, name, lambda *args: calls.append(args) or real(*args))
         for scheme, spec, T in cells:
-            _rotation_qfi(schemes._spec_setup(spec, scheme.kind), scheme.noise, T)(angles)
+            schemes._spec_setup(spec, scheme.kind).qfi(scheme.noise, T, angles)
         return calls
 
     def test_spectral_qfi_reads_every_layout_alike(self, monkeypatch):

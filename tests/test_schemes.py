@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from symqfi import schemes
+from symqfi import dephasing, schemes
 from symqfi.collective_basis import (
     PLUS_MAX_N,
     BipartiteSymmetricBasis,
@@ -29,7 +29,6 @@ from symqfi.schemes import (
     ProbeSpec,
     SchemeKind,
     SchemeSpec,
-    _rotation_qfi,
     build_probe,
     optimize_rotation,
     scan,
@@ -509,48 +508,58 @@ class TestFramesAgainstDense:
                                for T in times)
 
 
-def rotation_cell(spec: ProbeSpec, scheme: SchemeSpec, T: float):
-    """_rotation_cell as scan and optimize_rotation set it up: on spec's
-    unrotated probe, from its family's offset."""
-    return schemes._rotation_cell(schemes._spec_setup(spec, scheme.kind), scheme.noise, T)
+def rotation_setup(spec: ProbeSpec, scheme: SchemeSpec) -> schemes._ProbeSetup:
+    """The set-up scan and optimize_rotation take: spec's unrotated probe, from its
+    family's offset."""
+    return schemes._spec_setup(spec, scheme.kind)
 
 
 def rotation_qfi(spec: ProbeSpec, scheme: SchemeSpec, T: float):
-    """_rotation_qfi as scan sets it up: on spec's unrotated probe, from its
-    family's offset."""
-    return _rotation_qfi(schemes._spec_setup(spec, scheme.kind), scheme.noise, T)
+    """_ProbeSetup.qfi as scan calls it, as a function of the angles alone."""
+    setup = rotation_setup(spec, scheme)
+    return lambda alphas: setup.qfi(scheme.noise, T, np.asarray(alphas, dtype=float))
 
 
-def fake_cell(landscape, sizes=None):
-    """A _rotation_cell stand-in for a landscape F(alpha): its probabilities
-    are the angles themselves (the grid's if none are given) and its bound
-    is +inf, so the optimizer visits every grid angle; sizes records the
-    angles per QFI call."""
-    def cell(setup, noise, T):
-        def probabilities(alphas=None):
-            if alphas is None:
-                alphas = schemes._GRID
-            return np.asarray(alphas, dtype=float)[:, None]
+def fake_landscape(monkeypatch, landscape, sizes=None):
+    """Patch _ProbeSetup so that its qfi reads a landscape F(alpha) at the
+    angles it is given (the grid's at rows if none are) and its bound is
+    +inf, so the optimizer visits every grid angle; sizes records the angles
+    per qfi call."""
+    def qfi(setup, noise, T, alphas=None, rows=slice(None)):
+        angles = schemes._GRID[rows] if alphas is None else np.asarray(alphas, dtype=float)
+        if sizes is not None:
+            sizes.append(len(angles))
+        return landscape(angles)
 
-        def qfi(p):
-            if sizes is not None:
-                sizes.append(len(p))
-            return landscape(p[:, 0])
+    monkeypatch.setattr(schemes._ProbeSetup, "qfi", qfi)
+    monkeypatch.setattr(schemes._ProbeSetup, "bound", unbounded)
 
-        return probabilities, qfi, lambda p: np.full(len(p), math.inf), setup.step
-    return cell
+
+def unbounded(setup, noise, T, alphas=None):
+    """A _ProbeSetup.bound stand-in that rules out no angle."""
+    return np.full(len(schemes._GRID if alphas is None else alphas), math.inf)
+
+
+def patch_qfi(monkeypatch, wrap):
+    """Patch _ProbeSetup.qfi with wrap(real, setup, noise, T, alphas, rows)."""
+    real = schemes._ProbeSetup.qfi
+
+    def qfi(setup, noise, T, alphas=None, rows=slice(None)):
+        return wrap(real, setup, noise, T, alphas, rows)
+
+    monkeypatch.setattr(schemes._ProbeSetup, "qfi", qfi)
 
 
 def counted_calls(monkeypatch):
-    """Patch _rotation_cell so that each qfi call appends its angle count to the returned list."""
+    """Patch _ProbeSetup.qfi so that each call appends its angle count to the returned list."""
     sizes = []
-    real = schemes._rotation_cell
 
-    def cell(*args):
-        probabilities, qfi, bound, step = real(*args)
-        return probabilities, lambda p: sizes.append(len(p)) or qfi(p), bound, step
+    def wrap(real, *args):
+        values = real(*args)
+        sizes.append(len(values))
+        return values
 
-    monkeypatch.setattr(schemes, "_rotation_cell", cell)
+    patch_qfi(monkeypatch, wrap)
     return sizes
 
 
@@ -632,7 +641,7 @@ class TestOptimizeRotation:
             top = 100.0 * (1.0 + rise * (1.0 - (a - 0.8) ** 2 / 0.09))
             return np.where((a >= 0.5) & (a <= 1.1), top, 10.0)
 
-        monkeypatch.setattr(schemes, "_rotation_cell", fake_cell(landscape))
+        fake_landscape(monkeypatch, landscape)
         alpha, f = optimize_rotation(ProbeSpec(ProbeFamily.GHZ, 8), STANDARD, 0.01)
         grid = np.linspace(0.0, math.pi / 2, 201)
         if first:
@@ -657,7 +666,7 @@ class TestOptimizeRotation:
         # bound) and one chunk of the rest, and a round skips its centre
         # where that is the last best angle bit for bit
         sizes = []
-        monkeypatch.setattr(schemes, "_rotation_cell", fake_cell(landscape, sizes))
+        fake_landscape(monkeypatch, landscape, sizes)
         alpha, f = optimize_rotation(ProbeSpec(ProbeFamily.GHZ, 8), STANDARD, 0.01)
         assert abs(alpha - target) <= 1e-6
         assert alpha <= math.pi / 2
@@ -674,29 +683,18 @@ class TestOptimizeRotation:
         picks = rng.choice(len(cells), 150, replace=False)
         times = 10.0 ** rng.uniform(-4.0, -1.0, len(picks))
         rounds = []  # [angles, values] per refinement round
-        real = schemes._rotation_cell
 
-        def cell(*args):
-            probabilities, qfi, bound, step = real(*args)
-
-            def recorded(alphas=None):
-                if alphas is not None:
-                    rounds.append([np.array(alphas), None])
-                return probabilities(alphas)
-
-            def evaluated(p):
-                values = qfi(p)
-                if rounds and rounds[-1][1] is None:
-                    rounds[-1][1] = values
-                return values
-
-            return recorded, evaluated, bound, step
+        def recorded(real, setup, noise, T, alphas, rows):
+            values = real(setup, noise, T, alphas, rows)
+            if alphas is not None:
+                rounds.append([np.array(alphas), values])
+            return values
 
         skipped = total = 0
         for i, T in zip(picks, times):
             scheme, spec = cells[i]
             rounds.clear()
-            monkeypatch.setattr(schemes, "_rotation_cell", cell)
+            patch_qfi(monkeypatch, recorded)
             alpha, f = optimize_rotation(spec, scheme, float(T))
             monkeypatch.undo()
             angles = np.concatenate([a for a, _ in rounds])
@@ -757,7 +755,7 @@ class TestOptimizeRotation:
         assert checked >= 90
 
     def test_grid_bound_holds_on_every_kind_and_family(self):
-        # premise of the pruned grid: no computed F exceeds _rotation_cell's bound U,
+        # premise of the pruned grid: no computed F exceeds _ProbeSetup's bound U,
         # the variance bound of the mixture over the kernel's symmetric
         # root, plus U's tie window, on the grid and at random angles; the
         # worst (F - U) / window(U) measured over 300 such cells was 3.7e-5,
@@ -774,10 +772,11 @@ class TestOptimizeRotation:
             for pick in rng.choice(len(cells), 1 if large else 4, replace=False):
                 scheme, spec = cells[pick]
                 T = float(10.0 ** rng.uniform(-5.0, 1.0))
-                probabilities, qfi, bound, _ = rotation_cell(spec, scheme, T)
-                p = probabilities(np.concatenate([grid, rng.uniform(0.0, math.pi, 8)]))
-                upper = bound(p)
-                assert (qfi(p) <= upper + 1e-9 * upper + 1e-11 * spec.n ** 2).all(), \
+                setup = rotation_setup(spec, scheme)
+                alphas = np.concatenate([grid, rng.uniform(0.0, math.pi, 8)])
+                upper = setup.bound(scheme.noise, T, alphas)
+                values = setup.qfi(scheme.noise, T, alphas)
+                assert (values <= upper + 1e-9 * upper + 1e-11 * spec.n ** 2).all(), \
                     (scheme.kind, spec, T)
 
     def test_bound_is_the_pure_qfi_at_zero_time(self):
@@ -795,9 +794,9 @@ class TestOptimizeRotation:
         grid = np.linspace(0.0, math.pi / 2, 201)
         for cells in classes.values():
             scheme, spec = cells[rng.integers(len(cells))]
-            probabilities, qfi, bound, _ = rotation_cell(spec, scheme, 0.0)
-            p = probabilities(grid)
-            assert np.abs(bound(p) - qfi(p)).max() <= 1e-12 * spec.n ** 2, (scheme.kind, spec)
+            setup = rotation_setup(spec, scheme)
+            assert np.abs(setup.bound(scheme.noise, 0.0, grid) - setup.qfi(scheme.noise, 0.0, grid)
+                          ).max() <= 1e-12 * spec.n ** 2, (scheme.kind, spec)
 
     def test_pruned_grid_gives_the_whole_grid_answer(self, monkeypatch):
         # the grid visited by the bound and the grid visited whole give the
@@ -812,21 +811,21 @@ class TestOptimizeRotation:
             cells += large
         times = 10.0 ** rng.uniform(-5.0, 1.0, len(picks))
         rows = []
-        real = schemes._rotation_cell
 
-        def counted(bounded):
-            def cell(*args):
-                probabilities, qfi, bound, step = real(*args)
-                return (probabilities, lambda p: rows.append(len(p)) or qfi(p),
-                        bound if bounded else lambda p: np.full(len(p), math.inf), step)
-            return cell
+        def counted(real, *args):
+            values = real(*args)
+            rows.append(len(values))
+            return values
 
         visited = {}
         for bounded in (True, False):
-            monkeypatch.setattr(schemes, "_rotation_cell", counted(bounded))
+            patch_qfi(monkeypatch, counted)
+            if not bounded:
+                monkeypatch.setattr(schemes._ProbeSetup, "bound", unbounded)
             rows.clear()
             visited[bounded] = [optimize_rotation(cells[i][1], cells[i][0], float(T))
                                 for i, T in zip(picks, times)], sum(rows)
+            monkeypatch.undo()
         assert visited[True][0] == visited[False][0]
         assert visited[True][1] < 0.2 * visited[False][1]
 
@@ -871,8 +870,7 @@ class TestOptimizeRotation:
                 for k1 in range(n1 + 1):
                     for k2 in range(n - n1 + 1):
                         spec = ProbeSpec(ProbeFamily.BSD, n, n1=n1, k1=k1, k2=k2)
-                        probabilities, _, bound, _ = rotation_cell(spec, DI_IDEAL, T)
-                        upper = bound(probabilities(np.array([0.0])))[0]
+                        upper = rotation_setup(spec, DI_IDEAL).bound(NOISE, T, np.zeros(1))[0]
                         closed = bsd_steady_qfi(SplitChoice(n, n1, k1, k1 + k2))
                         assert abs(upper - closed) <= 1e-12 * n * n, (spec, upper, closed)
                         checked += 1
@@ -1037,16 +1035,15 @@ class TestRotationEvaluator:
         for alphas, start in ((np.array([0.3]), 0.0), (np.array([0.0, 0.3]), 0.0),
                               (np.zeros(1), 0.3)):
             with pytest.raises(ValueError) as info:
-                _rotation_qfi(schemes._probe_setup(probe, DI_IDEAL.kind, start), DI_IDEAL.noise,
-                              1e-3)(alphas)
+                schemes._probe_setup(probe, DI_IDEAL.kind, start).qfi(DI_IDEAL.noise, 1e-3, alphas)
             assert str(info.value) == message
         probabilities = schemes._probe_setup(probe, DI_IDEAL.kind).probabilities
         with pytest.raises(ValueError) as info:
             probabilities()
         assert str(info.value) == message
         # at angle 0 the route is scheme_qfi's, and the dense channel judges it
-        at_zero = float(_rotation_qfi(schemes._probe_setup(probe, DI_IDEAL.kind), DI_IDEAL.noise,
-                                      1e-3)(np.zeros(1))[0])
+        setup = schemes._probe_setup(probe, DI_IDEAL.kind)
+        at_zero = float(setup.qfi(DI_IDEAL.noise, 1e-3, np.zeros(1))[0])
         assert at_zero == scheme_qfi(probe, DI_IDEAL, 1e-3)[0]
         assert at_zero == pytest.approx(dense_qfi(probe, DI_IDEAL, 1e-3), rel=1e-9)
 
@@ -1319,7 +1316,7 @@ class TestScan:
         for scheme, n_calls, n_errors in ((STANDARD, 12, 0), (DI_ECHO, 6, 48)):
             alone = [row for probe in probes for row in scan(scheme, [probe], times)]
             setups = count_calls(monkeypatch, "_spec_setup")
-            calls = count_calls(monkeypatch, "_rotation_qfi")
+            calls = counted_calls(monkeypatch)
             rows = scan(scheme, probes, times)
             assert len(setups) == 4
             assert len(calls) == n_calls
@@ -1337,19 +1334,14 @@ class TestScan:
         assert [r.error is None for r in rows] == [False, True] * 3
         assert [r.error for r in rows[::2]] == [pair[0].error for pair in alone]
         assert [r.f_phase for r in rows[1::2]] == [pair[1].f_phase for pair in alone]
-        real = schemes._rotation_qfi
-
-        def refuse_stacks(*args):
-            evaluate = real(*args)
-
-            def once(alphas):
-                if len(alphas) > 1:
-                    raise ValueError("refused stack")
-                return evaluate(alphas)
-            return once
+        def refuse_stacks(real, setup, noise, T, alphas, rows):
+            values = real(setup, noise, T, alphas, rows)  # a refused time raises first
+            if len(alphas) > 1:
+                raise ValueError("refused stack")
+            return values
 
         # no cell goes alone: the stack's error is each of its cells' error row
-        monkeypatch.setattr(schemes, "_rotation_qfi", refuse_stacks)
+        patch_qfi(monkeypatch, refuse_stacks)
         rows = scan(STANDARD, probes, [-1.0, 0.01])
         assert [(r.alpha, r.T, r.error) for r in rows] == \
             [(p.alpha, T, error) for p in probes
@@ -1697,6 +1689,58 @@ class TestProbeSetup:
             assert all(len(ids) == 1 for ids in setups.values()) == shared, scheme.kind
         cold_caches()
 
+    def test_one_method_reads_alike_on_every_path_at_zero(self):
+        # every kind on every split at n <= 8, and the unsplit probes under
+        # standard: scan's kept frames, scheme_qfi's fresh set-up and a stack
+        # of zeros, which takes fresh frames, read the same floats
+        times = [0.0, 1e-3, 2e-2, 0.3]
+        cells = [(scheme, spec) for scheme in (STANDARD, DI_IDEAL, DI_ECHO, DI_REPEAT)
+                 for spec in self.DI_SPLITS + [ProbeSpec(ProbeFamily.DFS_OPTIMAL, n)
+                                               for n in range(2, 9, 2)]]
+        cells += [(STANDARD, ProbeSpec(family, n)) for n in range(1, 9)
+                  for family in (ProbeFamily.GHZ, ProbeFamily.PRODUCT_PLUS)]
+        cells += [(STANDARD, ProbeSpec(ProbeFamily.DICKE_SYMMETRIC, n)) for n in range(2, 9, 2)]
+        cold_caches()
+        for scheme, spec in cells:
+            kept = [r.f_phase for r in scan(scheme, [spec], times)]
+            probe, setup = build_probe(spec), schemes._spec_setup(spec, scheme.kind)
+            for T, value in zip(times, kept):
+                assert scheme_qfi(probe, scheme, T)[0].hex() == value.hex(), (scheme.kind, spec, T)
+                stacked = setup.qfi(scheme.noise, T, np.zeros(3))
+                assert stacked.tobytes() == np.full(3, value).tobytes(), (scheme.kind, spec, T)
+        assert len(cells) == 4 * len(self.DI_SPLITS) + 16 + 16 + 4
+        cold_caches()
+
+    def test_spin_echo_repeat_and_standard_share_one_factor_setup(self):
+        # a split ProductState under spin echo or repeat is partition 2's
+        # factor in collective blocks with its total z-spin, which is what
+        # standard reads of that factor unsplit: one set-up object and one
+        # layout for the three kinds, reading the values the kinds read
+        # with set-ups of their own, bit for bit
+        times = [0.0, 1e-3, 1.3e-2, 0.3]
+        expected = {  # F at the four times
+            ProbeFamily.GHZ: ["0x1.1ffffffffffffp+5", "0x1.861fce547d0f9p+2",
+                              "0x1.dc435dc1818cep-427", "0x0.0p+0"],
+            ProbeFamily.DICKE_SYMMETRIC: ["0x1.7fffffffffffep+4", "0x1.2e5410df2b3ddp+3",
+                                          "0x1.6350511b52d03p-46", "0x0.0p+0"],
+            ProbeFamily.PRODUCT_PLUS: ["0x1.8000000000000p+2", "0x1.281cfdacf5513p+2",
+                                       "0x1.bd2134a8149acp-12", "0x0.0p+0"]}
+        splits = {ProbeFamily.GHZ: ProbeSpec(ProbeFamily.GHZ_BIPARTITE, 10, n1=4),
+                  ProbeFamily.DICKE_SYMMETRIC: ProbeSpec(ProbeFamily.BSD, 10, n1=4, k1=1, k2=3),
+                  ProbeFamily.PRODUCT_PLUS: ProbeSpec(ProbeFamily.PRODUCT_PLUS, 10, n1=4)}
+        cold_caches()
+        for family, split in splits.items():
+            setup = schemes._spec_setup(ProbeSpec(family, 6), SchemeKind.STANDARD)
+            for kind in schemes._PER_VECTOR_KINDS:
+                assert schemes._spec_setup(split, kind) is setup, (family, kind)
+            for scheme, spec in ((STANDARD, ProbeSpec(family, 6)), (DI_ECHO, split),
+                                 (DI_REPEAT, split)):
+                rows = scan(scheme, [spec], times)
+                assert [r.f_phase.hex() for r in rows] == expected[family], (scheme.kind, spec)
+        assert schemes._signal_setup.cache_info().currsize == 3
+        assert schemes._block_layout.cache_info().currsize == 1
+        cold_caches()
+
     def test_partition_1_is_refused_beside_a_shared_setup(self):
         # a split product_plus whose partition 1 overflows keeps its refusal
         # under spin echo and repeat, though its partition-2 set-up is cached
@@ -1718,9 +1762,10 @@ class TestProbeSetup:
     def test_cold_caches_empties_every_cache_of_the_setup_route(self):
         scan(DI_ECHO, [ProbeSpec(ProbeFamily.BSD, 8, n1=3, k1=1, k2=2)], [1e-3])
         optimize_rotation(ProbeSpec(ProbeFamily.GHZ, 8), STANDARD, 1e-3)
-        caches = {name: value for name, value in vars(schemes).items()
-                  if hasattr(value, "cache_info")}
-        route = {"_signal_setup", "_factor", "_block_layout", "_start_rotation", "_grid_rotations"}
+        caches = {name: value for module in (schemes, dephasing)
+                  for name, value in vars(module).items() if hasattr(value, "cache_info")}
+        route = {"_signal_setup", "_factor", "_block_layout", "_start_rotation", "_grid_rotations",
+                 "_cell_kernels", "_distances", "_half_squares"}
         assert route <= set(caches)
         assert all(caches[name].cache_info().currsize > 0 for name in route)
         cold_caches()
@@ -1767,10 +1812,11 @@ class TestProbeSetup:
             setups = [schemes._spec_setup(spec, kind) for spec in self.BSD_SPLIT]
             # every (k1, k2) of the split shares one entry under each kind
             assert all(s.index is setups[0].index and s.g is setups[0].g for s in setups), kind
+        # spin echo and repeat read partition 2's factor as standard does: one entry
         info = schemes._block_layout.cache_info()
-        assert info.currsize == len(SchemeKind) and info.misses == len(SchemeKind)
+        assert info.currsize == 3 and info.misses == 3
         for n in range(1, 70):
-            layout = schemes._block_layout(SymmetricBasis(n), SchemeKind.STANDARD, False)
+            layout = schemes._block_layout(SymmetricBasis(n), SchemeKind.STANDARD)
             for x in layout[1:6]:
                 if x is not None:
                     assert not x.flags.writeable
@@ -1918,7 +1964,7 @@ class TestProbeSetup:
             twice = setup.probabilities(np.zeros(2))
             assert twice is not setup.p0 and np.array_equal(twice, setup.p0.repeat(2, axis=0))
             assert setup.frames0 is None  # kept from the first use only
-            _rotation_qfi(setup, NOISE, 1e-3)(np.zeros(1))
+            setup.qfi(NOISE, 1e-3, np.zeros(1))
             kept = setup.frames0
             assert len(kept) == 1 and kept[0][0] == slice(None)
             for x in kept[0][1:]:
@@ -1926,7 +1972,7 @@ class TestProbeSetup:
                     assert not x.flags.writeable
                     with pytest.raises(ValueError):
                         x.flat[0] = 1.0
-            _rotation_qfi(setup, NOISE, 3e-2)(np.zeros(1))
+            setup.qfi(NOISE, 3e-2, np.zeros(1))
             assert setup.frames0 is kept
         cold_caches()
 
@@ -1958,7 +2004,7 @@ class TestProbeSetup:
         assert setup.p0 is None
         for _ in range(2):
             with pytest.raises(ValueError, match="rotates at angle 0 only"):
-                _rotation_qfi(setup, NOISE, 1e-3)(np.zeros(1))
+                setup.qfi(NOISE, 1e-3, np.zeros(1))
         assert calls == [] and setup.frames0 is None
         # scan's set-up of the same probe has offset 0, and no error rows
         rows = scan(DI_IDEAL, [ProbeSpec(ProbeFamily.DFS_OPTIMAL, 8)], [1e-3, 1e-2])
